@@ -155,7 +155,11 @@ def cmd_pump(args) -> int:
     g = build(ins)
     if args.cert_in:
         with open(args.cert_in, encoding="utf-8") as fh:
-            cert = load_certificate(ins, json.load(fh), graph=g)
+            try:
+                cert = load_certificate(ins, json.load(fh), graph=g)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                # not JSON, or JSON without the certificate's fields and types
+                raise EquationError(f"malformed certificate {args.cert_in}: {exc!r}") from exc
     else:
         decision = decide_exp_infinite_dlg(ins, graph=g)
         if not decision.infinite:
@@ -301,6 +305,17 @@ def cmd_hunt(args) -> int:
     return code
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error messages
+    return parse
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="weq",
@@ -312,7 +327,7 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("path", help="instance file")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if crosscheck:
-            sp.add_argument("--crosscheck", type=int, default=None, metavar="L",
+            sp.add_argument("--crosscheck", type=_int_at_least(1), default=None, metavar="L",
                             help="also compare against the brute-force oracle up to length L")
         if faithful:
             sp.add_argument("--faithful", action="store_true",
@@ -328,7 +343,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pump", help="emit pumped solutions of growing exponent")
     common(sp)
-    sp.add_argument("--m", type=int, default=3, help="largest pump count (default 3)")
+    sp.add_argument("--m", type=_int_at_least(0), default=3, help="largest pump count (default 3)")
     sp.add_argument("--cert-out", metavar="FILE", help="write the certificate as JSON")
     sp.add_argument("--cert-in", metavar="FILE", help="verify and reuse a stored certificate")
     sp.set_defaults(func=cmd_pump)
@@ -345,7 +360,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="brute-force solution enumeration")
     common(sp)
-    sp.add_argument("--max-len", type=int, default=4, metavar="L")
+    sp.add_argument("--max-len", type=_int_at_least(1), default=4, metavar="L")
     sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     sp.set_defaults(func=cmd_oracle)
 

@@ -4,7 +4,7 @@ exponent heuristic.
 
 The sweep never claims a counterexample: a Suspect entry is an instance with
 infinitely many solutions, constraints outside the supported variety, no
-pumpable state on any enumerated simple cycle, and a maximal observed
+pumpable state in any cyclic component, and a maximal observed
 exponent that did not grow between two oracle bounds.  Anything in that
 bucket is flagged for manual study, nothing more.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import oracle
 from .equations import ConstraintMorphism, Instance, SymbolTable, WordEquation, format_instance
-from .periodicity import find_nicely_balanced_on_cycle, simple_cycles
+from .periodicity import cyclic_components, find_nicely_balanced_on_cycle
 from .semigroup import FiniteSemigroup, is_dlg
 from .solution_graph import build, has_infinitely_many, is_solvable
 
@@ -110,20 +110,20 @@ class HuntReport:
         }
 
 
-def classify(ins: Instance, cycle_cap: int = 20, oracle_budget: int = oracle.DEFAULT_BUDGET) -> tuple[str, dict]:
+def classify(ins: Instance, oracle_budget: int = oracle.DEFAULT_BUDGET) -> tuple[str, dict]:
     g = build(ins)
     if not is_solvable(g):
         return "Unsatisfiable", {}
     if not has_infinitely_many(g):
         return "FiniteSol", {}
     dlg = is_dlg(ins.mu.target).holds
-    cycles = simple_cycles(g, max_len=cycle_cap)
-    for cycle in cycles:
-        if find_nicely_balanced_on_cycle(g, cycle, raise_on_miss=dlg) is not None:
+    comps = cyclic_components(g)
+    for comp in comps:
+        if find_nicely_balanced_on_cycle(g, comp, raise_on_miss=dlg) is not None:
             return "InfiniteCertified", {}
     eq = ins.equation
     low = len(eq.lhs) + len(eq.rhs)
-    detail: dict = {"cycles_checked": len(cycles)}
+    detail: dict = {"states_checked": sum(len(c) for c in comps)}
     try:
         e1 = oracle.max_exp_up_to(ins, low, budget=oracle_budget)
         e2 = oracle.max_exp_up_to(ins, low + 2, budget=oracle_budget)

@@ -23,7 +23,7 @@ from .equations import (
     preimage_pump,
     require_solution,
 )
-from .semigroup import green, is_dlg, omega, stab_L
+from .semigroup import is_dlg, omega, stab_L
 from .solution_graph import (
     SolutionGraph,
     _apply_label,
@@ -55,17 +55,17 @@ class BalanceWitness:
 
 
 def _constraint_infinite(g: SolutionGraph, element: int) -> bool:
-    cache = g._cache.setdefault("preimage_infinite", {})
-    if element not in cache:
-        cache[element] = preimage_infinite(g.instance.mu, element)
-    return cache[element]
+    memo = g._infinite_memo
+    if element not in memo:
+        memo[element] = preimage_infinite(g.instance.mu, element)
+    return memo[element]
 
 
 def _stab(g: SolutionGraph, element: int) -> frozenset[int]:
-    cache = g._cache.setdefault("stab", {})
-    if element not in cache:
-        cache[element] = stab_L(g.instance.mu.target, element)
-    return cache[element]
+    memo = g._stab_memo
+    if element not in memo:
+        memo[element] = stab_L(g.instance.mu.target, element)
+    return memo[element]
 
 
 def is_nicely_balanced(g: SolutionGraph, sid: int, var: str) -> BalanceWitness | None:
@@ -158,9 +158,7 @@ def analyze_scc(g: SolutionGraph, comp_index: int) -> SccAnalysis:
         raise EquationError("component has no transition; nothing to analyze")
     comp = g.scc.components[comp_index]
     comp_set = set(comp)
-    target = g.instance.mu.target
-    gr = g._cache.setdefault("green", green(target))
-    dlg = g._cache.setdefault("dlg", is_dlg(target, gr).holds)
+    gr = g.target_green
     violations: list[str] = []
 
     leading_per_state: dict[int, int | None] = {}
@@ -217,7 +215,7 @@ def analyze_scc(g: SolutionGraph, comp_index: int) -> SccAnalysis:
         violations.append(f"playground size differs across states: {sorted(sizes)}")
     if len(players_sets) > 1:
         violations.append("player sets differ across states")
-    if dlg and violations:
+    if g.target_dlg and violations:
         raise TheoremViolation(
             f"component invariants failed under supported constraints: {violations}"
         )
@@ -258,21 +256,22 @@ def simple_cycles(g: SolutionGraph, max_len: int = 20, max_count: int = 10000) -
 
 
 def find_nicely_balanced_on_cycle(
-    g: SolutionGraph, cycle, raise_on_miss: bool | None = None
+    g: SolutionGraph, states, raise_on_miss: bool | None = None
 ) -> tuple[int, str, BalanceWitness] | None:
-    """Walk the cycle's states in order, testing every active variable; under
-    supported constraints a hit is guaranteed, so a miss raises."""
+    """Walk the given states in order, testing every active variable.  Every
+    cycle, and so every cyclic component, holds a hit under supported
+    constraints, so by default a miss then raises."""
     syms = g.instance.symbols
-    for sid in cycle:
+    for sid in states:
         st = g.states[sid]
         for var in sorted(st.varset, key=syms.variable_order):
             wit = is_nicely_balanced(g, sid, var)
             if wit is not None:
                 return sid, var, wit
     if raise_on_miss is None:
-        raise_on_miss = g._cache.setdefault("dlg", is_dlg(g.instance.mu.target).holds)
+        raise_on_miss = g.target_dlg
     if raise_on_miss:
-        raise TheoremViolation(f"no pumpable state on cycle {tuple(cycle)}")
+        raise TheoremViolation(f"no pumpable state among states {tuple(states)}")
     return None
 
 
@@ -369,23 +368,29 @@ def _solve_state(g: SolutionGraph, sid: int, path: list[int]) -> dict[str, Word]
     return patterns
 
 
+def cyclic_components(g: SolutionGraph) -> list[tuple[int, ...]]:
+    """The components that contain a transition, in topological order.  Each
+    of their states lies on a cycle."""
+    return [c for c, cyclic in zip(g.scc.components, g.scc.has_transition) if cyclic]
+
+
 def pumping_certificate(ins: Instance, graph: SolutionGraph | None = None) -> PumpingCertificate | None:
     """None when the trimmed automaton is acyclic (finitely many solutions);
-    otherwise a certificate found on some simple cycle.  Under supported
-    constraints the first cycle always yields one."""
+    otherwise a certificate at the first pumpable state of the cyclic
+    components, scanned in topological order and by state id.  Under
+    supported constraints the first cyclic component always yields one."""
     g = graph if graph is not None else build(ins)
     if not has_infinitely_many(g):
         return None
-    dlg = g._cache.setdefault("dlg", is_dlg(g.instance.mu.target).holds)
-    cycles = simple_cycles(g)
+    comps = cyclic_components(g)
     hit = None
-    for cycle in cycles:
-        hit = find_nicely_balanced_on_cycle(g, cycle, raise_on_miss=False)
+    for comp in comps:
+        hit = find_nicely_balanced_on_cycle(g, comp, raise_on_miss=False)
         if hit is not None:
             break
     if hit is None:
-        if dlg:
-            raise TheoremViolation(f"no pumpable state on any of {len(cycles)} cycles")
+        if g.target_dlg:
+            raise TheoremViolation(f"no pumpable state in any of {len(comps)} cyclic components")
         return None
     sid, var, wit = hit
     prefix = _shortest_path(g, g.initial, sid)

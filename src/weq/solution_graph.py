@@ -10,17 +10,30 @@ A degenerate state whose equation has been consumed entirely is represented
 by a TRUE marker that keeps its variable set; it is accepting once the
 variable set is empty, and remaining variables are assigned by the
 absent-variable rule.
+
+Exploration skips states that letter counting proves unsolvable.  With d_a
+the net count |U|_a - |V|_a of each constant and c_X that of each variable,
+a state is dead when some d_a != 0 while every c_X = 0, when every c_X is
+even and some d_a odd, or when the c_X share a sign that no nonempty
+substitution can reconcile with the d_a (see `_abelian_refuted`).  Such a
+state is recorded as dead when first generated and gets no transitions and
+no expansion.  The test runs on the initial state and after a substitution
+for a variable with c_X != 0; every other move keeps the counts of its
+source, which passed.  A dead state has only dead successors and every
+predecessor of a live state is live, so the live states are generated in the
+same breadth-first order as without the test, and the trimmed automaton,
+its state numbering included, is unchanged.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .equations import EquationError, Instance, Solution, Word, require_solution
-from .semigroup import FiniteSemigroup
+from .semigroup import FiniteSemigroup, GreenData, green, is_dlg
 
 
 class EmptySide(EquationError):
@@ -78,7 +91,29 @@ class SolutionGraph:
     scc: SccData
     n0: int
     faithful: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def target_green(self) -> GreenData:
+        """Green's relations of the constraint target."""
+        return green(self.instance.mu.target)
+
+    @cached_property
+    def target_dlg(self) -> bool:
+        """Whether every regular D-class of the constraint target is a right
+        group (the supported variety)."""
+        return is_dlg(self.instance.mu.target, self.target_green).holds
+
+    @cached_property
+    def _infinite_memo(self) -> dict[int, bool]:
+        """Target element -> whether its constraint language is infinite;
+        filled on demand by the periodicity module."""
+        return {}
+
+    @cached_property
+    def _stab_memo(self) -> dict[int, frozenset[int]]:
+        """Target element -> its L-stabilizer; filled on demand by the
+        periodicity module."""
+        return {}
 
     @property
     def state_count(self) -> int:
@@ -146,7 +181,12 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
     out: list[list[int]] = []
     transitions: list[GraphTransition] = []
 
-    def intern(lhs: Word, rhs: Word, varset: frozenset[str], mu: dict[str, int], true_: bool) -> int:
+    def intern(
+        lhs: Word, rhs: Word, varset: frozenset[str], mu: dict[str, int], true_: bool,
+        check: bool = False,
+    ) -> int:
+        """Id of the state, adding it on first sight; DEAD when `check` is
+        set and letter counting refutes the state on first sight."""
         st = GraphState(lhs, rhs, varset, tuple(sorted((v, mu[v]) for v in varset)), true_)
         sid = index.get(st)
         if sid is None:
@@ -154,6 +194,9 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
                 assert len(lhs) + len(rhs) <= n0
                 for v in varset:
                     assert lhs.count(v) + rhs.count(v) <= 2
+                if check and _abelian_refuted(lhs, rhs, varset):
+                    index[st] = DEAD
+                    return DEAD
             sid = len(states)
             index[st] = sid
             states.append(st)
@@ -162,6 +205,8 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
         return sid
 
     def add(src: int, dst: int, label: Label) -> None:
+        if dst == DEAD:
+            return
         tid = len(transitions)
         transitions.append(GraphTransition(src, dst, label))
         out[src].append(tid)
@@ -169,7 +214,7 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
     init_vars = frozenset(syms.variables)
     init_mu = {v: ins.mu[v] for v in syms.variables}
     queue: deque[int] = deque()
-    initial = intern(eq.lhs, eq.rhs, init_vars, init_mu, False)
+    initial = intern(eq.lhs, eq.rhs, init_vars, init_mu, False, check=True)
 
     while queue:
         sid = queue.popleft()
@@ -213,6 +258,10 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
                 return
             alpha = other[0]
             u, v = this[1:], other[1:]
+            # x -> alpha x and x -> alpha add c_x = |this|_x - |other|_x to
+            # the count difference of alpha; with c_x = 0 the children have
+            # the letter counts of this state, which passed the test
+            check = u.count(x) + 1 != v.count(x)
 
             def sub(w: Word, repl: Word) -> Word:
                 return tuple(tok for t in w for tok in (repl if t == x else (t,)))
@@ -225,14 +274,14 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
                 for t in quot.get((mu_of[alpha], mu[x]), ()):
                     mu2 = dict(mu)
                     mu2[x] = t
-                    add(sid, intern(pair[0], pair[1], varset, mu2, False), (x, (alpha, x)))
+                    add(sid, intern(pair[0], pair[1], varset, mu2, False, check), (x, (alpha, x)))
             # deleting transition: x -> alpha
             if mu[x] == mu_of[alpha]:
                 dl, dr = sub(u, (alpha,)), sub(v, (alpha,))
                 if swapped:
                     dl, dr = dr, dl
                 if dl and dr:
-                    add(sid, intern(dl, dr, varset - {x}, mu, False), (x, (alpha,)))
+                    add(sid, intern(dl, dr, varset - {x}, mu, False, check), (x, (alpha,)))
                 elif not dl and not dr:
                     add(sid, intern((), (), varset - {x}, mu, True), (x, (alpha,)))
 
@@ -249,6 +298,44 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
     return _trim(ins, states, transitions, out, initial, finals, n0, faithful)
 
 
+DEAD = -1  # index entry of a state refuted by letter counting
+
+
+def _abelian_refuted(lhs: Word, rhs: Word, varset: frozenset[str]) -> bool:
+    """Whether letter counting alone shows that the equation has no solution
+    in nonempty words.  With d_a = |lhs|_a - |rhs|_a for each constant a and
+    c_X = |lhs|_X - |rhs|_X for each variable X, a solution s satisfies
+    d_a + sum_X c_X |s(X)|_a = 0 for every a and |s(X)| >= 1, which fails
+    when some d_a != 0 but every c_X = 0; when every c_X is even but some
+    d_a is odd; when every c_X >= 0 and some d_a > 0 or sum_X c_X > -sum_a
+    d_a (and symmetrically for every c_X <= 0)."""
+    # flags instead of lists and any/all: this runs once per explored state
+    # of every instance, most of which are tiny
+    c_sum = d_sum = 0
+    c_pos = c_neg = c_odd = d_pos = d_neg = d_odd = False
+    for t in set(lhs + rhs):
+        n = lhs.count(t) - rhs.count(t)
+        if not n:
+            continue
+        if t in varset:
+            c_sum += n
+            c_pos, c_neg = c_pos or n > 0, c_neg or n < 0
+            c_odd = c_odd or n & 1
+        else:
+            d_sum += n
+            d_pos, d_neg = d_pos or n > 0, d_neg or n < 0
+            d_odd = d_odd or n & 1
+    if not (c_pos or c_neg):
+        return d_pos or d_neg
+    if d_odd and not c_odd:
+        return True
+    if not c_neg:
+        return d_pos or c_sum > -d_sum
+    if not c_pos:
+        return d_neg or c_sum < -d_sum
+    return False
+
+
 def _trim(ins, states, transitions, out, initial, finals, n0, faithful) -> SolutionGraph:
     n = len(states)
     co = set(finals)
@@ -263,7 +350,7 @@ def _trim(ins, states, transitions, out, initial, finals, n0, faithful) -> Solut
                 co.add(p)
                 frontier.append(p)
     keep = sorted(co)  # all states are forward-reachable by construction
-    if initial not in co:
+    if initial not in co:  # also when the initial state is DEAD
         empty = SccData((), (), ())
         return SolutionGraph(ins, [], [], [], None, frozenset(), True, empty, n0, faithful)
     remap = {old: new for new, old in enumerate(keep)}

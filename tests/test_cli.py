@@ -171,6 +171,19 @@ class TestPump:
         cert.write_text(json.dumps(data))
         assert main(["pump", files["xabby.weq"], "--cert-in", str(cert)]) == 2
 
+    @pytest.mark.parametrize("text", ['{"state": 0}', "not json", "[1, 2]"])
+    def test_malformed_certificate_exits_2(self, files, tmp_path, capsys, text):
+        cert = tmp_path / "cert.json"
+        cert.write_text(text)
+        assert main(["pump", files["xabby.weq"], "--cert-in", str(cert)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed certificate" in err and "Traceback" not in err
+
+    def test_negative_pump_count_exits_2(self, files, capsys):
+        assert main(["pump", files["xabby.weq"], "--m", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--m" in captured.err
+
 
 class TestSolveOracleGraph:
     def test_solve_matches_oracle(self, files, capsys):
@@ -187,6 +200,15 @@ class TestSolveOracleGraph:
     def test_oracle_budget(self, files, capsys):
         assert main(["oracle", files["xabby.weq"], "--max-len", "8", "--budget", "10"]) == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "{xabby}", "--max-len", "0"],
+        ["check", "{xabby}", "--crosscheck", "0"],
+    ])
+    def test_zero_length_bound_exits_2(self, files, capsys, argv):
+        argv = [arg.format(xabby=files["xabby.weq"]) for arg in argv]
+        assert main(argv) == 2
+        assert "at least 1" in capsys.readouterr().err
 
     def test_graph_dot_deterministic(self, files, tmp_path, capsys):
         d1, d2 = tmp_path / "a.dot", tmp_path / "b.dot"

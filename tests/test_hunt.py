@@ -44,6 +44,11 @@ class TestClassify:
         clazz, _ = hunt.classify(make_instance("Xa=aX"))
         assert clazz == "InfiniteCertified"
 
+    def test_certified_beyond_twenty_states_per_cycle(self):
+        from conftest import make_instance
+        clazz, _ = hunt.classify(make_instance("X" + "a" * 20 + "b=" + "a" * 20 + "bX"))
+        assert clazz == "InfiniteCertified"
+
     def test_discharged_when_certificates_are_hidden(self, monkeypatch):
         # force the cycle search to miss: the oracle then sees growing exponents
         from conftest import make_instance
@@ -64,7 +69,7 @@ class TestClassify:
         monkeypatch.setattr(hunt.oracle, "max_exp_up_to", lambda *a, **k: 1)
         clazz, detail = hunt.classify(ins)
         assert clazz == "Suspect"
-        assert detail["cycles_checked"] >= 1
+        assert detail["states_checked"] >= 1
 
 
 class _false:
@@ -90,7 +95,7 @@ class TestRunHunt:
 
     def test_suspects_written_as_json_lines(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hunt, "classify",
-                            lambda ins, **k: ("Suspect", {"cycles_checked": 0}))
+                            lambda ins, **k: ("Suspect", {"states_checked": 0}))
         path = tmp_path / "findings.jsonl"
         with pytest.raises(hunt.BudgetExceeded):
             hunt.run_hunt(builtin("trivial"), 1, 1, 2, budget=2,

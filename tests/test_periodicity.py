@@ -205,6 +205,39 @@ class TestCertificates:
             for m in range(4):
                 assert verify_solution(ins, instantiate(cert, ins, m))
 
+    @pytest.mark.parametrize("k", [20, 32])
+    def test_cycle_longer_than_twenty(self, k):
+        # every cycle of X a^k b = a^k b X passes through k + 1 states or more
+        ins = make_instance("X" + "a" * k + "b=" + "a" * k + "bX")
+        dec = decide_exp_infinite_dlg(ins)
+        assert dec.infinite and dec.certificate is not None
+        for m in range(3):
+            sol = instantiate(dec.certificate, ins, m)
+            assert verify_solution(ins, sol)
+            assert exp_solution(sol) >= m
+
+    def test_semigroup_analysis_once_per_graph(self, monkeypatch):
+        from weq import solution_graph
+        calls = {"green": 0, "is_dlg": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solution_graph, name, counted(name, getattr(solution_graph, name)))
+        ins = make_instance("XabY=YbaX")
+        g = build(ins)
+        cyclic = [i for i, h in enumerate(g.scc.has_transition) if h]
+        for _ in range(3):
+            for ci in cyclic:
+                analyze_scc(g, ci)
+            pumping_certificate(ins, graph=g)
+            find_nicely_balanced_on_cycle(g, g.scc.components[cyclic[0]])
+        assert calls == {"green": 1, "is_dlg": 1}
+
 
 class TestDecide:
     def test_running_example_infinite(self):

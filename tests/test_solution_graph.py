@@ -1,11 +1,16 @@
+import hashlib
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance
-from weq.equations import NotQuadratic, Solution
+from weq.equations import NotQuadratic, Solution, parse_instance
 from weq.oracle import brute_solutions
 from weq.semigroup import builtin
 from weq.solution_graph import (
     NotAccepting,
+    _abelian_refuted,
     build,
     enumerate_solutions,
     export_dot,
@@ -176,3 +181,110 @@ class TestDot:
         g = build(make_instance("a=a", variables=""))
         dot = export_dot(g)
         assert dot.count("label=") >= 1
+
+
+def long_cycle(k):
+    return make_instance("X" + "a" * k + "b=" + "a" * k + "bX")
+
+
+FIVE_VARIABLES = parse_instance(
+    "constants a b\nvariables X0 X1 X2 X3 X4\n"
+    "equation b X2 X3 X4 X3 b X0 b b = X1 X0 X2 X4 X1\nsemigroup builtin:trivial\n"
+)
+
+
+class TestAbelianFilter:
+    """Pruning states refuted by letter counting keeps the automaton."""
+
+    # sha256 of export_dot, computed with every reachable state explored
+    # before trimming (no letter-count test)
+    @pytest.mark.parametrize("ins, faithful, digest", [
+        pytest.param(FIVE_VARIABLES, False,
+                     "394bcb190d096f8d78c633cfa6331e6f2d47bb7b999d0a4799ac6b234a042807",
+                     id="five-variables"),
+        pytest.param(FIVE_VARIABLES, True,
+                     "9dc72b5cece331f74235a53183f8bd0a2c7b2489c976911a354daef15b140b25",
+                     id="five-variables-faithful"),
+        pytest.param(long_cycle(20), False,
+                     "e7a863b96e61ea1b3feb18fe2b21e64af47f517dbb50198525864ef5f54102a9",
+                     id="long-cycle-20"),
+        pytest.param(long_cycle(20), True,
+                     "e7a863b96e61ea1b3feb18fe2b21e64af47f517dbb50198525864ef5f54102a9",
+                     id="long-cycle-20-faithful"),
+        pytest.param(make_instance("XabY=YbaX"), False,
+                     "86f79865ed7301f3ac8c0dfad33d4630164ff8ff123ad531cbde57c40a12d0da",
+                     id="XabY=YbaX"),
+        pytest.param(make_instance("XabY=YbaX"), True,
+                     "86f79865ed7301f3ac8c0dfad33d4630164ff8ff123ad531cbde57c40a12d0da",
+                     id="XabY=YbaX-faithful"),
+        pytest.param(make_instance("XaY=YaX", sg=builtin("z2"),
+                                   mapping={"a": "1", "b": "0", "X": "1", "Y": "0"}), False,
+                     "8ae345c8cda6db321e6a552337c20ce967beb84344506f05ef14d76cfaa7424a",
+                     id="XaY=YaX-z2"),
+        pytest.param(make_instance("XYb=bYX", sg=builtin("rz2"),
+                                   mapping={"a": "a", "b": "b", "X": "b", "Y": "a"}), True,
+                     "260720c4eebee6596ac6fe0985531c21b8f0e92b96c7045adae5367be32b8618",
+                     id="XYb=bYX-rz2-faithful"),
+        pytest.param(make_instance("XaY=YbX", sg=builtin("n2"),
+                                   mapping={"a": "x", "b": "x", "X": "0", "Y": "x"}), False,
+                     "2c6855c6e47c9a8b5df5bb7fc4f76c2e9d12892686afad2b97da0ce8d0f7272d",
+                     id="XaY=YbX-n2-empty"),
+        pytest.param(make_instance("XaY=YaX", variables="XYZ"), False,
+                     "258fc4e1ec0f3a33416e3cf049624bc926e84e73bce77e7b29a9149fbd047dc4",
+                     id="XaY=YaX-absent-Z"),
+        pytest.param(make_instance("XaY=YaX", variables="XYZ"), True,
+                     "dda6c2275471fe4163e8d90244d366a190b3f1600fa32d639b9f3fe68d5f8852",
+                     id="XaY=YaX-absent-Z-faithful"),
+    ])
+    def test_dot_unchanged(self, ins, faithful, digest):
+        dot = export_dot(build(ins, faithful=faithful))
+        assert hashlib.sha256(dot.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec, refuted", [
+        ("Xa=bX", True),     # counts of a and b differ, X cancels
+        ("XaY=YbX", True),
+        ("XXa=b", True),     # c_X = 2 > 0 and d_a = 1 > 0
+        ("XY=Y", True),      # c_X = 1 > 0 = -(sum of d)
+        ("XX=aaa", True),    # every c even, d_a odd
+        ("XX=YaY", True),
+        ("XabY=YbaX", False),
+        ("XY=aab", False),
+        ("XaX=aYb", False),  # d_b = -1, c_X = 2, c_Y = -1: signs mixed
+    ])
+    def test_refutation_rule(self, spec, refuted):
+        ins = make_instance(spec)
+        eq = ins.equation
+        assert _abelian_refuted(eq.lhs, eq.rhs, frozenset(ins.symbols.variables)) == refuted
+
+    def test_six_variable_instance_refuted_at_the_start(self):
+        ins = parse_instance(
+            "constants a b\nvariables X0 X1 X2 X3 X4 X5\n"
+            "equation X0 X4 X0 X1 b X4 X5 X5 = X2 X2 X3 X1 a X3\nsemigroup builtin:trivial\n"
+        )
+        eq = ins.equation
+        assert _abelian_refuted(eq.lhs, eq.rhs, frozenset(ins.symbols.variables))
+        assert not is_solvable(build(ins))
+
+
+@st.composite
+def quadratic_equations(draw):
+    """Up to four variables, each occurring once or twice, plus up to four
+    constants, shuffled and cut into two nonempty sides."""
+    variables = "WXYZ"[:draw(st.integers(1, 4))]
+    tokens = [v for v in variables for _ in range(draw(st.integers(1, 2)))]
+    tokens += draw(st.lists(st.sampled_from("ab"), max_size=4))
+    assume(len(tokens) >= 2)
+    word = "".join(draw(st.permutations(tokens)))
+    cut = draw(st.integers(1, len(word) - 1))
+    return word[:cut] + "=" + word[cut:], variables
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadratic_equations())
+def test_refuted_initial_state_has_no_solution(case):
+    spec, variables = case
+    ins = make_instance(spec, variables=variables)
+    eq = ins.equation
+    if _abelian_refuted(eq.lhs, eq.rhs, frozenset(variables)):
+        assert brute_solutions(ins, 4).solutions == ()
+        assert not is_solvable(build(ins))
