@@ -2,6 +2,9 @@
 """The solution automaton of the running example XabY = YbaX: states,
 transitions, verdicts, and DOT export."""
 
+import os
+import tempfile
+
 from weq import (
     build,
     enumerate_solutions,
@@ -36,7 +39,8 @@ for sol in enumerate_solutions(g, max_word_len=3):
     print("   ", ", ".join(f"{v}={''.join(w)}" for v, w in sol.assignment))
 
 dot = export_dot(g)
-with open("solution_graph.dot", "w", encoding="utf-8") as fh:
+path = os.path.join(tempfile.gettempdir(), "solution_graph.dot")
+with open(path, "w", encoding="utf-8") as fh:
     fh.write(dot)
-print(f"wrote solution_graph.dot ({len(dot.splitlines())} lines); "
-      "render with: dot -Tpdf solution_graph.dot -o graph.pdf")
+print(f"wrote {path} ({len(dot.splitlines())} lines); "
+      f"render with: dot -Tpdf {path} -o graph.pdf")

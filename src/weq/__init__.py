@@ -9,17 +9,14 @@ from ._text import ParseError
 from .equations import (
     ConstraintMorphism,
     EquationError,
-    EquationSystem,
     Instance,
     NotQuadratic,
     Solution,
-    Substitution,
     SymbolTable,
     WordEquation,
     WrongConstraintShape,
     brandt_two_constant_guesses,
     equation,
-    eval_word,
     exp_solution,
     exp_word,
     format_instance,

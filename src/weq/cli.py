@@ -350,7 +350,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="enumerate solutions up to a word length")
     common(sp, faithful=True)
-    sp.add_argument("--max-len", type=int, default=4, metavar="L")
+    sp.add_argument("--max-len", type=_int_at_least(1), default=4, metavar="L")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("graph", help="export the solution automaton as DOT")

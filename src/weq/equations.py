@@ -2,9 +2,9 @@
 finite semigroup, substitutions, the exponent of periodicity, and the
 constraint-language pumping machinery.
 
-A word is a tuple of symbol tokens.  An instance bundles one or more
-equations with a constraint morphism; the morphism knows the symbol table,
-the target semigroup, and the image of every symbol.
+A word is a tuple of symbol tokens.  An instance bundles equations with a
+constraint morphism; the morphism knows the symbol table, the target
+semigroup, and the image of every symbol.
 """
 
 from __future__ import annotations
@@ -145,26 +145,16 @@ class ConstraintMorphism:
             acc = self.target.table[acc][m[tok]]
         return acc
 
-    def eval1(self, w) -> int:
-        """Evaluation in S^1: the empty word maps to ONE."""
-        w = as_word(w)
-        return self.eval(w) if w else ONE
-
-
-def eval_word(mu: ConstraintMorphism, w) -> int:
-    return mu.eval(w)
-
 
 @dataclass(frozen=True)
 class Instance:
-    """One or more equations together with a constraint morphism."""
+    """Equations together with a constraint morphism; there are none only
+    in a singular guess that erases every side."""
 
     equations: tuple[WordEquation, ...]
     mu: ConstraintMorphism
 
     def __post_init__(self):
-        if not self.equations:
-            raise EquationError("an instance needs at least one equation")
         known = self.symbols.constant_set | self.symbols.variable_set
         for eq in self.equations:
             for tok in eq.lhs + eq.rhs:
@@ -209,6 +199,7 @@ def unconstrained(equations, constants, variables) -> Instance:
 
 
 def substitute(word: Word, var: str, repl: Word) -> Word:
+    """Replace every occurrence of one variable by a word."""
     if var not in word:
         return word
     out: list[str] = []
@@ -220,87 +211,13 @@ def substitute(word: Word, var: str, repl: Word) -> Word:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Substitution:
-    """Endomorphism fixing constants, given by its action on finitely many
-    variables.  Images containing other variables are substituted once, not
-    iterated."""
-
-    assignments: tuple[tuple[str, Word], ...]
-
-    @classmethod
-    def from_dict(cls, mapping) -> "Substitution":
-        items = tuple(sorted((v, as_word(w)) for v, w in mapping.items()))
-        for v, w in items:
-            if not w:
-                raise EmptyWord(f"substitution image of {v!r} is empty")
-        return cls(items)
-
-    @cached_property
-    def _map(self) -> dict[str, Word]:
-        return dict(self.assignments)
-
-    def apply(self, word) -> Word:
-        m = self._map
-        out: list[str] = []
-        for tok in as_word(word):
-            out.extend(m.get(tok, (tok,)))
-        return tuple(out)
-
-    def is_basic(self, symbols: SymbolTable) -> bool:
-        """A single assignment X -> aX with a in the full alphabet, or X -> c
-        with c a constant."""
-        if len(self.assignments) != 1:
-            return False
-        var, img = self.assignments[0]
-        if not symbols.is_variable(var):
-            return False
-        if len(img) == 1:
-            return symbols.is_constant(img[0])
-        return len(img) == 2 and img[1] == var and (
-            symbols.is_constant(img[0]) or symbols.is_variable(img[0])
-        )
-
-    def is_trivial(self, symbols: SymbolTable) -> bool:
-        """Every image is constants-then-the-same-variable, or all constants."""
-        for var, img in self.assignments:
-            if not symbols.is_variable(var):
-                return False
-            if img[-1] == var:
-                body = img[:-1]
-            else:
-                body = img
-            if any(not symbols.is_constant(t) for t in body):
-                return False
-        return True
-
-    def basic_factors(self, symbols: SymbolTable) -> list["Substitution"]:
-        """Write a trivial substitution as a sequence of basic ones (applied
-        first-to-last)."""
-        if not self.is_trivial(symbols):
-            raise EquationError("only trivial substitutions factor into basic steps")
-        steps: list[Substitution] = []
-        for var, img in self.assignments:
-            if img == (var,):
-                continue
-            if img[-1] == var:
-                body, keep = img[:-1], True
-            else:
-                body, keep = img, False
-            prefix = body if keep else body[:-1]
-            for c in prefix:
-                steps.append(Substitution.from_dict({var: (c, var)}))
-            if not keep:
-                steps.append(Substitution.from_dict({var: (body[-1],)}))
-        return steps
-
-
-def compose_apply(steps, word) -> Word:
-    """Apply substitutions first-to-last."""
-    w = as_word(word)
-    for s in steps:
-        w = s.apply(w)
-    return w
+def apply_map(word: Word, mapping) -> Word:
+    """Replace every token of the word by its image under the mapping, if it
+    has one."""
+    out: list[str] = []
+    for tok in word:
+        out.extend(mapping.get(tok, (tok,)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -321,11 +238,7 @@ class Solution:
         return self.as_dict[var]
 
     def apply(self, word) -> Word:
-        m = self.as_dict
-        out: list[str] = []
-        for tok in as_word(word):
-            out.extend(m.get(tok, (tok,)))
-        return tuple(out)
+        return apply_map(word, self.as_dict)
 
     def sort_key(self, symbols: SymbolTable):
         m = self.as_dict
@@ -556,11 +469,11 @@ def singular_guesses(ins: Instance) -> list[Instance]:
     guesses: list[Instance] = []
     for mask in range(1 << len(erasable)):
         erased = {erasable[i] for i in range(len(erasable)) if mask >> i & 1}
+        to_empty = dict.fromkeys(erased, ())
         eqs: list[WordEquation] = []
         contradictory = False
         for eq in ins.equations:
-            lhs = tuple(t for t in eq.lhs if t not in erased)
-            rhs = tuple(t for t in eq.rhs if t not in erased)
+            lhs, rhs = apply_map(eq.lhs, to_empty), apply_map(eq.rhs, to_empty)
             if not lhs and not rhs:
                 continue
             if not lhs or not rhs:
@@ -575,26 +488,14 @@ def singular_guesses(ins: Instance) -> list[Instance]:
             new_syms, ins.mu.target,
             {s: ins.mu[s] for s in new_syms.all_symbols()},
         )
-        guesses.append(_RawInstance(tuple(eqs), mu))
+        guesses.append(Instance(tuple(eqs), mu))
     return guesses
 
 
-class _RawInstance(Instance):
-    """Instance that may carry zero equations (a fully erased system)."""
-
-    def __post_init__(self):
-        # same symbol validation as Instance, minus the nonempty-system check
-        known = self.symbols.constant_set | self.symbols.variable_set
-        for eq in self.equations:
-            for tok in eq.lhs + eq.rhs:
-                if tok not in known:
-                    raise EquationError(f"undeclared symbol {tok!r} in equation")
-
-
-def periodicity_reduction(ins: Instance, m: int, var: str | None = None):
+def periodicity_reduction(ins: Instance, m: int, var: str | None = None) -> Instance:
     """Augment the system with a power chain for one variable: X = Y X1 Z and
     X_{i-1} = X_i X_i for 2 <= i <= m.  Construction only; the result is
-    generally not quadratic."""
+    unconstrained and generally not quadratic."""
     if m < 1:
         raise EquationError("the chain length must be at least 1")
     syms = ins.symbols
@@ -610,16 +511,7 @@ def periodicity_reduction(ins: Instance, m: int, var: str | None = None):
     eqs.append(WordEquation((var,), (y, chain[0], z)))
     for i in range(1, m):
         eqs.append(WordEquation((chain[i - 1],), (chain[i], chain[i])))
-    new_syms = SymbolTable(syms.constants, syms.variables + tuple(fresh))
-    return EquationSystem(new_syms, tuple(eqs))
-
-
-@dataclass(frozen=True)
-class EquationSystem:
-    """Bare equations over a symbol table, with no constraint attached."""
-
-    symbols: SymbolTable
-    equations: tuple[WordEquation, ...]
+    return unconstrained(eqs, syms.constants, syms.variables + tuple(fresh))
 
 
 def brandt_two_constant_guesses(ins: Instance) -> list[Instance]:
@@ -653,25 +545,12 @@ def brandt_two_constant_guesses(ins: Instance) -> list[Instance]:
     halves = {v: (fresh[2 * i], fresh[2 * i + 1]) for i, v in enumerate(syms.variables)}
     out: list[Instance] = []
     for choice in itertools.product(syms.constants, repeat=len(syms.variables)):
-        sub = Substitution.from_dict({
-            v: (halves[v][0], c, c, halves[v][1])
-            for v, c in zip(syms.variables, choice)
-        })
+        sub = {v: (halves[v][0], c, c, halves[v][1]) for v, c in zip(syms.variables, choice)}
         eqs = tuple(
-            WordEquation(sub.apply(eq.lhs), sub.apply(eq.rhs)) for eq in ins.equations
+            WordEquation(apply_map(eq.lhs, sub), apply_map(eq.rhs, sub)) for eq in ins.equations
         )
         out.append(unconstrained(eqs, syms.constants, fresh))
     return out
-
-
-def guess_substitution(ins: Instance, choice) -> Substitution:
-    """The substitution X -> X1 c_X^2 X2 used by a Brandt two-constant guess."""
-    syms = ins.symbols
-    fresh = fresh_variables(syms.all_symbols(), 2 * len(syms.variables))
-    return Substitution.from_dict({
-        v: (fresh[2 * i], c, c, fresh[2 * i + 1])
-        for i, (v, c) in enumerate(zip(syms.variables, choice))
-    })
 
 
 # ---------------------------------------------------------------------------

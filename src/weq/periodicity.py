@@ -18,6 +18,7 @@ from .equations import (
     Instance,
     Solution,
     Word,
+    apply_map,
     exp_solution,
     preimage_infinite,
     preimage_pump,
@@ -404,8 +405,7 @@ def pumping_certificate(ins: Instance, graph: SolutionGraph | None = None) -> Pu
             prefix_labels=tuple(g.transitions[t].label for t in prefix),
             base=tuple(sorted(base.items())), pump=pump,
         )
-    base_v = tuple(tok for t in wit.v for tok in base.get(t, (t,)))
-    img = g.instance.mu.eval(base_v)
+    img = g.instance.mu.eval(apply_map(wit.v, base))
     om = omega(g.instance.mu.target, img)
     return PumpingCertificate(
         state=sid, variable=var, case="head_balanced",
@@ -421,7 +421,7 @@ def instantiate(cert: PumpingCertificate, ins: Instance, m: int) -> Solution:
         raise ValueError("the pump count must be nonnegative")
     base = cert.base_dict()
     if cert.case == "head_balanced":
-        base_v = tuple(tok for t in cert.v for tok in base.get(t, (t,)))
+        base_v = apply_map(cert.v, base)
         assert base_v, "pumped word must be nonempty"
         pumped = base_v * (m * cert.omega_exponent) + base[cert.variable]
     else:
@@ -434,11 +434,7 @@ def instantiate(cert: PumpingCertificate, ins: Instance, m: int) -> Solution:
     patterns = {v: (v,) for v in ins.symbols.variables}
     for label in cert.prefix_labels:
         patterns = _apply_label(patterns, label)
-    final = {
-        v: tuple(tok for t in w for tok in local.get(t, (t,)))
-        for v, w in patterns.items()
-    }
-    sol = Solution.from_dict(final)
+    sol = Solution.from_dict({v: apply_map(w, local) for v, w in patterns.items()})
     require_solution(ins, sol)
     if exp_solution(sol) < m:
         raise TheoremViolation(f"pumped solution has exponent below {m}")
@@ -479,18 +475,11 @@ def certificate_to_json(cert: PumpingCertificate) -> dict:
         "v": list(cert.v) if cert.v is not None else None,
         "base": {v: list(w) for v, w in cert.base},
         "omega": cert.omega_exponent,
+        # a silent step as null, a substitution as [variable, [token, ...]]
         "prefix_path": [
-            "eps" if lab is None else f"{lab[0]}->{','.join(lab[1])}"
-            for lab in cert.prefix_labels
+            None if lab is None else [lab[0], list(lab[1])] for lab in cert.prefix_labels
         ],
     }
-
-
-def _parse_label(s: str) -> tuple[str, Word] | None:
-    if s == "eps":
-        return None
-    var, _, repl = s.partition("->")
-    return (var, tuple(repl.split(",")))
 
 
 def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = None) -> PumpingCertificate:
@@ -499,7 +488,10 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     sid = data["state"]
     if not 0 <= sid < g.state_count:
         raise EquationError(f"certificate state {sid} does not exist")
-    labels = tuple(_parse_label(s) for s in data["prefix_path"])
+    for lab in data["prefix_path"]:
+        if lab is not None and not (isinstance(lab, list) and len(lab) == 2):
+            raise TypeError(f"prefix_path entry {lab!r} is neither null nor [variable, [token, ...]]")
+    labels = tuple(None if lab is None else (lab[0], tuple(lab[1])) for lab in data["prefix_path"])
     # replay the labels from the initial state; the label sequence must
     # admit a run ending at the certified state
     frontier = {g.initial}

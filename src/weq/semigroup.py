@@ -249,12 +249,14 @@ class GreenData:
         return self.leqR[x][y]
 
 
-def _partition(sets: list[frozenset[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    groups: dict[frozenset[int], list[int]] = {}
-    for x, s in enumerate(sets):
-        groups.setdefault(s, []).append(x)
+def _partition(keys: list) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Classes of elements with equal keys, ordered by least member, and the
+    class index of each element."""
+    groups: dict[object, list[int]] = {}
+    for x, key in enumerate(keys):
+        groups.setdefault(key, []).append(x)
     classes = sorted(groups.values(), key=lambda c: c[0])
-    index = [0] * len(sets)
+    index = [0] * len(keys)
     for ci, cls in enumerate(classes):
         for x in cls:
             index[x] = ci
@@ -262,8 +264,9 @@ def _partition(sets: list[frozenset[int]]) -> tuple[tuple[tuple[int, ...], ...],
 
 
 def green(sg: FiniteSemigroup) -> GreenData:
-    """Compute all five Green's relations; D is computed both as J and as the
-    join of L and R and the two are asserted equal."""
+    """Compute all five Green's relations.  H groups elements by their L- and
+    R-classes together; D is the J partition, as in every finite
+    semigroup."""
     n = sg.order
     T = sg.table
     rng = range(n)
@@ -279,55 +282,12 @@ def green(sg: FiniteSemigroup) -> GreenData:
     classesL, indexL = _partition(Lsets)
     classesR, indexR = _partition(Rsets)
     classesJ, indexJ = _partition(Jsets)
-    # H-classes: group by the (L-set, R-set) pair
-    pairs: dict[tuple[frozenset, frozenset], list[int]] = {}
-    for x in rng:
-        pairs.setdefault((Lsets[x], Rsets[x]), []).append(x)
-    hcls = sorted(pairs.values(), key=lambda c: c[0])
-    classesH = tuple(tuple(c) for c in hcls)
-    indexH_list = [0] * n
-    for ci, cls in enumerate(classesH):
-        for x in cls:
-            indexH_list[x] = ci
-    indexH = tuple(indexH_list)
-    # D as the join of L and R (union-find)
-    parent = list(rng)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for cls in itertools.chain(classesL, classesR):
-        for x in cls[1:]:
-            union(cls[0], x)
-    Dsets = [frozenset()] * n
-    roots: dict[int, list[int]] = {}
-    for x in rng:
-        roots.setdefault(find(x), []).append(x)
-    for members in roots.values():
-        s = frozenset(members)
-        for x in members:
-            Dsets[x] = s
-    classesD, indexD = _partition(Dsets)
-    if classesD != classesJ:
-        raise InternalDisagreement("D-partition (L join R) differs from J-partition")
-    regularD = tuple(any(sg.is_idempotent(x) for x in cls) for cls in classesD)
-    # H = L intersect R, sanity
-    for cls in classesH:
-        l0, r0 = indexL[cls[0]], indexR[cls[0]]
-        if any(indexL[x] != l0 or indexR[x] != r0 for x in cls):
-            raise InternalDisagreement("H-class not an L,R intersection")
+    classesH, indexH = _partition(list(zip(Lsets, Rsets)))
+    regularD = tuple(any(sg.is_idempotent(x) for x in cls) for cls in classesJ)
     return GreenData(
         leqL, leqR, leqJ,
-        classesL, classesR, classesJ, classesH, classesD,
-        regularD, indexL, indexR, indexJ, indexH, indexD,
+        classesL, classesR, classesJ, classesH, classesJ,
+        regularD, indexL, indexR, indexJ, indexH, indexJ,
     )
 
 
@@ -358,72 +318,18 @@ class DlgResult:
         return self.holds
 
 
-def is_dlg(sg: FiniteSemigroup, green_data: GreenData | None = None) -> DlgResult:
-    """Decide whether every regular D-class is a right group.
-
-    Four equivalent characterizations are evaluated (three omega-power
-    identities plus the D-class condition) along with the stabilizer
-    equivalence used for the witness; they are asserted to agree.
-    """
-    n = sg.order
+@lru_cache(maxsize=64)
+def is_dlg(sg: FiniteSemigroup) -> DlgResult:
+    """Decide whether every regular D-class is a right group: exactly when no
+    u and x have u*x L-equivalent to x yet u^omega * x != x."""
     T = sg.table
     om = _omega_vector(sg)
-    gr = green_data if green_data is not None else green(sg)
-
-    def ident_xy() -> bool:
-        for x in range(n):
-            for y in range(n):
-                e = om[T[x][y]]
-                if T[om[y]][e] != e:
-                    return False
-        return True
-
-    def ident_xyz() -> bool:
-        for x in range(n):
-            for y in range(n):
-                xy = T[x][y]
-                for z in range(n):
-                    e = om[T[xy][z]]
-                    if T[om[y]][e] != e:
-                        return False
-        return True
-
-    def ident_yx_xy() -> bool:
-        for x in range(n):
-            for y in range(n):
-                e = om[T[x][y]]
-                if T[om[T[y][x]]][e] != e:
-                    return False
-        return True
-
-    def regular_d_right_groups() -> bool:
-        for ci, cls in enumerate(gr.classesD):
-            if not gr.regularD[ci]:
-                continue
-            members = set(cls)
-            for x in cls:
-                for y in cls:
-                    if T[x][y] not in members:
-                        return False
-            for x in cls:
-                for y in cls:
-                    if T[om[y]][x] != x:
-                        return False
-        return True
-
-    witness = None
-    for x in range(n):
-        for u in range(n):
-            ux = T[u][x]
-            if gr.same_L(ux, x) and T[om[u]][x] != x:
-                witness = (x, u)
-                break
-        if witness:
-            break
-    verdicts = (ident_xy(), ident_xyz(), ident_yx_xy(), regular_d_right_groups(), witness is None)
-    if len(set(verdicts)) != 1:
-        raise InternalDisagreement(f"DLG characterizations disagree: {verdicts}")
-    return DlgResult(verdicts[0], witness)
+    gr = green(sg)
+    for x in sg.elements():
+        for u in sg.elements():
+            if gr.same_L(T[u][x], x) and T[om[u]][x] != x:
+                return DlgResult(False, (x, u))
+    return DlgResult(True)
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +362,6 @@ class VarietyReport:
         }
 
 
-def _is_right_group(sg: FiniteSemigroup, gr: GreenData, om: list[int]) -> bool:
-    n = sg.order
-    T = sg.table
-    by_identity = all(T[om[y]][x] == x for x in range(n) for y in range(n))
-    right_simple = len(gr.classesR) <= 1
-    if by_identity != right_simple:
-        raise InternalDisagreement("right-group identity vs right-simplicity")
-    return by_identity
-
-
 def _is_nilpotent(sg: FiniteSemigroup) -> bool:
     """Some power of S is a single absorbing zero (vacuously true when empty)."""
     if sg.order == 0:
@@ -489,7 +385,6 @@ def variety_report(sg: FiniteSemigroup) -> VarietyReport:
     T = sg.table
     rng = range(n)
     gr = green(sg)
-    om = _omega_vector(sg)
     commutative = all(T[x][y] == T[y][x] for x in rng for y in rng)
     semilattice = commutative and all(sg.is_idempotent(x) for x in rng)
     e = sg.identity_element()
@@ -514,10 +409,10 @@ def variety_report(sg: FiniteSemigroup) -> VarietyReport:
             do = do and all(sg.is_idempotent(T[a][b]) for a in idems for b in idems)
         else:
             do = False
-    dlg_res = is_dlg(sg, gr)
+    dlg_res = is_dlg(sg)
     drg_res = is_dlg(opposite(sg))
     return VarietyReport(
-        right_group=_is_right_group(sg, gr, om),
+        right_group=len(gr.classesR) <= 1,  # finite right-simple = right group
         group=group,
         commutative=commutative,
         semilattice=semilattice,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .equations import EquationError, Instance, Solution, Word, require_solution
+from .equations import EquationError, Instance, Solution, Word, require_solution, substitute
 from .semigroup import FiniteSemigroup, GreenData, green, is_dlg
 
 
@@ -101,7 +101,7 @@ class SolutionGraph:
     def target_dlg(self) -> bool:
         """Whether every regular D-class of the constraint target is a right
         group (the supported variety)."""
-        return is_dlg(self.instance.mu.target, self.target_green).holds
+        return is_dlg(self.instance.mu.target).holds
 
     @cached_property
     def _infinite_memo(self) -> dict[int, bool]:
@@ -122,9 +122,6 @@ class SolutionGraph:
     @property
     def transition_count(self) -> int:
         return len(self.transitions)
-
-    def is_final(self, sid: int) -> bool:
-        return sid in self.finals
 
     def out_transitions(self, sid: int):
         return [self.transitions[t] for t in self.out[sid]]
@@ -263,12 +260,9 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
             # the letter counts of this state, which passed the test
             check = u.count(x) + 1 != v.count(x)
 
-            def sub(w: Word, repl: Word) -> Word:
-                return tuple(tok for t in w for tok in (repl if t == x else (t,)))
-
             # keeping transition: x -> alpha x, the opposing head cancels
-            keep_l = (x,) + sub(u, (alpha, x))
-            keep_r = sub(v, (alpha, x))
+            keep_l = (x,) + substitute(u, x, (alpha, x))
+            keep_r = substitute(v, x, (alpha, x))
             if keep_r:
                 pair = (keep_l, keep_r) if not swapped else (keep_r, keep_l)
                 for t in quot.get((mu_of[alpha], mu[x]), ()):
@@ -277,7 +271,7 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
                     add(sid, intern(pair[0], pair[1], varset, mu2, False, check), (x, (alpha, x)))
             # deleting transition: x -> alpha
             if mu[x] == mu_of[alpha]:
-                dl, dr = sub(u, (alpha,)), sub(v, (alpha,))
+                dl, dr = substitute(u, x, (alpha,)), substitute(v, x, (alpha,))
                 if swapped:
                     dl, dr = dr, dl
                 if dl and dr:
@@ -442,13 +436,7 @@ def _apply_label(patterns: dict[str, Word], label: Label) -> dict[str, Word]:
     if label is None:
         return patterns
     var, repl = label
-    out = {}
-    for k, w in patterns.items():
-        if var in w:
-            out[k] = tuple(tok for t in w for tok in (repl if t == var else (t,)))
-        else:
-            out[k] = w
-    return out
+    return {k: substitute(w, var, repl) for k, w in patterns.items()}
 
 
 def extract_solution(g: SolutionGraph, path) -> Solution:

@@ -27,7 +27,7 @@ from weq.periodicity import (
     instantiate,
     simple_cycles,
 )
-from weq.semigroup import builtin, green, is_dlg, omega, stab_L
+from weq.semigroup import builtin, green, is_dlg, omega, opposite, stab_L, variety_report
 from weq.solution_graph import build, enumerate_solutions, has_infinitely_many, is_solvable
 
 
@@ -120,13 +120,50 @@ def test_criterion_3_oracle_equivalence(battery_results):
         assert battery_results["cyclic"]
 
 
+def _join_of_l_and_r(gr, n):
+    """Classes of the equivalence generated by L and R, by least member."""
+    classes, seen = [], set()
+    for x in range(n):
+        if x in seen:
+            continue
+        cls, stack = {x}, [x]
+        while stack:
+            y = stack.pop()
+            for z in gr.L_of(y) + gr.R_of(y):
+                if z not in cls:
+                    cls.add(z)
+                    stack.append(z)
+        seen |= cls
+        classes.append(tuple(sorted(cls)))
+    return tuple(classes)
+
+
+def _dlg_characterizations(sg, gr, om):
+    """Four reference forms of "every regular D-class is a right group":
+    (xy)^w = y^w (xy)^w, (xyz)^w = y^w (xyz)^w, (xy)^w = (yx)^w (xy)^w, and
+    the D-class condition read off Green's relations."""
+    T, rng = sg.table, range(sg.order)
+
+    def fixed_by(y, e):
+        return T[om[y]][e] == e
+
+    ident_xy = all(fixed_by(y, om[T[x][y]]) for x in rng for y in rng)
+    ident_xyz = all(fixed_by(y, om[T[T[x][y]][z]]) for x in rng for y in rng for z in rng)
+    ident_yx_xy = all(fixed_by(T[y][x], om[T[x][y]]) for x in rng for y in rng)
+    d_classes = all(
+        all(T[x][y] in cls and fixed_by(y, x) for x in cls for y in cls)
+        for cls, regular in zip(gr.classesD, gr.regularD) if regular
+    )
+    return ident_xy, ident_xyz, ident_yx_xy, d_classes
+
+
 def test_criterion_4_semigroup_algebra():
     with Criterion(4, "semigroup algebra over the zoo", 30.0):
         members = zoo()
         assert len(members) > 80
         for name, sg in members:
-            gr = green(sg)  # asserts D(J) == D(L join R) internally
-            assert gr.classesD == gr.classesJ
+            gr = green(sg)
+            assert gr.classesD == gr.classesJ == _join_of_l_and_r(gr, sg.order), name
             for x in sg.elements():
                 assert set(gr.classesH[gr.indexH[x]]) == set(gr.L_of(x)) & set(gr.R_of(x))
             for di, dcls in enumerate(gr.classesD):
@@ -141,7 +178,14 @@ def test_criterion_4_semigroup_algebra():
                     any(sg.mul(sg.mul(x, y), x) == x for y in sg.elements())
                     for x in dcls
                 )
-            is_dlg(sg, gr)  # asserts the four characterizations agree
+            om = [omega(sg, x).element for x in sg.elements()]
+            dlg = is_dlg(sg).holds
+            assert _dlg_characterizations(sg, gr, om) == (dlg,) * 4, name
+            report = variety_report(sg)
+            assert report.dlg == dlg and report.drg == is_dlg(opposite(sg)).holds, name
+            assert report.right_group == all(
+                sg.mul(om[y], x) == x for x in sg.elements() for y in sg.elements()
+            ), name
         b2 = builtin("b2")
         res = is_dlg(b2)
         x, u = res.witness
@@ -158,7 +202,7 @@ def test_criterion_5_stabilizer_lemmas():
     with Criterion(5, "L-stabilizer laws on the zoo", 30.0):
         for name, sg in zoo():
             gr = green(sg)
-            res = is_dlg(sg, gr)
+            res = is_dlg(sg)
             stabs = {x: stab_L(sg, x) for x in sg.elements()}
             if res.holds:
                 for x in sg.elements():

@@ -179,6 +179,15 @@ class TestPump:
         err = capsys.readouterr().err
         assert "malformed certificate" in err and "Traceback" not in err
 
+    def test_string_labels_are_malformed(self, files, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        assert main(["pump", files["xabby.weq"], "--m", "1", "--cert-out", str(cert)]) == 0
+        data = json.loads(cert.read_text())
+        data["prefix_path"] = ["eps", "X->a,X"]
+        cert.write_text(json.dumps(data))
+        assert main(["pump", files["xabby.weq"], "--cert-in", str(cert)]) == 2
+        assert "malformed certificate" in capsys.readouterr().err
+
     def test_negative_pump_count_exits_2(self, files, capsys):
         assert main(["pump", files["xabby.weq"], "--m", "-1"]) == 2
         captured = capsys.readouterr()
@@ -204,6 +213,7 @@ class TestSolveOracleGraph:
     @pytest.mark.parametrize("argv", [
         ["oracle", "{xabby}", "--max-len", "0"],
         ["check", "{xabby}", "--crosscheck", "0"],
+        ["solve", "{xabby}", "--max-len", "0"],
     ])
     def test_zero_length_bound_exits_2(self, files, capsys, argv):
         argv = [arg.format(xabby=files["xabby.weq"]) for arg in argv]

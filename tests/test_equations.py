@@ -10,11 +10,9 @@ from weq.equations import (
     ConstraintMorphism,
     EmptyWord,
     Solution,
-    Substitution,
     SymbolTable,
     WrongConstraintShape,
     brandt_two_constant_guesses,
-    compose_apply,
     exp_solution,
     exp_word,
     format_instance,
@@ -345,35 +343,6 @@ def compose_guess(original, guess, sub_solution):
         c = side[i + 1]
         out[v] = sub_solution.value(x1) + (c, c) + sub_solution.value(x2)
     return Solution.from_dict(out)
-
-
-class TestSubstitution:
-    def test_basic_classification(self):
-        syms = SymbolTable(("a", "b"), ("X", "Y"))
-        assert Substitution.from_dict({"X": "aX"}).is_basic(syms)
-        assert Substitution.from_dict({"X": ("Y", "X")}).is_basic(syms)
-        assert Substitution.from_dict({"X": "a"}).is_basic(syms)
-        assert not Substitution.from_dict({"X": "ab"}).is_basic(syms)
-        assert not Substitution.from_dict({"X": "aX", "Y": "b"}).is_basic(syms)
-
-    def test_trivial_classification(self):
-        syms = SymbolTable(("a", "b"), ("X", "Y"))
-        assert Substitution.from_dict({"X": "abX", "Y": "ba"}).is_trivial(syms)
-        assert not Substitution.from_dict({"X": "aYX"}).is_trivial(syms)
-        assert not Substitution.from_dict({"X": "Xa"}).is_trivial(syms)
-
-    def test_trivial_factors_into_basics(self):
-        syms = SymbolTable(("a", "b"), ("X", "Y"))
-        words = ["X", "aX", "abX", "abbX", "a", "ab", "abb", "abba"]
-        for wx in words:
-            for wy in words:
-                sub = Substitution.from_dict({"X": wx, "Y": wy.replace("X", "Y")})
-                if not sub.is_trivial(syms):
-                    continue
-                steps = sub.basic_factors(syms)
-                assert all(s.is_basic(syms) for s in steps)
-                for probe in ("X", "Y", "aXbY", "XYX"):
-                    assert compose_apply(steps, probe) == sub.apply(probe)
 
 
 class TestInstanceFormat:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import make_instance
-from weq.equations import EquationError, Solution, exp_solution, verify_solution
+from weq.equations import EquationError, Solution, exp_solution, parse_instance, verify_solution
 from weq.periodicity import (
     NotDLG,
     analyze_scc,
@@ -349,6 +349,19 @@ class TestCertificateJson:
         cert = pumping_certificate(ins, graph=g)
         data = json.loads(json.dumps(certificate_to_json(cert)))
         assert set(data) == {"state", "variable", "case", "v", "base", "omega", "prefix_path"}
+        loaded = load_certificate(ins, data, graph=g)
+        for m in range(4):
+            assert instantiate(loaded, ins, m) == instantiate(cert, ins, m)
+
+    def test_tokens_with_comma_and_arrow_roundtrip(self):
+        # labels are JSON lists, so tokens may contain the old separators
+        ins = parse_instance(
+            "constants a,b ->\nvariables X Y\nequation X = a,b -> Y\nsemigroup builtin:trivial\n"
+        )
+        g = build(ins)
+        cert = pumping_certificate(ins, graph=g)
+        data = json.loads(json.dumps(certificate_to_json(cert)))
+        assert data["prefix_path"] == [["X", ["a,b", "X"]], ["X", ["->", "X"]], ["Y", ["X"]]]
         loaded = load_certificate(ins, data, graph=g)
         for m in range(4):
             assert instantiate(loaded, ins, m) == instantiate(cert, ins, m)

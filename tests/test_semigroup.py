@@ -180,7 +180,7 @@ class TestDlg:
         # u^omega x = x iff ux ~L x; outside it the last equivalence breaks
         for name, sg in zoo_members:
             gr = green(sg)
-            res = is_dlg(sg, gr)
+            res = is_dlg(sg)
             stabs = {x: stab_L(sg, x) for x in sg.elements()}
             if res.holds:
                 for x in sg.elements():
