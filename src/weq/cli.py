@@ -305,11 +305,13 @@ def cmd_hunt(args) -> int:
     return code
 
 
-def _int_at_least(low: int):
+def _int_in(low: int, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its error messages
@@ -327,7 +329,7 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("path", help="instance file")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if crosscheck:
-            sp.add_argument("--crosscheck", type=_int_at_least(1), default=None, metavar="L",
+            sp.add_argument("--crosscheck", type=_int_in(1), default=None, metavar="L",
                             help="also compare against the brute-force oracle up to length L")
         if faithful:
             sp.add_argument("--faithful", action="store_true",
@@ -343,14 +345,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pump", help="emit pumped solutions of growing exponent")
     common(sp)
-    sp.add_argument("--m", type=_int_at_least(0), default=3, help="largest pump count (default 3)")
+    sp.add_argument("--m", type=_int_in(0), default=3, help="largest pump count (default 3)")
     sp.add_argument("--cert-out", metavar="FILE", help="write the certificate as JSON")
     sp.add_argument("--cert-in", metavar="FILE", help="verify and reuse a stored certificate")
     sp.set_defaults(func=cmd_pump)
 
     sp = sub.add_parser("solve", help="enumerate solutions up to a word length")
     common(sp, faithful=True)
-    sp.add_argument("--max-len", type=_int_at_least(1), default=4, metavar="L")
+    sp.add_argument("--max-len", type=_int_in(1), default=4, metavar="L")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("graph", help="export the solution automaton as DOT")
@@ -360,7 +362,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="brute-force solution enumeration")
     common(sp)
-    sp.add_argument("--max-len", type=_int_at_least(1), default=4, metavar="L")
+    sp.add_argument("--max-len", type=_int_in(1), default=4, metavar="L")
     sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     sp.set_defaults(func=cmd_oracle)
 
@@ -372,9 +374,11 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_semigroup)
 
     sp = sub.add_parser("hunt", help="sweep small instances for suspects")
-    sp.add_argument("--sigma", type=int, default=2, help="number of constants")
-    sp.add_argument("--vars", type=int, default=2, help="maximum number of variables")
-    sp.add_argument("--max-len", type=int, default=6, help="maximum |UV|")
+    sp.add_argument("--sigma", type=_int_in(1, len(hunt_mod.CONSTANT_POOL)), default=2,
+                    help="number of constants")
+    sp.add_argument("--vars", type=_int_in(0, len(hunt_mod.VARIABLE_POOL)), default=2,
+                    help="maximum number of variables")
+    sp.add_argument("--max-len", type=_int_in(2), default=6, help="maximum |UV|")
     sp.add_argument("--semigroup", default="builtin:trivial")
     sp.add_argument("--budget", type=int, default=10000, help="instance budget")
     sp.add_argument("--seed", type=int, default=0)

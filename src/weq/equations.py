@@ -234,6 +234,11 @@ class Solution:
     def as_dict(self) -> dict[str, Word]:
         return dict(self.assignment)
 
+    @cached_property
+    def exponent(self) -> int:
+        """Exponent of periodicity: the largest of its words'."""
+        return max((exp_word(w) for _, w in self.assignment), default=0)
+
     def value(self, var: str) -> Word:
         return self.as_dict[var]
 
@@ -250,7 +255,7 @@ def verify_solution(ins: Instance, sol: Solution) -> bool:
     syms = ins.symbols
     for v in syms.variables:
         w = m.get(v)
-        if not w or any(not syms.is_constant(t) for t in w):
+        if not w or not syms.constant_set.issuperset(w):
             return False
     for eq in ins.equations:
         if sol.apply(eq.lhs) != sol.apply(eq.rhs):
@@ -272,28 +277,32 @@ def require_solution(ins: Instance, sol: Solution) -> None:
 
 def exp_word(w) -> int:
     """Greatest k such that some nonempty p has p^k as a factor; 0 only for
-    the empty word.  Plain start/period scan."""
+    the empty word.  A run of r positions i with w[i] == w[i + p] spans a
+    factor of period p and length r + p, that is p^(r // p + 1); periods
+    are tried upward until n // p, the most any longer one allows, cannot
+    beat the best found."""
     w = as_word(w)
     n = len(w)
     if n == 0:
         return 0
     best = 1
-    for start in range(n):
-        limit = (n - start) // 2
-        for period in range(1, limit + 1):
-            p = w[start:start + period]
-            k = 1
-            pos = start + period
-            while w[pos:pos + period] == p:
-                k += 1
-                pos += period
-            if k > best:
-                best = k
+    p = 1
+    while n // p > best:
+        run = longest = 0
+        for a, b in zip(w, w[p:]):
+            if a == b:
+                run += 1
+                if run > longest:
+                    longest = run
+            else:
+                run = 0
+        best = max(best, longest // p + 1)
+        p += 1
     return best
 
 
 def exp_solution(sol: Solution) -> int:
-    return max((exp_word(w) for _, w in sol.assignment), default=0)
+    return sol.exponent
 
 
 # ---------------------------------------------------------------------------

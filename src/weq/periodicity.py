@@ -422,7 +422,8 @@ def instantiate(cert: PumpingCertificate, ins: Instance, m: int) -> Solution:
     base = cert.base_dict()
     if cert.case == "head_balanced":
         base_v = apply_map(cert.v, base)
-        assert base_v, "pumped word must be nonempty"
+        if not base_v:
+            raise EquationError("certificate word v has an empty image; nothing to pump")
         pumped = base_v * (m * cert.omega_exponent) + base[cert.variable]
     else:
         u, y, w = cert.pump
@@ -524,12 +525,20 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     case = data["case"]
     if case == "head_balanced":
         v_word = tuple(data["v"])
-        if g.state_eval1(sid, v_word) not in _stab(g, dict(st.mu_items)[var]):
+        if not v_word:
+            raise EquationError("certificate word v is empty")
+        img = g.state_eval1(sid, v_word)  # the image of v under the base
+        if img not in _stab(g, dict(st.mu_items)[var]):
             raise EquationError("certificate word does not stabilize the variable image")
+        om = omega(ins.mu.target, img)
+        if data["omega"] != om.exponent:
+            raise EquationError(
+                f"certificate omega {data['omega']!r} is not {om.exponent}, the idempotent "
+                "exponent of the image of v"
+            )
         return PumpingCertificate(
             state=sid, variable=var, case=case, prefix_labels=labels,
-            base=tuple(sorted(base.items())), v=v_word,
-            omega_exponent=int(data["omega"]),
+            base=tuple(sorted(base.items())), v=v_word, omega_exponent=om.exponent,
         )
     pump = preimage_pump(ins.mu, dict(st.mu_items)[var])
     if pump is None:

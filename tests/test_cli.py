@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from weq.cli import main
+from weq.cli import main, make_parser
+
+ROOT = Path(__file__).resolve().parent.parent
 
 XABBY = """\
 constants a b
@@ -179,6 +185,18 @@ class TestPump:
         err = capsys.readouterr().err
         assert "malformed certificate" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value", [("omega", 0), ("omega", -1), ("omega", 2), ("v", [])])
+    def test_tampered_pump_fields_exit_2(self, files, tmp_path, capsys, field, value):
+        cert = tmp_path / "cert.json"
+        assert main(["pump", files["xabby.weq"], "--m", "0", "--cert-out", str(cert)]) == 0
+        capsys.readouterr()
+        data = json.loads(cert.read_text())
+        data[field] = value
+        cert.write_text(json.dumps(data))
+        assert main(["pump", files["xabby.weq"], "--m", "3", "--cert-in", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "certificate" in captured.err
+
     def test_string_labels_are_malformed(self, files, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         assert main(["pump", files["xabby.weq"], "--m", "1", "--cert-out", str(cert)]) == 0
@@ -275,6 +293,23 @@ class TestHunt:
         assert report["total"] > 0
         assert report["infinite_certified"] > 0
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--sigma", "0"), ("--sigma", "9"), ("--vars", "-1"), ("--vars", "7"),
+        ("--max-len", "-1"), ("--max-len", "1"),
+    ])
+    def test_bounds_outside_the_pools_exit_2(self, capsys, flag, value):
+        args = {"--sigma": "1", "--vars": "1", "--max-len": "2"}
+        args[flag] = value
+        argv = ["hunt", "--budget", "100"] + [t for kv in args.items() for t in kv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+
+    def test_whole_pools_accepted(self):
+        # parsed only: canonicalizing over 8! constant permutations is slow
+        args = make_parser().parse_args(["hunt", "--sigma", "8", "--vars", "6", "--max-len", "2"])
+        assert (args.sigma, args.vars, args.max_len) == (8, 6, 2)
+
     def test_seeded_runs_agree(self, capsys):
         args = ["hunt", "--sigma", "2", "--vars", "1", "--max-len", "3",
                 "--budget", "100000", "--seed", "7"]
@@ -287,6 +322,14 @@ class TestHunt:
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 2
+
+    def test_python_dash_m(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "weq", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: weq")
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2

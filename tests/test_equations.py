@@ -47,6 +47,36 @@ def exp_by_factor_search(w):
     return best
 
 
+def exp_by_scan(w):
+    """Reference: every start and period, counting repeats of the factor that
+    starts there (cubic in |w|)."""
+    w = tuple(w)
+    n = len(w)
+    if n == 0:
+        return 0
+    best = 1
+    for start in range(n):
+        for period in range(1, (n - start) // 2 + 1):
+            p = w[start:start + period]
+            k = 1
+            pos = start + period
+            while w[pos:pos + period] == p:
+                k += 1
+                pos += period
+            best = max(best, k)
+    return best
+
+
+@st.composite
+def pumped_words(draw):
+    """u y^k w over {a,b,c}: up to about 300 tokens, exponents up to 60."""
+    letters = st.text(alphabet="abc", max_size=20)
+    u, w = draw(letters), draw(letters)
+    y = draw(st.text(alphabet="abc", min_size=1, max_size=12))
+    k = draw(st.integers(0, min(60, 260 // len(y))))
+    return u + y * k + w
+
+
 class TestEval:
     def test_b2_values(self):
         b2 = builtin("b2")
@@ -88,6 +118,16 @@ class TestExpWord:
     def test_renaming_invariance(self, w):
         swapped = w.translate(str.maketrans("abc", "bca"))
         assert exp_word(w) == exp_word(swapped)
+
+    def test_matches_scan_up_to_12(self):
+        for n in range(13):
+            for w in itertools.product("ab", repeat=n):
+                assert exp_word(w) == exp_by_scan(w)
+
+    @given(pumped_words())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scan_on_pumped_words(self, w):
+        assert exp_word(w) == exp_by_scan(w)
 
     def test_exp_solution(self):
         s = Solution.from_dict({"X": tuple("aa"), "Y": tuple("aba")})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -162,6 +163,19 @@ class TestCertificates:
         assert sol1 == Solution.from_dict({"X": tuple("abaaba"), "Y": ("a",)})
         # direct substitution: abaaba ab a == a ba abaaba
         assert sol1.apply(ins.equation.lhs) == sol1.apply(ins.equation.rhs)
+
+    def test_running_example_at_m_400(self):
+        ins = make_instance("XabY=YbaX")
+        sol = instantiate(pumping_certificate(ins), ins, 400)
+        assert len(sol.value("X")) == 1203
+        assert exp_solution(sol) >= 400
+
+    def test_empty_pumped_word_is_an_error(self):
+        # an explicit error, not an assert that python -O would drop
+        ins = make_instance("XabY=YbaX")
+        cert = dataclasses.replace(pumping_certificate(ins), v=())
+        with pytest.raises(EquationError, match="empty image"):
+            instantiate(cert, ins, 1)
 
     def test_xa_ax(self):
         ins = make_instance("Xa=aX")
