@@ -42,6 +42,7 @@ from .periodicity import (
     instantiate,
     is_nicely_balanced,
     load_certificate,
+    pumpable_state,
     pumping_certificate,
     simple_cycles,
 )
@@ -53,7 +54,6 @@ from .semigroup import (
     GreenData,
     InternalDisagreement,
     NonAssociative,
-    NotAnIdeal,
     OmegaPower,
     SemigroupError,
     VarietyReport,
@@ -61,18 +61,14 @@ from .semigroup import (
     adjoin_zero,
     builtin,
     direct_product,
-    find_retraction,
     from_table,
     green,
     is_dlg,
-    is_ideal,
-    is_nilpotent_extension,
     omega,
     opposite,
     parse_semigroup,
     resolve_semigroup,
     stab_L,
-    subsemigroup,
     variety_report,
 )
 from .solution_graph import (

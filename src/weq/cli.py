@@ -265,6 +265,10 @@ def cmd_semigroup(args) -> int:
             f"{sg.names[u]}^ω·{sg.names[x]} = {sg.names[sg.mul(ox, x)]}"
         )
         out["dlg_witness"] = witness_line
+    if args.stabilizers:
+        out["stabilizers"] = {
+            sg.names[x]: [sg.name_of(u) for u in sorted(stab_L(sg, x))] for x in sg.elements()
+        }
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
         return EXIT_YES
@@ -280,10 +284,8 @@ def cmd_semigroup(args) -> int:
             print(f"{key}: {val}")
         if witness_line:
             print(f"dlg witness: {witness_line}")
-        if args.stabilizers:
-            for x in sg.elements():
-                members = ",".join(sg.name_of(u) for u in sorted(stab_L(sg, x)))
-                print(f"stab_L({sg.names[x]}) = {{{members}}}")
+    for name, members in out.get("stabilizers", {}).items():
+        print(f"stab_L({name}) = {{{','.join(members)}}}")
     return EXIT_YES
 
 

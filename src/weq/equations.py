@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import semigroup as sgmod
 from ._text import ParseError, logical_lines
@@ -309,9 +309,13 @@ def exp_solution(sol: Solution) -> int:
 # constraint languages: the deterministic reachability automaton over S^1
 
 
-def _preimage_useful(mu: ConstraintMorphism, s: int):
-    """States of the S^1 automaton that lie on a path start -> accept, plus
-    the full transition function on constants."""
+def _preimage_cycles(mu: ConstraintMorphism, s: int):
+    """The useful states of the S^1 automaton (on a path start -> accept)
+    that lie on a cycle inside the useful set, in increasing order, plus
+    the useful set and the transition function on constants.  The preimage
+    language of s is infinite exactly when the first list is nonempty."""
+    if not 0 <= s < mu.target.order:
+        raise sgmod.BadIndex(f"element {s} out of range")
     sg = mu.target
     sigma = mu.symbols.constants
     step = {a: mu[a] for a in sigma}
@@ -326,7 +330,7 @@ def _preimage_useful(mu: ConstraintMorphism, s: int):
             if nxt not in reach:
                 reach.add(nxt)
                 frontier.append(nxt)
-    co = {s} if s in delta else set()
+    co = {s}
     frontier = deque(co)
     rev: dict[int, set[int]] = {t: set() for t in states}
     for t in states:
@@ -339,33 +343,18 @@ def _preimage_useful(mu: ConstraintMorphism, s: int):
                 co.add(p)
                 frontier.append(p)
     useful = reach & co
-    return useful, delta
+    # ONE is never a transition target, so never on a cycle
+    cyclic = [
+        q for q in sorted(useful)
+        if q != ONE and _bfs_word(delta, sigma, useful, [q], q, min_len=1) is not None
+    ]
+    return cyclic, useful, delta
 
 
+@lru_cache(maxsize=1024)
 def preimage_infinite(mu: ConstraintMorphism, s: int) -> bool:
     """Whether infinitely many nonempty constant words map to s."""
-    if not 0 <= s < mu.target.order:
-        raise sgmod.BadIndex(f"element {s} out of range")
-    useful, delta = _preimage_useful(mu, s)
-    if s not in useful:
-        return False
-    sigma = mu.symbols.constants
-    # a cycle through a useful state pumps the accepted language
-    for q in useful:
-        seen = set()
-        frontier = deque(delta[q][a] for a in sigma if delta[q][a] in useful)
-        while frontier:
-            t = frontier.popleft()
-            if t == q:
-                return True
-            if t in seen:
-                continue
-            seen.add(t)
-            for a in sigma:
-                nxt = delta[t][a]
-                if nxt in useful:
-                    frontier.append(nxt)
-    return False
+    return bool(_preimage_cycles(mu, s)[0])
 
 
 def _bfs_word(delta, sigma, useful, sources, target, min_len: int) -> tuple[Word, int] | None:
@@ -395,18 +384,13 @@ def _bfs_word(delta, sigma, useful, sources, target, min_len: int) -> tuple[Word
 
 def preimage_pump(mu: ConstraintMorphism, s: int) -> tuple[Word, Word, Word] | None:
     """A decomposition (u, y, w), y nonempty, with u y^m w mapping to s for
-    all m >= 0; None when the preimage language is finite."""
-    if not preimage_infinite(mu, s):
+    all m >= 0, pumped at the least state on a cycle; None when the preimage
+    language is finite."""
+    cyclic, useful, delta = _preimage_cycles(mu, s)
+    if not cyclic:
         return None
-    useful, delta = _preimage_useful(mu, s)
-    sigma = mu.symbols.constants
-
-    def on_cycle(q) -> bool:
-        hit = _bfs_word(delta, sigma, useful, [q], q, min_len=1)
-        return hit is not None
-
-    cyclic = sorted(q for q in useful if q != ONE and on_cycle(q))
     q = cyclic[0]
+    sigma = mu.symbols.constants
     u, _ = _bfs_word(delta, sigma, useful, [ONE], q, min_len=0)
     y, _ = _bfs_word(delta, sigma, useful, [q], q, min_len=1)
     w, _ = _bfs_word(delta, sigma, useful, [q], s, min_len=0)

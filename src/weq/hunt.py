@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from . import oracle
 from .equations import ConstraintMorphism, Instance, SymbolTable, WordEquation, format_instance
-from .periodicity import cyclic_components, find_nicely_balanced_on_cycle
-from .semigroup import FiniteSemigroup, is_dlg
+from .periodicity import cyclic_components, pumpable_state
+from .semigroup import FiniteSemigroup
 from .solution_graph import build, has_infinitely_many, is_solvable
 
 
@@ -116,14 +116,11 @@ def classify(ins: Instance, oracle_budget: int = oracle.DEFAULT_BUDGET) -> tuple
         return "Unsatisfiable", {}
     if not has_infinitely_many(g):
         return "FiniteSol", {}
-    dlg = is_dlg(ins.mu.target).holds
-    comps = cyclic_components(g)
-    for comp in comps:
-        if find_nicely_balanced_on_cycle(g, comp, raise_on_miss=dlg) is not None:
-            return "InfiniteCertified", {}
+    if pumpable_state(g) is not None:
+        return "InfiniteCertified", {}
     eq = ins.equation
     low = len(eq.lhs) + len(eq.rhs)
-    detail: dict = {"states_checked": sum(len(c) for c in comps)}
+    detail: dict = {"states_checked": sum(len(c) for c in cyclic_components(g))}
     try:
         e1 = oracle.max_exp_up_to(ins, low, budget=oracle_budget)
         e2 = oracle.max_exp_up_to(ins, low + 2, budget=oracle_budget)

@@ -24,13 +24,8 @@ from .equations import (
     preimage_pump,
     require_solution,
 )
-from .semigroup import is_dlg, omega, stab_L
-from .solution_graph import (
-    SolutionGraph,
-    _apply_label,
-    build,
-    has_infinitely_many,
-)
+from .semigroup import green, is_dlg, omega, stab_L
+from .solution_graph import SolutionGraph, _apply_label, build
 
 
 class NotDLG(EquationError):
@@ -55,20 +50,6 @@ class BalanceWitness:
     v_prime: Word = ()
 
 
-def _constraint_infinite(g: SolutionGraph, element: int) -> bool:
-    memo = g._infinite_memo
-    if element not in memo:
-        memo[element] = preimage_infinite(g.instance.mu, element)
-    return memo[element]
-
-
-def _stab(g: SolutionGraph, element: int) -> frozenset[int]:
-    memo = g._stab_memo
-    if element not in memo:
-        memo[element] = stab_L(g.instance.mu.target, element)
-    return memo[element]
-
-
 def is_nicely_balanced(g: SolutionGraph, sid: int, var: str) -> BalanceWitness | None:
     """Whether the state admits pumping on `var`: the constraint language of
     the variable is infinite and either the variable is absent from the
@@ -78,7 +59,7 @@ def is_nicely_balanced(g: SolutionGraph, sid: int, var: str) -> BalanceWitness |
     if var not in st.varset:
         raise EquationError(f"variable {var!r} is not active in state {sid}")
     mu_x = dict(st.mu_items)[var]
-    if not _constraint_infinite(g, mu_x):
+    if not preimage_infinite(g.instance.mu, mu_x):
         return None
     body = st.lhs + st.rhs
     if var not in body:
@@ -90,7 +71,7 @@ def is_nicely_balanced(g: SolutionGraph, sid: int, var: str) -> BalanceWitness |
             continue
         i = other.index(var)
         v, v_prime = other[:i], other[i + 1:]
-        if g.state_eval1(sid, v) in _stab(g, mu_x):
+        if g.state_eval1(sid, v) in stab_L(g.instance.mu.target, mu_x):
             return BalanceWitness(var, False, swapped, this[1:], v, v_prime)
     return None
 
@@ -159,7 +140,8 @@ def analyze_scc(g: SolutionGraph, comp_index: int) -> SccAnalysis:
         raise EquationError("component has no transition; nothing to analyze")
     comp = g.scc.components[comp_index]
     comp_set = set(comp)
-    gr = g.target_green
+    target = g.instance.mu.target
+    gr = green(target)
     violations: list[str] = []
 
     leading_per_state: dict[int, int | None] = {}
@@ -184,7 +166,7 @@ def analyze_scc(g: SolutionGraph, comp_index: int) -> SccAnalysis:
         violations.append(f"leading J-class differs across states: {sorted(values)}")
     leading = min(values) if values else None
     leading_J = frozenset(gr.classesJ[leading]) if leading is not None else None
-    leading_stab = _stab(g, gr.classesJ[leading][0]) if leading is not None else None
+    leading_stab = stab_L(target, gr.classesJ[leading][0]) if leading is not None else None
 
     per_state: dict[int, StatePlayground] = {}
     for sid in comp:
@@ -204,7 +186,7 @@ def analyze_scc(g: SolutionGraph, comp_index: int) -> SccAnalysis:
             if leading is not None
             and gr.indexJ[mu[v]] == leading
             and body.count(v) == 2
-            and _constraint_infinite(g, mu[v])
+            and preimage_infinite(g.instance.mu, mu[v])
         )
         balanced = frozenset(v for v in players if pl.count(v) == 1 and pr.count(v) == 1)
         per_state[sid] = StatePlayground(
@@ -216,7 +198,7 @@ def analyze_scc(g: SolutionGraph, comp_index: int) -> SccAnalysis:
         violations.append(f"playground size differs across states: {sorted(sizes)}")
     if len(players_sets) > 1:
         violations.append("player sets differ across states")
-    if g.target_dlg and violations:
+    if violations and is_dlg(target):
         raise TheoremViolation(
             f"component invariants failed under supported constraints: {violations}"
         )
@@ -256,12 +238,10 @@ def simple_cycles(g: SolutionGraph, max_len: int = 20, max_count: int = 10000) -
     return out
 
 
-def find_nicely_balanced_on_cycle(
-    g: SolutionGraph, states, raise_on_miss: bool | None = None
-) -> tuple[int, str, BalanceWitness] | None:
-    """Walk the given states in order, testing every active variable.  Every
-    cycle, and so every cyclic component, holds a hit under supported
-    constraints, so by default a miss then raises."""
+def find_nicely_balanced_on_cycle(g: SolutionGraph, states) -> tuple[int, str, BalanceWitness] | None:
+    """The first pumpable (state, variable, witness) among the given states,
+    walked in order with the active variables in declaration order; None on
+    a miss."""
     syms = g.instance.symbols
     for sid in states:
         st = g.states[sid]
@@ -269,10 +249,27 @@ def find_nicely_balanced_on_cycle(
             wit = is_nicely_balanced(g, sid, var)
             if wit is not None:
                 return sid, var, wit
-    if raise_on_miss is None:
-        raise_on_miss = g.target_dlg
-    if raise_on_miss:
-        raise TheoremViolation(f"no pumpable state among states {tuple(states)}")
+    return None
+
+
+def cyclic_components(g: SolutionGraph) -> list[tuple[int, ...]]:
+    """The components that contain a transition, in topological order.  Each
+    of their states lies on a cycle."""
+    return [c for c, cyclic in zip(g.scc.components, g.scc.has_transition) if cyclic]
+
+
+def pumpable_state(g: SolutionGraph) -> tuple[int, str, BalanceWitness] | None:
+    """The first pumpable state of the cyclic components, scanned in
+    topological order and by state id; None when the automaton is acyclic or,
+    outside the supported variety, when every state misses.  Under supported
+    constraints every cyclic component holds one, so a miss there raises."""
+    comps = cyclic_components(g)
+    for comp in comps:
+        hit = find_nicely_balanced_on_cycle(g, comp)
+        if hit is not None:
+            return hit
+    if comps and is_dlg(g.instance.mu.target):
+        raise TheoremViolation(f"no pumpable state in any of {len(comps)} cyclic components")
     return None
 
 
@@ -369,10 +366,19 @@ def _solve_state(g: SolutionGraph, sid: int, path: list[int]) -> dict[str, Word]
     return patterns
 
 
-def cyclic_components(g: SolutionGraph) -> list[tuple[int, ...]]:
-    """The components that contain a transition, in topological order.  Each
-    of their states lies on a cycle."""
-    return [c for c, cyclic in zip(g.scc.components, g.scc.has_transition) if cyclic]
+def _certificate(
+    g: SolutionGraph, sid: int, var: str, labels, base: dict[str, Word], v: Word
+) -> PumpingCertificate:
+    """The certificate pumping `var` at state `sid`, reached by `labels` and
+    solved by `base`: head-balanced when `v` is nonempty, with omega the
+    idempotent exponent of the image of v; otherwise free-variable, pumped
+    from the constraint language of the variable, which must be infinite."""
+    fields = dict(state=sid, variable=var, prefix_labels=labels, base=tuple(sorted(base.items())))
+    if v:
+        om = omega(g.instance.mu.target, g.state_eval1(sid, v))
+        return PumpingCertificate(case="head_balanced", v=v, omega_exponent=om.exponent, **fields)
+    pump = preimage_pump(g.instance.mu, dict(g.states[sid].mu_items)[var])
+    return PumpingCertificate(case="free_variable", pump=pump, **fields)
 
 
 def pumping_certificate(ins: Instance, graph: SolutionGraph | None = None) -> PumpingCertificate | None:
@@ -381,37 +387,13 @@ def pumping_certificate(ins: Instance, graph: SolutionGraph | None = None) -> Pu
     components, scanned in topological order and by state id.  Under
     supported constraints the first cyclic component always yields one."""
     g = graph if graph is not None else build(ins)
-    if not has_infinitely_many(g):
-        return None
-    comps = cyclic_components(g)
-    hit = None
-    for comp in comps:
-        hit = find_nicely_balanced_on_cycle(g, comp, raise_on_miss=False)
-        if hit is not None:
-            break
+    hit = pumpable_state(g)
     if hit is None:
-        if g.target_dlg:
-            raise TheoremViolation(f"no pumpable state in any of {len(comps)} cyclic components")
         return None
     sid, var, wit = hit
-    prefix = _shortest_path(g, g.initial, sid)
+    labels = tuple(g.transitions[t].label for t in _shortest_path(g, g.initial, sid))
     base = _solve_state(g, sid, _first_accepting_path(g, sid))
-    mu_x = dict(g.states[sid].mu_items)[var]
-    if wit.absent or not wit.v:
-        pump = preimage_pump(g.instance.mu, mu_x)
-        assert pump is not None
-        return PumpingCertificate(
-            state=sid, variable=var, case="free_variable",
-            prefix_labels=tuple(g.transitions[t].label for t in prefix),
-            base=tuple(sorted(base.items())), pump=pump,
-        )
-    img = g.instance.mu.eval(apply_map(wit.v, base))
-    om = omega(g.instance.mu.target, img)
-    return PumpingCertificate(
-        state=sid, variable=var, case="head_balanced",
-        prefix_labels=tuple(g.transitions[t].label for t in prefix),
-        base=tuple(sorted(base.items())), v=wit.v, omega_exponent=om.exponent,
-    )
+    return _certificate(g, sid, var, labels, base, wit.v)
 
 
 def instantiate(cert: PumpingCertificate, ins: Instance, m: int) -> Solution:
@@ -455,13 +437,8 @@ def decide_exp_infinite_dlg(ins: Instance, graph: SolutionGraph | None = None) -
     ins.require_quadratic()
     if not is_dlg(ins.mu.target).holds:
         raise NotDLG("constraint target has a regular D-class that is not a right group")
-    g = graph if graph is not None else build(ins)
-    if not has_infinitely_many(g):
-        return ExpDecision(False, None)
-    cert = pumping_certificate(ins, graph=g)
-    if cert is None:  # pragma: no cover - excluded by the cycle theorem
-        raise TheoremViolation("infinite solution set but no certificate")
-    return ExpDecision(True, cert)
+    cert = pumping_certificate(ins, graph=graph)
+    return ExpDecision(cert is not None, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -522,28 +499,19 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     for v, w in base.items():
         if ins.mu.eval(w) != mu[v]:
             raise EquationError("certificate base violates the constraints")
-    case = data["case"]
-    if case == "head_balanced":
-        v_word = tuple(data["v"])
-        if not v_word:
-            raise EquationError("certificate word v is empty")
-        img = g.state_eval1(sid, v_word)  # the image of v under the base
-        if img not in _stab(g, dict(st.mu_items)[var]):
-            raise EquationError("certificate word does not stabilize the variable image")
-        om = omega(ins.mu.target, img)
-        if data["omega"] != om.exponent:
-            raise EquationError(
-                f"certificate omega {data['omega']!r} is not {om.exponent}, the idempotent "
-                "exponent of the image of v"
-            )
-        return PumpingCertificate(
-            state=sid, variable=var, case=case, prefix_labels=labels,
-            base=tuple(sorted(base.items())), v=v_word, omega_exponent=om.exponent,
+    if data["case"] != "head_balanced":
+        # the witness above makes the variable's constraint language infinite
+        return _certificate(g, sid, var, labels, base, ())
+    v_word = tuple(data["v"])
+    if not v_word:
+        raise EquationError("certificate word v is empty")
+    img = g.state_eval1(sid, v_word)  # the image of v under the base
+    if img not in stab_L(ins.mu.target, dict(st.mu_items)[var]):
+        raise EquationError("certificate word does not stabilize the variable image")
+    cert = _certificate(g, sid, var, labels, base, v_word)
+    if data["omega"] != cert.omega_exponent:
+        raise EquationError(
+            f"certificate omega {data['omega']!r} is not {cert.omega_exponent}, the idempotent "
+            "exponent of the image of v"
         )
-    pump = preimage_pump(ins.mu, dict(st.mu_items)[var])
-    if pump is None:
-        raise EquationError("constraint language of the variable is finite")
-    return PumpingCertificate(
-        state=sid, variable=var, case="free_variable", prefix_labels=labels,
-        base=tuple(sorted(base.items())), pump=pump,
-    )
+    return cert

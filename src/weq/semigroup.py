@@ -8,8 +8,7 @@ Provided here: eager table validation, Green's relations, idempotent powers,
 L-stabilizers, the membership test for the class of semigroups whose regular
 D-classes are right groups (with an explicit counterexample on failure), a
 wider variety report, and structural constructions (opposite, identity/zero
-adjunction, direct products, generated subsemigroups, ideals, nilpotent
-extensions, retraction search).
+adjunction, direct products).
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ class NonAssociative(SemigroupError):
         self.triple = (x, y, z)
         shown = ", ".join(names[i] for i in (x, y, z)) if names else f"{x}, {y}, {z}"
         super().__init__(f"multiplication not associative on ({shown})")
-
-
-class NotAnIdeal(SemigroupError):
-    pass
 
 
 class InternalDisagreement(SemigroupError):
@@ -230,9 +225,6 @@ class GreenData:
     def J_of(self, x: int) -> tuple[int, ...]:
         return self.classesJ[self.indexJ[x]]
 
-    def D_of(self, x: int) -> tuple[int, ...]:
-        return self.classesD[self.indexD[x]]
-
     def same_L(self, x: int, y: int) -> bool:
         return self.indexL[x] == self.indexL[y]
 
@@ -263,6 +255,7 @@ def _partition(keys: list) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
     return tuple(tuple(c) for c in classes), tuple(index)
 
 
+@lru_cache(maxsize=64)
 def green(sg: FiniteSemigroup) -> GreenData:
     """Compute all five Green's relations.  H groups elements by their L- and
     R-classes together; D is the J partition, as in every finite
@@ -295,6 +288,7 @@ def green(sg: FiniteSemigroup) -> GreenData:
 # L-stabilizers and the right-group D-class variety
 
 
+@lru_cache(maxsize=1024)
 def stab_L(sg: FiniteSemigroup, x: int) -> frozenset[int]:
     """{u in S^1 : u^omega * x = x}; always contains ONE."""
     if not 0 <= x < sg.order:
@@ -479,87 +473,6 @@ def direct_product(a: FiniteSemigroup, b: FiniteSemigroup) -> FiniteSemigroup:
     )
     label = f"{a.label}x{b.label}" if a.label and b.label else ""
     return FiniteSemigroup(names, table, label=label)
-
-
-def subsemigroup(sg: FiniteSemigroup, generators) -> frozenset[int]:
-    """Closure of the generators under the product."""
-    closure = set()
-    frontier = list(dict.fromkeys(generators))
-    for g in frontier:
-        if not 0 <= g < sg.order:
-            raise BadIndex(f"generator {g} out of range")
-    closure.update(frontier)
-    while frontier:
-        x = frontier.pop()
-        for y in list(closure):
-            for p in (sg.table[x][y], sg.table[y][x]):
-                if p not in closure:
-                    closure.add(p)
-                    frontier.append(p)
-    return frozenset(closure)
-
-
-def is_ideal(sg: FiniteSemigroup, subset) -> bool:
-    sub = frozenset(subset)
-    for s in sub:
-        if not 0 <= s < sg.order:
-            raise BadIndex(f"element {s} out of range")
-    return all(
-        sg.table[s][x] in sub and sg.table[x][s] in sub
-        for s in sub for x in sg.elements()
-    )
-
-
-def is_nilpotent_extension(sg: FiniteSemigroup, subset) -> tuple[bool, int | None]:
-    """Whether some power T^k lands inside the subset, with the least such k."""
-    sub = frozenset(subset)
-    current = frozenset(sg.elements())
-    k = 1
-    seen = set()
-    while True:
-        if current <= sub:
-            return True, k
-        if current in seen:
-            return False, None
-        seen.add(current)
-        current = frozenset(sg.table[x][y] for x in current for y in sg.elements())
-        k += 1
-
-
-def find_retraction(sg: FiniteSemigroup, ideal) -> dict[int, int] | None:
-    """Exhaustive search for a homomorphism T -> ideal fixing the ideal
-    pointwise.  Backtracks over images of the complement with incremental
-    checking of the homomorphism law."""
-    sub = sorted(frozenset(ideal))
-    if not is_ideal(sg, sub):
-        raise NotAnIdeal(f"{sub} is not an ideal")
-    subset = set(sub)
-    free = [x for x in sg.elements() if x not in subset]
-    rho: dict[int, int] = {s: s for s in sub}
-    T = sg.table
-
-    def consistent(dom) -> bool:
-        for x in dom:
-            for y in dom:
-                xy = T[x][y]
-                if xy in rho and rho[T[x][y]] != T[rho[x]][rho[y]]:
-                    return False
-        return True
-
-    def assign(i: int) -> bool:
-        if i == len(free):
-            return True
-        f = free[i]
-        for img in sub:
-            rho[f] = img
-            if consistent(list(rho)) and assign(i + 1):
-                return True
-            del rho[f]
-        return False
-
-    if assign(0):
-        return dict(sorted(rho.items()))
-    return None
 
 
 # ---------------------------------------------------------------------------

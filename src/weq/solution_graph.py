@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .equations import EquationError, Instance, Solution, Word, require_solution, substitute
-from .semigroup import FiniteSemigroup, GreenData, green, is_dlg
+from .semigroup import FiniteSemigroup
 
 
 class EmptySide(EquationError):
@@ -91,29 +91,6 @@ class SolutionGraph:
     scc: SccData
     n0: int
     faithful: bool = False
-
-    @cached_property
-    def target_green(self) -> GreenData:
-        """Green's relations of the constraint target."""
-        return green(self.instance.mu.target)
-
-    @cached_property
-    def target_dlg(self) -> bool:
-        """Whether every regular D-class of the constraint target is a right
-        group (the supported variety)."""
-        return is_dlg(self.instance.mu.target).holds
-
-    @cached_property
-    def _infinite_memo(self) -> dict[int, bool]:
-        """Target element -> whether its constraint language is infinite;
-        filled on demand by the periodicity module."""
-        return {}
-
-    @cached_property
-    def _stab_memo(self) -> dict[int, frozenset[int]]:
-        """Target element -> its L-stabilizer; filled on demand by the
-        periodicity module."""
-        return {}
 
     @property
     def state_count(self) -> int:

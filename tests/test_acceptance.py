@@ -263,7 +263,7 @@ def test_criterion_6_scc_invariants(battery_results):
                     assert mu_src[alpha] in an.leading_stab
             for cycle in simple_cycles(g, max_len=20):
                 checked_cycles += 1
-                assert find_nicely_balanced_on_cycle(g, cycle, raise_on_miss=False) is not None
+                assert find_nicely_balanced_on_cycle(g, cycle) is not None
         assert checked_transitions > 1000
         assert checked_cycles > 1000
 

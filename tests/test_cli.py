@@ -271,6 +271,20 @@ class TestSemigroupCmd:
         out = capsys.readouterr().out
         assert "stab_L(a) = {1,ab}" in out
 
+    def test_stabilizers_without_report(self, capsys):
+        assert main(["semigroup", "builtin:b2", "--stabilizers"]) == 0
+        out = capsys.readouterr().out
+        assert "stab_L(a) = {1,ab}" in out
+        assert "L-classes" not in out
+
+    def test_stabilizers_in_json_only_when_asked(self, capsys):
+        assert main(["semigroup", "builtin:b2", "--json"]) == 0
+        assert "stabilizers" not in json.loads(capsys.readouterr().out)
+        assert main(["semigroup", "builtin:b2", "--json", "--stabilizers"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["stabilizers"]["a"] == ["1", "ab"]
+        assert set(data["stabilizers"]) == {"a", "b", "ab", "ba", "0"}
+
 
 class TestHunt:
     def test_budget_zero(self, tmp_path, capsys):

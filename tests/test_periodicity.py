@@ -3,10 +3,12 @@ import json
 
 import pytest
 
-from conftest import make_instance
+from conftest import battery_instances, make_instance, quadratic_equation_battery
+from weq import periodicity
 from weq.equations import EquationError, Solution, exp_solution, parse_instance, verify_solution
 from weq.periodicity import (
     NotDLG,
+    TheoremViolation,
     analyze_scc,
     certificate_to_json,
     decide_exp_infinite_dlg,
@@ -14,10 +16,11 @@ from weq.periodicity import (
     instantiate,
     is_nicely_balanced,
     load_certificate,
+    pumpable_state,
     pumping_certificate,
     simple_cycles,
 )
-from weq.semigroup import ONE, builtin
+from weq.semigroup import ONE, builtin, green, is_dlg
 from weq.solution_graph import GraphState, SccData, SolutionGraph, build
 
 
@@ -230,18 +233,9 @@ class TestCertificates:
             assert verify_solution(ins, sol)
             assert exp_solution(sol) >= m
 
-    def test_semigroup_analysis_once_per_graph(self, monkeypatch):
-        from weq import solution_graph
-        calls = {"green": 0, "is_dlg": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(solution_graph, name, counted(name, getattr(solution_graph, name)))
+    def test_semigroup_analysis_once_per_graph(self):
+        green.cache_clear()
+        is_dlg.cache_clear()
         ins = make_instance("XabY=YbaX")
         g = build(ins)
         cyclic = [i for i, h in enumerate(g.scc.has_transition) if h]
@@ -250,7 +244,11 @@ class TestCertificates:
                 analyze_scc(g, ci)
             pumping_certificate(ins, graph=g)
             find_nicely_balanced_on_cycle(g, g.scc.components[cyclic[0]])
-        assert calls == {"green": 1, "is_dlg": 1}
+            decide_exp_infinite_dlg(ins, graph=g)
+        assert green.cache_info().misses == 1
+        assert green.cache_info().hits >= 3
+        assert is_dlg.cache_info().misses == 1
+        assert is_dlg.cache_info().hits >= 2
 
 
 class TestDecide:
@@ -336,6 +334,30 @@ class TestAbsentVariableComponents:
                     assert has_infinitely_many(g)
 
 
+class TestPumpableState:
+    def test_first_hit_of_the_scan(self):
+        g = build(make_instance("XabY=YbaX"))
+        sid, var, wit = pumpable_state(g)
+        assert sid == g.initial and var == "X" and wit.v == tuple("Yba")
+
+    def test_none_when_acyclic(self):
+        assert pumpable_state(build(make_instance("Xa=bX"))) is None
+
+    def test_miss_raises_on_dlg_target(self, monkeypatch):
+        g = build(make_instance("XabY=YbaX"))
+        monkeypatch.setattr(periodicity, "is_nicely_balanced", lambda *a: None)
+        with pytest.raises(TheoremViolation):
+            pumpable_state(g)
+
+    def test_miss_is_none_outside_the_variety(self, monkeypatch):
+        ins = make_instance("Xa=aX", sg=builtin("lz2"),
+                            mapping={"a": "a", "b": "b", "X": "a"})
+        g = build(ins)
+        assert pumpable_state(g) is not None
+        monkeypatch.setattr(periodicity, "is_nicely_balanced", lambda *a: None)
+        assert pumpable_state(g) is None
+
+
 class TestNonDlgRobustness:
     def brandt(self, eqs):
         return make_instance(eqs, sg=builtin("b2"),
@@ -353,10 +375,22 @@ class TestNonDlgRobustness:
         ins = self.brandt("XaY=YaX")
         g = build(ins)
         for cycle in simple_cycles(g):
-            find_nicely_balanced_on_cycle(g, cycle, raise_on_miss=False)
+            find_nicely_balanced_on_cycle(g, cycle)
 
 
 class TestCertificateJson:
+    def test_battery_roundtrip(self):
+        loaded = 0
+        for ins in battery_instances(quadratic_equation_battery(4), ("trivial", "z2")):
+            g = build(ins)
+            cert = pumping_certificate(ins, graph=g)
+            if cert is None:
+                continue
+            data = json.loads(json.dumps(certificate_to_json(cert)))
+            assert load_certificate(ins, data, graph=g) == cert
+            loaded += 1
+        assert loaded > 100
+
     def test_roundtrip(self):
         ins = make_instance("XabY=YbaX")
         g = build(ins)

@@ -4,24 +4,19 @@ from weq.semigroup import (
     ONE,
     BadIndex,
     NonAssociative,
-    NotAnIdeal,
     adjoin_identity,
     adjoin_zero,
     builtin,
     direct_product,
-    find_retraction,
     format_semigroup,
     from_table,
     green,
     is_dlg,
-    is_ideal,
-    is_nilpotent_extension,
     omega,
     opposite,
     parse_semigroup,
     resolve_semigroup,
     stab_L,
-    subsemigroup,
     variety_report,
 )
 from weq._text import ParseError
@@ -254,45 +249,6 @@ class TestStructure:
         z = sg.adjoined_zero
         assert sg.has_adjoined_zero
         assert all(sg.mul(z, x) == z == sg.mul(x, z) for x in sg.elements())
-
-    def test_subsemigroup_of_b2(self):
-        b2 = builtin("b2")
-        gen = subsemigroup(b2, [0])
-        assert names_of(b2, gen) == ["0", "a"]
-
-    def test_nilpotent_extension_example(self):
-        n2 = builtin("n2")
-        zero = n2.index_of("0")
-        assert is_ideal(n2, {zero})
-        ok, k = is_nilpotent_extension(n2, {zero})
-        assert ok and k == 2
-        rho = find_retraction(n2, {zero})
-        assert rho == {0: zero, 1: zero}
-
-    def test_not_an_ideal(self):
-        b2 = builtin("b2")
-        assert not is_ideal(b2, {0})
-        with pytest.raises(NotAnIdeal):
-            find_retraction(b2, {0})
-
-    def test_no_retraction(self):
-        # x^2 = y, x^3 = 0: {y, 0} is an ideal with T^2 inside it, but no
-        # homomorphism fixing it can place x (x*x = y has no square root there)
-        sg = from_table(["x", "y", "0"], [[1, 2, 2], [2, 2, 2], [2, 2, 2]])
-        assert is_ideal(sg, {1, 2})
-        ok, k = is_nilpotent_extension(sg, {1, 2})
-        assert ok and k == 2
-        assert find_retraction(sg, {1, 2}) is None
-
-    def test_retraction_found_and_is_homomorphism(self):
-        sg = adjoin_zero(builtin("z2"))
-        zero = sg.adjoined_zero
-        assert is_ideal(sg, {zero})
-        rho = find_retraction(sg, {zero})
-        assert rho is not None
-        for x in sg.elements():
-            for y in sg.elements():
-                assert rho[sg.mul(x, y)] == sg.mul(rho[x], rho[y])
 
     def test_direct_product_orders(self):
         p = direct_product(builtin("z2"), builtin("z3"))
