@@ -24,9 +24,7 @@ from .equations import (
     system_to_single,
 )
 from .periodicity import (
-    NotDLG,
     certificate_to_json,
-    decide_exp_infinite_dlg,
     instantiate,
     load_certificate,
     pumping_certificate,
@@ -34,7 +32,6 @@ from .periodicity import (
 from .semigroup import (
     SemigroupError,
     green,
-    is_dlg,
     omega,
     resolve_semigroup,
     stab_L,
@@ -149,9 +146,6 @@ def cmd_infinite(args) -> int:
 
 def cmd_pump(args) -> int:
     ins = _load(args.path)
-    if not is_dlg(ins.mu.target).holds:
-        print("verdict unknown: constraints are outside the supported variety", file=sys.stderr)
-        return EXIT_UNKNOWN
     g = build(ins)
     if args.cert_in:
         with open(args.cert_in, encoding="utf-8") as fh:
@@ -161,11 +155,14 @@ def cmd_pump(args) -> int:
                 # not JSON, or JSON without the certificate's fields and types
                 raise EquationError(f"malformed certificate {args.cert_in}: {exc!r}") from exc
     else:
-        decision = decide_exp_infinite_dlg(ins, graph=g)
-        if not decision.infinite:
+        if not has_infinitely_many(g):
             print("finitely many solutions; nothing to pump")
             return EXIT_NO
-        cert = decision.certificate
+        cert = pumping_certificate(ins, graph=g)
+        if cert is None:
+            print("verdict unknown: no pumpable state, and the constraints are outside "
+                  "the supported variety", file=sys.stderr)
+            return EXIT_UNKNOWN
     if args.cert_out:
         with open(args.cert_out, "w", encoding="utf-8") as fh:
             json.dump(certificate_to_json(cert), fh, indent=2, sort_keys=True)
@@ -403,9 +400,6 @@ def main(argv=None) -> int:
     except NotQuadratic as exc:
         print(f"unsupported instance: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except NotDLG as exc:
-        print(f"verdict unknown: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
     except oracle.BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -50,39 +50,58 @@ def quadratic_equations(n_constants: int, max_vars: int, max_len: int):
 
 
 def canonical_key(eq: WordEquation, sigma, variables, image=None):
-    """Minimal form under constant renaming and variable renaming (equation
-    reversal and side swaps are intentionally not quotiented)."""
-    used_vars = tuple(v for v in variables if v in eq.lhs + eq.rhs)
-    best = None
-    for cperm in itertools.permutations(sigma):
-        cmap = dict(zip(sigma, cperm))
-        for vperm in itertools.permutations(used_vars):
-            vmap = dict(zip(used_vars, vperm))
-            ren = {**cmap, **vmap}
-            cand = (
-                tuple(ren[t] for t in eq.lhs),
-                tuple(ren[t] for t in eq.rhs),
-                tuple(sorted((ren[s], e) for s, e in image.items())) if image else (),
-            )
-            if best is None or cand < best:
-                best = cand
-    return best
+    """The first member in sweep order of the renaming class of `eq` with
+    constraint map `image`, as (lhs, rhs, sorted image items).
+
+    The class: constants are renamed over all of `sigma`, and the variables
+    that occur are renamed among themselves, keeping their pool names (so
+    `a = b X` and `a = b Y` are different classes); equation reversal and
+    side swaps are intentionally not quotiented.  Its first member relabels
+    tokens in order of first occurrence in `lhs + rhs`: the k-th distinct
+    constant becomes sigma[k] and the k-th distinct variable the k-th
+    occurring variable in `variables` order.  The constants that do not
+    occur take the remaining names in order of their images."""
+    word = eq.lhs + eq.rhs
+    constants = frozenset(sigma)
+    fresh_constants = iter(sigma)
+    fresh_variables = iter([v for v in variables if v in word])
+    ren: dict = {}
+    for t in word:
+        if t not in ren:
+            ren[t] = next(fresh_constants if t in constants else fresh_variables)
+    absent = [c for c in sigma if c not in ren]
+    if image:
+        absent.sort(key=image.__getitem__)
+    ren.update(zip(absent, fresh_constants))
+    return (
+        tuple(ren[t] for t in eq.lhs),
+        tuple(ren[t] for t in eq.rhs),
+        tuple(sorted((ren[s], e) for s, e in image.items())) if image else (),
+    )
 
 
 def sweep_instances(sg: FiniteSemigroup, n_constants: int, max_vars: int, max_len: int):
-    """Canonical quadratic instances with every constraint map into sg."""
-    seen: set = set()
+    """The first member of each renaming class (see `canonical_key`) in
+    enumeration order: by |UV|, word, cut, then constraint images in product
+    order.  A member is first exactly when its equation is its own
+    relabelling and the images of the constants absent from it do not
+    decrease, so no renaming is searched and nothing is remembered."""
+    elements = sg.elements()
     for eq, sigma, variables in quadratic_equations(n_constants, max_vars, max_len):
-        used = tuple(v for v in variables if v in eq.lhs + eq.rhs)
+        if canonical_key(eq, sigma, variables)[:2] != (eq.lhs, eq.rhs):
+            continue
+        word = eq.lhs + eq.rhs
+        n_occ = len(set(sigma).intersection(word))
+        used = tuple(v for v in variables if v in word)
         syms = SymbolTable(sigma, used)
-        for images in itertools.product(sg.elements(), repeat=len(syms.all_symbols())):
-            mapping = dict(zip(syms.all_symbols(), images))
-            key = canonical_key(eq, sigma, used, mapping)
-            if key in seen:
-                continue
-            seen.add(key)
-            mu = ConstraintMorphism.from_dict(syms, sg, mapping)
-            yield Instance((eq,), mu)
+        symbols = syms.all_symbols()
+        for occurring, absent, var_images in itertools.product(
+            itertools.product(elements, repeat=n_occ),
+            itertools.combinations_with_replacement(elements, len(sigma) - n_occ),
+            itertools.product(elements, repeat=len(used)),
+        ):
+            mapping = dict(zip(symbols, occurring + absent + var_images))
+            yield Instance((eq,), ConstraintMorphism.from_dict(syms, sg, mapping))
 
 
 @dataclass

@@ -356,13 +356,18 @@ def _solve_state(g: SolutionGraph, sid: int, path: list[int]) -> dict[str, Word]
         patterns = _apply_label(patterns, g.transitions[tid].label)
     syms = g.instance.symbols
     for v, w in patterns.items():
-        assert w and all(syms.is_constant(t) for t in w)
+        if not w or not all(syms.is_constant(t) for t in w):
+            raise TheoremViolation(f"accepting path from state {sid} leaves {v!r} as {w!r}")
     if not st.is_true:
         sol = Solution.from_dict(patterns)
-        assert sol.apply(st.lhs) == sol.apply(st.rhs)
+        if sol.apply(st.lhs) != sol.apply(st.rhs):
+            raise TheoremViolation(f"accepting path from state {sid} does not solve it")
     mu = g.state_mu(sid)
     for v, w in patterns.items():
-        assert g.instance.mu.eval(w) == mu[v]
+        if g.instance.mu.eval(w) != mu[v]:
+            raise TheoremViolation(
+                f"accepting path from state {sid} violates the constraint on {v!r}"
+            )
     return patterns
 
 
@@ -488,6 +493,11 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     wit = is_nicely_balanced(g, sid, var)
     if wit is None:
         raise EquationError(f"state {sid} is not pumpable on {var!r}")
+    # the witness decides the case: head-balanced exactly when its v is nonempty
+    case = "head_balanced" if wit.v else "free_variable"
+    if data["case"] != case:
+        raise EquationError(f"certificate case {data['case']!r} is not {case!r}, the case of "
+                            f"state {sid} on {var!r}")
     base = {v: tuple(w) for v, w in data["base"].items()}
     st = g.states[sid]
     if set(base) != set(st.varset):
@@ -499,7 +509,7 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     for v, w in base.items():
         if ins.mu.eval(w) != mu[v]:
             raise EquationError("certificate base violates the constraints")
-    if data["case"] != "head_balanced":
+    if case == "free_variable":
         # the witness above makes the variable's constraint language infinite
         return _certificate(g, sid, var, labels, base, ())
     v_word = tuple(data["v"])

@@ -87,7 +87,9 @@ class FiniteSemigroup:
         return acc
 
     def name_of(self, x: int) -> str:
-        return "1" if x == ONE else self.names[x]
+        """The element's name; the adjoined identity ONE is `1`, primed until
+        it differs from every element's name."""
+        return _fresh_name(self.names, "1") if x == ONE else self.names[x]
 
     def index_of(self, name: str) -> int:
         try:

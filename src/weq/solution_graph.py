@@ -164,13 +164,9 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
         st = GraphState(lhs, rhs, varset, tuple(sorted((v, mu[v]) for v in varset)), true_)
         sid = index.get(st)
         if sid is None:
-            if not true_:
-                assert len(lhs) + len(rhs) <= n0
-                for v in varset:
-                    assert lhs.count(v) + rhs.count(v) <= 2
-                if check and _abelian_refuted(lhs, rhs, varset):
-                    index[st] = DEAD
-                    return DEAD
+            if check and not true_ and _abelian_refuted(lhs, rhs, varset):
+                index[st] = DEAD
+                return DEAD
             sid = len(states)
             index[st] = sid
             states.append(st)

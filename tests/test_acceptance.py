@@ -92,13 +92,21 @@ def test_criterion_2_pumping_certificate():
 @pytest.fixture(scope="session")
 def battery_results(battery_equations):
     """One pass over every battery instance: criterion 3's checks, plus the
-    data criteria 6 reuses (which instances have a cyclic trimmed graph)."""
+    data criteria 6 reuses (which instances have a cyclic trimmed graph).
+    Every state of every graph is also checked to be no longer than the
+    instance and quadratic, as the transition schema guarantees."""
     cyclic: list[Instance] = []
     count = 0
     t0 = time.monotonic()
     for ins in battery_instances(battery_equations):
         count += 1
         g = build(ins)
+        for st in g.states:
+            if not st.is_true:
+                assert len(st.lhs) + len(st.rhs) <= g.n0, f"state {st} outgrew {ins.equations[0]}"
+                assert all(st.lhs.count(v) + st.rhs.count(v) <= 2 for v in st.varset), (
+                    f"state {st} of {ins.equations[0]} is not quadratic"
+                )
         got = enumerate_solutions(g, max_word_len=4)
         want = list(brute_solutions(ins, 4).solutions)
         assert got == want, f"graph/oracle disagree on {ins.equations[0]} {ins.mu.image}"

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from weq.cli import main, make_parser
+from weq import periodicity
+from weq.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +36,17 @@ map X -> 0
 map Y -> 0
 """
 
+LZ2_CONSTRAINED = """\
+constants a b
+variables X Y
+equation X a b Y = Y b a X
+semigroup builtin:lz2
+map a -> a
+map b -> b
+map X -> a
+map Y -> a
+"""
+
 N2_FINITE = """\
 constants a
 variables X
@@ -59,7 +71,7 @@ def files(tmp_path):
     out = {}
     for name, text in [
         ("xabby.weq", XABBY), ("xa_bx.weq", XA_BX),
-        ("b2.weq", B2_CONSTRAINED), ("n2.weq", N2_FINITE),
+        ("b2.weq", B2_CONSTRAINED), ("lz2.weq", LZ2_CONSTRAINED), ("n2.weq", N2_FINITE),
         ("system.weq", SYSTEM),
     ]:
         p = tmp_path / name
@@ -153,9 +165,41 @@ class TestPump:
         assert len(lines) == 4
         assert "X=abaaba" in lines[1]
 
-    def test_exit_4_outside_variety(self, files, capsys):
+    def test_exit_4_outside_variety(self, files, capsys, monkeypatch):
+        # only a miss of the pumpable-state scan, possible outside the
+        # supported variety, leaves the verdict unknown
+        monkeypatch.setattr(periodicity, "pumpable_state", lambda g: None)
         assert main(["pump", files["b2.weq"]]) == 4
         assert "unknown" in capsys.readouterr().err
+
+    def test_pumps_what_check_certifies_outside_variety(self, files, capsys):
+        # lz2 is not DLG; the scan still finds a pumpable state
+        assert main(["check", files["lz2.weq"], "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["exp_verdict"] == "InfiniteCertified"
+        assert main(["pump", files["lz2.weq"], "--m", "2", "--json"]) == 0
+        pumped = json.loads(capsys.readouterr().out)
+        assert pumped["certificate"] == report["certificate"]
+        assert [row["exp"] >= row["m"] for row in pumped["solutions"]] == [True] * 3
+
+    def test_stored_certificate_outside_variety(self, files, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        assert main(["pump", files["lz2.weq"], "--m", "0", "--cert-out", str(cert)]) == 0
+        capsys.readouterr()
+        assert main(["pump", files["lz2.weq"], "--m", "2", "--cert-in", str(cert)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    @pytest.mark.parametrize("case", ["bogus", "free_variable"])
+    def test_certificate_case_must_match_the_state(self, files, tmp_path, capsys, case):
+        cert = tmp_path / "cert.json"
+        assert main(["pump", files["xabby.weq"], "--m", "0", "--cert-out", str(cert)]) == 0
+        capsys.readouterr()
+        data = json.loads(cert.read_text())
+        data["case"] = case
+        cert.write_text(json.dumps(data))
+        assert main(["pump", files["xabby.weq"], "--cert-in", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"certificate case {case!r}" in captured.err
 
     def test_exit_3_when_finite(self, files):
         assert main(["pump", files["n2.weq"]]) == 3
@@ -277,6 +321,17 @@ class TestSemigroupCmd:
         assert "stab_L(a) = {1,ab}" in out
         assert "L-classes" not in out
 
+    def test_adjoined_identity_named_apart(self, capsys):
+        # sl2 has its own element 1, so the adjoined identity is 1'
+        assert main(["semigroup", "builtin:sl2", "--stabilizers"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "stab_L(1) = {1',1}", "stab_L(0) = {1',1,0}",
+        ]
+        assert main(["semigroup", "builtin:sl2", "--json", "--stabilizers"]) == 0
+        assert json.loads(capsys.readouterr().out)["stabilizers"] == {
+            "1": ["1'", "1"], "0": ["1'", "1", "0"],
+        }
+
     def test_stabilizers_in_json_only_when_asked(self, capsys):
         assert main(["semigroup", "builtin:b2", "--json"]) == 0
         assert "stabilizers" not in json.loads(capsys.readouterr().out)
@@ -319,10 +374,12 @@ class TestHunt:
         captured = capsys.readouterr()
         assert captured.out == "" and flag in captured.err
 
-    def test_whole_pools_accepted(self):
-        # parsed only: canonicalizing over 8! constant permutations is slow
-        args = make_parser().parse_args(["hunt", "--sigma", "8", "--vars", "6", "--max-len", "2"])
-        assert (args.sigma, args.vars, args.max_len) == (8, 6, 2)
+    def test_whole_pools_accepted(self, capsys):
+        # a = a and a = b, with the other seven constants absent
+        assert main(["hunt", "--sigma", "8", "--vars", "0", "--max-len", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 2
+        assert main(["hunt", "--sigma", "8", "--vars", "6", "--max-len", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] > 2
 
     def test_seeded_runs_agree(self, capsys):
         args = ["hunt", "--sigma", "2", "--vars", "1", "--max-len", "3",

@@ -5,8 +5,49 @@ import json
 import pytest
 
 from weq import hunt
-from weq.equations import format_instance
+from weq.equations import ConstraintMorphism, Instance, SymbolTable, WordEquation, format_instance
 from weq.semigroup import builtin
+
+
+def reference_key(eq, sigma, variables, image=None):
+    """The least form of the instance, as strings, under every renaming of
+    the constants over sigma and of the occurring variables among
+    themselves; a class invariant found by permutation search."""
+    used_vars = tuple(v for v in variables if v in eq.lhs + eq.rhs)
+    best = None
+    for cperm in itertools.permutations(sigma):
+        cmap = dict(zip(sigma, cperm))
+        for vperm in itertools.permutations(used_vars):
+            ren = {**cmap, **dict(zip(used_vars, vperm))}
+            cand = (
+                tuple(ren[t] for t in eq.lhs),
+                tuple(ren[t] for t in eq.rhs),
+                tuple(sorted((ren[s], e) for s, e in image.items())) if image else (),
+            )
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def raw_instances(sg, n_constants, max_vars, max_len):
+    """Every (equation, symbols, constraint map) the sweep enumerates, in
+    enumeration order, before any renaming class is merged."""
+    for eq, sigma, variables in hunt.quadratic_equations(n_constants, max_vars, max_len):
+        used = tuple(v for v in variables if v in eq.lhs + eq.rhs)
+        syms = SymbolTable(sigma, used)
+        for images in itertools.product(sg.elements(), repeat=len(syms.all_symbols())):
+            yield eq, syms, dict(zip(syms.all_symbols(), images))
+
+
+def reference_sweep(sg, n_constants, max_vars, max_len):
+    """The first instance of each class in enumeration order, found by
+    remembering the reference key of every class seen."""
+    seen = set()
+    for eq, syms, mapping in raw_instances(sg, n_constants, max_vars, max_len):
+        key = reference_key(eq, syms.constants, syms.variables, mapping)
+        if key not in seen:
+            seen.add(key)
+            yield Instance((eq,), ConstraintMorphism.from_dict(syms, sg, mapping))
 
 
 class TestSweepEnumeration:
@@ -39,6 +80,41 @@ class TestSweepEnumeration:
         for ins in hunt.sweep_instances(builtin(target), sigma, max_vars, max_len):
             h.update(format_instance(ins).encode())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("target, sigma, max_vars, max_len", [
+        ("z2", 2, 2, 3),
+        ("trivial", 4, 1, 3),
+        ("n2", 2, 4, 3),
+        ("lz2", 3, 1, 3),
+        ("rz2", 2, 2, 3),
+        ("b2", 2, 1, 3),
+        ("trivial", 2, 2, 4),
+    ])
+    def test_sweep_matches_the_permutation_search(self, target, sigma, max_vars, max_len):
+        sg = builtin(target)
+        got = [format_instance(ins) for ins in hunt.sweep_instances(sg, sigma, max_vars, max_len)]
+        want = [format_instance(ins) for ins in reference_sweep(sg, sigma, max_vars, max_len)]
+        assert got == want
+
+    def test_key_is_a_class_invariant(self):
+        # the two keys split every enumerated instance into the same classes
+        pairs = {
+            (hunt.canonical_key(eq, syms.constants, syms.variables, mapping),
+             reference_key(eq, syms.constants, syms.variables, mapping))
+            for eq, syms, mapping in raw_instances(builtin("z2"), 3, 2, 3)
+        }
+        assert len({key for key, _ in pairs}) == len({ref for _, ref in pairs}) == len(pairs)
+
+    def test_key_is_the_first_member_in_sweep_order(self):
+        # b, a and X by first occurrence; X keeps its pool name
+        eq = WordEquation(("b", "X"), ("a",))
+        image = {"a": 0, "b": 1, "c": 0, "X": 1}
+        key = hunt.canonical_key(eq, ("a", "b", "c"), ("Y", "X"), image)
+        assert key == (("a", "X"), ("b",), (("X", 1), ("a", 1), ("b", 0), ("c", 0)))
+        # the absent constants b, c in order of their images
+        eq = WordEquation(("a",), ("a",))
+        key = hunt.canonical_key(eq, ("a", "b", "c"), (), {"a": 0, "b": 1, "c": 0})
+        assert key == (("a",), ("a",), (("a", 0), ("b", 0), ("c", 1)))
 
     def test_renamed_instances_collapse(self):
         # single-letter sides over two constants: the four raw pairs collapse

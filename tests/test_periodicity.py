@@ -251,6 +251,14 @@ class TestCertificates:
         assert is_dlg.cache_info().hits >= 2
 
 
+class TestSolveState:
+    def test_path_that_leaves_variables_raises(self):
+        # an explicit exception, so the check survives python -O
+        g = build(make_instance("XabY=YbaX"))
+        with pytest.raises(TheoremViolation, match="leaves"):
+            periodicity._solve_state(g, g.initial, [])
+
+
 class TestDecide:
     def test_running_example_infinite(self):
         dec = decide_exp_infinite_dlg(make_instance("XabY=YbaX"))
@@ -428,6 +436,23 @@ class TestCertificateJson:
         data = certificate_to_json(pumping_certificate(ins, graph=g))
         data["state"] = 10**6
         with pytest.raises(EquationError):
+            load_certificate(ins, data, graph=g)
+
+    @pytest.mark.parametrize("case", ["bogus", "free_variable"])
+    def test_case_must_match_head_balanced_state(self, case):
+        ins = make_instance("XabY=YbaX")
+        g = build(ins)
+        data = certificate_to_json(pumping_certificate(ins, graph=g))
+        data["case"] = case
+        with pytest.raises(EquationError, match="certificate case"):
+            load_certificate(ins, data, graph=g)
+
+    def test_case_must_match_free_variable_state(self):
+        ins = make_instance("aa=aa", variables="Z")
+        g = build(ins)
+        data = certificate_to_json(pumping_certificate(ins, graph=g))
+        data.update(case="head_balanced", v=["a"], omega=1)
+        with pytest.raises(EquationError, match="certificate case"):
             load_certificate(ins, data, graph=g)
 
     def test_free_variable_roundtrip(self):
