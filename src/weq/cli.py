@@ -362,7 +362,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="brute-force solution enumeration")
     common(sp)
     sp.add_argument("--max-len", type=_int_in(1), default=4, metavar="L")
-    sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_int_in(0), default=oracle.DEFAULT_BUDGET)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("semigroup", help="inspect a semigroup")
@@ -379,7 +379,7 @@ def make_parser() -> argparse.ArgumentParser:
                     help="maximum number of variables")
     sp.add_argument("--max-len", type=_int_in(2), default=6, help="maximum |UV|")
     sp.add_argument("--semigroup", default="builtin:trivial")
-    sp.add_argument("--budget", type=int, default=10000, help="instance budget")
+    sp.add_argument("--budget", type=_int_in(0), default=10000, help="instance budget")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", metavar="FILE", help="findings file (JSON lines)")
     sp.set_defaults(func=cmd_hunt)

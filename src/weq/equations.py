@@ -62,6 +62,10 @@ class SymbolTable:
     def variable_set(self) -> frozenset[str]:
         return frozenset(self.variables)
 
+    @cached_property
+    def symbol_set(self) -> frozenset[str]:
+        return frozenset(self.constants + self.variables)
+
     def is_constant(self, tok: str) -> bool:
         return tok in self.constant_set
 
@@ -112,7 +116,7 @@ class ConstraintMorphism:
         missing = [s for s in symbols.all_symbols() if s not in mapping]
         if missing:
             raise EquationError(f"constraint map misses symbols {missing}")
-        extra = [s for s in mapping if s not in symbols.constant_set | symbols.variable_set]
+        extra = [s for s in mapping if s not in symbols.symbol_set]
         if extra:
             raise EquationError(f"constraint map has unknown symbols {extra}")
         items = []
@@ -155,7 +159,7 @@ class Instance:
     mu: ConstraintMorphism
 
     def __post_init__(self):
-        known = self.symbols.constant_set | self.symbols.variable_set
+        known = self.symbols.symbol_set
         for eq in self.equations:
             for tok in eq.lhs + eq.rhs:
                 if tok not in known:

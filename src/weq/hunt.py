@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import oracle
@@ -80,28 +81,48 @@ def canonical_key(eq: WordEquation, sigma, variables, image=None):
     )
 
 
-def sweep_instances(sg: FiniteSemigroup, n_constants: int, max_vars: int, max_len: int):
+def sweep_instances(
+    sg: FiniteSemigroup, n_constants: int, max_vars: int, max_len: int, seed: int | None = None,
+):
     """The first member of each renaming class (see `canonical_key`) in
     enumeration order: by |UV|, word, cut, then constraint images in product
     order.  A member is first exactly when its equation is its own
     relabelling and the images of the constants absent from it do not
-    decrease, so no renaming is searched and nothing is remembered."""
+    decrease, so no renaming is searched and no set of classes is kept.
+
+    With a seed, the same instances in the order that
+    `random.Random(seed).shuffle` gives their list.  Only a compact key per
+    instance, (equation number, images), is listed and shuffled, and each
+    instance is built when it is yielded; a shuffle depends only on the
+    length of its list, so the order is the same."""
     elements = sg.elements()
+    tables: list[tuple[WordEquation, SymbolTable, list[tuple[int, ...]]]] = []
+    image_lists: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
     for eq, sigma, variables in quadratic_equations(n_constants, max_vars, max_len):
         if canonical_key(eq, sigma, variables)[:2] != (eq.lhs, eq.rhs):
             continue
         word = eq.lhs + eq.rhs
         n_occ = len(set(sigma).intersection(word))
         used = tuple(v for v in variables if v in word)
-        syms = SymbolTable(sigma, used)
-        symbols = syms.all_symbols()
-        for occurring, absent, var_images in itertools.product(
-            itertools.product(elements, repeat=n_occ),
-            itertools.combinations_with_replacement(elements, len(sigma) - n_occ),
-            itertools.product(elements, repeat=len(used)),
-        ):
-            mapping = dict(zip(symbols, occurring + absent + var_images))
-            yield Instance((eq,), ConstraintMorphism.from_dict(syms, sg, mapping))
+        shape = (n_occ, len(sigma) - n_occ, len(used))
+        if shape not in image_lists:
+            image_lists[shape] = [
+                occurring + absent + var_images
+                for occurring, absent, var_images in itertools.product(
+                    itertools.product(elements, repeat=shape[0]),
+                    itertools.combinations_with_replacement(elements, shape[1]),
+                    itertools.product(elements, repeat=shape[2]),
+                )
+            ]
+        tables.append((eq, SymbolTable(sigma, used), image_lists[shape]))
+    keys = ((n, images) for n, (_, _, image_list) in enumerate(tables) for images in image_list)
+    if seed is not None:
+        keys = list(keys)
+        random.Random(seed).shuffle(keys)
+    for n, images in keys:
+        eq, syms, _ = tables[n]
+        mapping = dict(zip(syms.all_symbols(), images))
+        yield Instance((eq,), ConstraintMorphism.from_dict(syms, sg, mapping))
 
 
 @dataclass
@@ -171,11 +192,9 @@ def run_hunt(
         "budget": budget,
         "seed": seed,
     })
-    instances = list(sweep_instances(sg, n_constants, max_vars, max_len))
-    random.Random(seed).shuffle(instances)
-    sink = open(findings_path, "w", encoding="utf-8") if findings_path else None
-    try:
-        for ins in instances:
+    # opened before the sweep starts, so that a bad path fails before any work
+    with open(findings_path, "w", encoding="utf-8") if findings_path else nullcontext() as sink:
+        for ins in sweep_instances(sg, n_constants, max_vars, max_len, seed):
             if report.total >= budget:
                 report.truncated = True
                 raise BudgetExceeded(f"instance budget {budget} exhausted", report)
@@ -201,7 +220,4 @@ def run_hunt(
                 if sink:
                     sink.write(json.dumps(entry, sort_keys=True) + "\n")
                     sink.flush()
-    finally:
-        if sink:
-            sink.close()
     return report

@@ -23,6 +23,20 @@ source, which passed.  A dead state has only dead successors and every
 predecessor of a live state is live, so the live states are generated in the
 same breadth-first order as without the test, and the trimmed automaton,
 its state numbering included, is unchanged.
+
+Exploration also skips states whose sides have different constraint
+images: with constants at their images under the instance's morphism and
+active variables at the state's images, a solution maps both sides to the
+same element, so a state whose sides fold to different elements of the
+target has no accepting path (Schulz 1990) and is recorded as dead in the
+same way.  The test runs on the initial state and after every move that
+cancels a head: silent, keeping and deleting moves.  An absent-variable
+move changes neither side, and substitution alone keeps both folds
+(x -> alpha x picks t with mu(alpha) t = mu(x); x -> alpha needs
+mu(alpha) = mu(x)), so only cancellation can make them differ.  Over a
+target of order 1 every fold is equal and the test is skipped.  A dead
+state is never co-reachable, so by the argument above the trimmed
+automaton and its numbering stay the same.
 """
 
 from __future__ import annotations
@@ -149,6 +163,19 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
     var_rank = {v: i for i, v in enumerate(syms.variables)}
     quot = _left_quotients(sg)
     n0 = len(eq.lhs) + len(eq.rhs)
+    const_mu = {a: ins.mu[a] for a in sigma}
+    table = sg.table
+    test_images = sg.order > 1
+
+    def images_differ(lhs: Word, rhs: Word, mu: dict[str, int]) -> bool:
+        m = {**const_mu, **mu}
+        left = m[lhs[0]]
+        for t in lhs[1:]:
+            left = table[left][m[t]]
+        right = m[rhs[0]]
+        for t in rhs[1:]:
+            right = table[right][m[t]]
+        return left != right
 
     states: list[GraphState] = []
     index: dict[GraphState, int] = {}
@@ -157,14 +184,19 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
 
     def intern(
         lhs: Word, rhs: Word, varset: frozenset[str], mu: dict[str, int], true_: bool,
-        check: bool = False,
+        cancelled: bool = False, counts: bool = False,
     ) -> int:
-        """Id of the state, adding it on first sight; DEAD when `check` is
-        set and letter counting refutes the state on first sight."""
+        """Id of the state, adding it on first sight; DEAD when, on first
+        sight of a non-true state, a head has `cancelled` on the way and the
+        sides' images differ, or `counts` is set and letter counting
+        refutes it."""
         st = GraphState(lhs, rhs, varset, tuple(sorted((v, mu[v]) for v in varset)), true_)
         sid = index.get(st)
         if sid is None:
-            if check and not true_ and _abelian_refuted(lhs, rhs, varset):
+            if not true_ and (
+                (cancelled and test_images and images_differ(lhs, rhs, mu))
+                or (counts and _abelian_refuted(lhs, rhs, varset))
+            ):
                 index[st] = DEAD
                 return DEAD
             sid = len(states)
@@ -184,7 +216,7 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
     init_vars = frozenset(syms.variables)
     init_mu = {v: ins.mu[v] for v in syms.variables}
     queue: deque[int] = deque()
-    initial = intern(eq.lhs, eq.rhs, init_vars, init_mu, False, check=True)
+    initial = intern(eq.lhs, eq.rhs, init_vars, init_mu, False, cancelled=True, counts=True)
 
     while queue:
         sid = queue.popleft()
@@ -198,7 +230,7 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
             # silent head cancellation: the unique outgoing transition
             l, r = st.lhs[1:], st.rhs[1:]
             if l and r:
-                add(sid, intern(l, r, varset, mu, False), None)
+                add(sid, intern(l, r, varset, mu, False, cancelled=True), None)
             elif not l and not r:
                 add(sid, intern((), (), varset, mu, True), None)
             continue
@@ -231,7 +263,7 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
             # x -> alpha x and x -> alpha add c_x = |this|_x - |other|_x to
             # the count difference of alpha; with c_x = 0 the children have
             # the letter counts of this state, which passed the test
-            check = u.count(x) + 1 != v.count(x)
+            counts = u.count(x) + 1 != v.count(x)
 
             # keeping transition: x -> alpha x, the opposing head cancels
             keep_l = (x,) + substitute(u, x, (alpha, x))
@@ -241,14 +273,22 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
                 for t in quot.get((mu_of[alpha], mu[x]), ()):
                     mu2 = dict(mu)
                     mu2[x] = t
-                    add(sid, intern(pair[0], pair[1], varset, mu2, False, check), (x, (alpha, x)))
+                    add(
+                        sid,
+                        intern(pair[0], pair[1], varset, mu2, False, cancelled=True, counts=counts),
+                        (x, (alpha, x)),
+                    )
             # deleting transition: x -> alpha
             if mu[x] == mu_of[alpha]:
                 dl, dr = substitute(u, x, (alpha,)), substitute(v, x, (alpha,))
                 if swapped:
                     dl, dr = dr, dl
                 if dl and dr:
-                    add(sid, intern(dl, dr, varset - {x}, mu, False, check), (x, (alpha,)))
+                    add(
+                        sid,
+                        intern(dl, dr, varset - {x}, mu, False, cancelled=True, counts=counts),
+                        (x, (alpha,)),
+                    )
                 elif not dl and not dr:
                     add(sid, intern((), (), varset - {x}, mu, True), (x, (alpha,)))
 
@@ -265,7 +305,7 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
     return _trim(ins, states, transitions, out, initial, finals, n0, faithful)
 
 
-DEAD = -1  # index entry of a state refuted by letter counting
+DEAD = -1  # index entry of a state refuted by its images or by letter counting
 
 
 def _abelian_refuted(lhs: Word, rhs: Word, varset: frozenset[str]) -> bool:
@@ -304,22 +344,22 @@ def _abelian_refuted(lhs: Word, rhs: Word, varset: frozenset[str]) -> bool:
 
 
 def _trim(ins, states, transitions, out, initial, finals, n0, faithful) -> SolutionGraph:
-    n = len(states)
     co = set(finals)
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for t in transitions:
-        rev[t.target].append(t.source)
-    frontier = deque(co)
-    while frontier:
-        s = frontier.popleft()
-        for p in rev[s]:
-            if p not in co:
-                co.add(p)
-                frontier.append(p)
-    keep = sorted(co)  # all states are forward-reachable by construction
-    if initial not in co:  # also when the initial state is DEAD
+    if co:  # without finals nothing is co-reachable, as when the initial state is DEAD
+        rev: list[list[int]] = [[] for _ in states]
+        for t in transitions:
+            rev[t.target].append(t.source)
+        frontier = deque(co)
+        while frontier:
+            s = frontier.popleft()
+            for p in rev[s]:
+                if p not in co:
+                    co.add(p)
+                    frontier.append(p)
+    if initial not in co:
         empty = SccData((), (), ())
         return SolutionGraph(ins, [], [], [], None, frozenset(), True, empty, n0, faithful)
+    keep = sorted(co)  # all states are forward-reachable by construction
     remap = {old: new for new, old in enumerate(keep)}
     new_states = [states[old] for old in keep]
     new_out: list[list[int]] = [[] for _ in keep]

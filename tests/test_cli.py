@@ -272,6 +272,11 @@ class TestSolveOracleGraph:
         assert main(["oracle", files["xabby.weq"], "--max-len", "8", "--budget", "10"]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_negative_oracle_budget_rejected(self, files, capsys):
+        assert main(["oracle", files["xabby.weq"], "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--budget" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["oracle", "{xabby}", "--max-len", "0"],
         ["check", "{xabby}", "--crosscheck", "0"],
@@ -364,7 +369,7 @@ class TestHunt:
 
     @pytest.mark.parametrize("flag,value", [
         ("--sigma", "0"), ("--sigma", "9"), ("--vars", "-1"), ("--vars", "7"),
-        ("--max-len", "-1"), ("--max-len", "1"),
+        ("--max-len", "-1"), ("--max-len", "1"), ("--budget", "-1"),
     ])
     def test_bounds_outside_the_pools_exit_2(self, capsys, flag, value):
         args = {"--sigma": "1", "--vars": "1", "--max-len": "2"}

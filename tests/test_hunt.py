@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -170,6 +171,38 @@ class TestRunHunt:
                           findings_path=str(path))
         assert exc.value.report.total == 0
         assert path.read_text() == ""
+
+    def test_unwritable_findings_path_fails_before_the_sweep(self, tmp_path, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(hunt, "sweep_instances", sweep)
+        with pytest.raises(FileNotFoundError):
+            hunt.run_hunt(builtin("trivial"), 1, 1, 2, budget=10,
+                          findings_path=str(tmp_path / "missing" / "findings.jsonl"))
+
+    @pytest.mark.parametrize("target, sigma, max_vars, max_len, seed", [
+        ("b2", 2, 2, 3, 0),
+        ("z2", 2, 1, 3, 7),
+        ("lz2", 3, 1, 3, 41),
+        ("trivial", 2, 2, 4, 5),
+    ])
+    def test_classifies_in_shuffled_sweep_order(self, monkeypatch, target, sigma, max_vars,
+                                                max_len, seed):
+        # the streamed sweep keeps the order of shuffling the whole list
+        sg = builtin(target)
+        want = list(hunt.sweep_instances(sg, sigma, max_vars, max_len))
+        random.Random(seed).shuffle(want)
+        seen = []
+
+        def record(ins, **kwargs):
+            seen.append(ins)
+            return "FiniteSol", {}
+
+        monkeypatch.setattr(hunt, "classify", record)
+        report = hunt.run_hunt(sg, sigma, max_vars, max_len, budget=10**6, seed=seed)
+        assert seen == want
+        assert report.total == report.finite == len(want)
 
     def test_counts_partition_the_total(self):
         report = hunt.run_hunt(builtin("z2"), 2, 1, 3, budget=10**6, seed=0)

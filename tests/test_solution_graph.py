@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from weq.equations import NotQuadratic, Solution, parse_instance
+from weq.equations import ConstraintMorphism, Instance, NotQuadratic, Solution, parse_instance
+from weq.hunt import sweep_instances
 from weq.oracle import brute_solutions
 from weq.semigroup import builtin
 from weq.solution_graph import (
@@ -288,3 +289,31 @@ def test_refuted_initial_state_has_no_solution(case):
     if _abelian_refuted(eq.lhs, eq.rhs, frozenset(variables)):
         assert brute_solutions(ins, 4).solutions == ()
         assert not is_solvable(build(ins))
+
+
+class TestImageFilter:
+    """Pruning states whose sides have different constraint images keeps
+    the automaton."""
+
+    # sha256 of the concatenated export_dot of every instance of the sweep,
+    # computed with no image test; both settings give the same graphs here
+    @pytest.mark.parametrize("faithful", [False, True])
+    def test_b2_sweep_dot_unchanged(self, faithful):
+        h = hashlib.sha256()
+        for ins in sweep_instances(builtin("b2"), 2, 2, 3):
+            h.update(export_dot(build(ins, faithful=faithful)).encode())
+        assert h.hexdigest() == "7322ef843227d54180ac370e8d35d78c3eecb1c06dbb0e196d37e7f9167476d2"
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadratic_equations(), st.sampled_from(("z2", "n2", "rz2", "b2", "lz2")), st.data())
+def test_initial_images_that_differ_leave_no_solution(case, target, data):
+    spec, variables = case
+    sg = builtin(target)
+    base = make_instance(spec, variables=variables)
+    images = {s: data.draw(st.integers(0, sg.order - 1)) for s in base.symbols.all_symbols()}
+    ins = Instance(base.equations, ConstraintMorphism.from_dict(base.symbols, sg, images))
+    eq = ins.equation
+    assume(ins.mu.eval(eq.lhs) != ins.mu.eval(eq.rhs))
+    assert brute_solutions(ins, 4).solutions == ()
+    assert not is_solvable(build(ins))
