@@ -91,9 +91,6 @@ class WordEquation:
     def sides(self) -> tuple[Word, Word]:
         return self.lhs, self.rhs
 
-    def occurrences(self, tok: str) -> int:
-        return self.lhs.count(tok) + self.rhs.count(tok)
-
     def __str__(self):
         return " ".join(self.lhs) + " = " + " ".join(self.rhs)
 
@@ -175,16 +172,14 @@ class Instance:
             raise EquationError("instance is a system; reduce it to a single equation first")
         return self.equations[0]
 
-    def occurrences(self, tok: str) -> int:
-        return sum(eq.occurrences(tok) for eq in self.equations)
-
-    def is_quadratic(self) -> bool:
-        return all(self.occurrences(v) <= 2 for v in self.symbols.variables)
-
     def require_quadratic(self) -> None:
+        counts: dict[str, int] = {}
+        for eq in self.equations:
+            for tok in eq.lhs + eq.rhs:
+                counts[tok] = counts.get(tok, 0) + 1
         for v in self.symbols.variables:
-            if self.occurrences(v) > 2:
-                raise NotQuadratic(f"variable {v!r} occurs {self.occurrences(v)} times")
+            if counts.get(v, 0) > 2:
+                raise NotQuadratic(f"variable {v!r} occurs {counts[v]} times")
 
 
 def instance(equations, mu: ConstraintMorphism) -> Instance:
@@ -200,6 +195,20 @@ def unconstrained(equations, constants, variables) -> Instance:
 
 # ---------------------------------------------------------------------------
 # substitutions and solutions
+
+
+PACK_BASE = 0xE000  # first code point of the packed alphabet
+
+
+@lru_cache(maxsize=1024)
+def packing(symbols: SymbolTable) -> tuple[dict[str, str], dict[str, str]]:
+    """The packed form of words over the symbols: token i of
+    `all_symbols()` is the code point PACK_BASE + i, so a word is a `str`
+    of one character per token and distinct tokens get distinct
+    characters whatever their names.  Returns the character of each token
+    and the token of each character; callers must not change either."""
+    char_of = {t: chr(PACK_BASE + i) for i, t in enumerate(symbols.all_symbols())}
+    return char_of, {c: t for t, c in char_of.items()}
 
 
 def substitute(word: Word, var: str, repl: Word) -> Word:

@@ -11,9 +11,11 @@ bucket is flagged for manual study, nothing more.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import random
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -91,10 +93,11 @@ def sweep_instances(
     decrease, so no renaming is searched and no set of classes is kept.
 
     With a seed, the same instances in the order that
-    `random.Random(seed).shuffle` gives their list.  Only a compact key per
-    instance, (equation number, images), is listed and shuffled, and each
-    instance is built when it is yielded; a shuffle depends only on the
-    length of its list, so the order is the same."""
+    `random.Random(seed).shuffle` gives their list.  Only the instances'
+    numbers in enumeration order are listed, as machine integers in an
+    array, and shuffled, and each instance is built when it is yielded; a
+    shuffle depends only on the length of its list, so the order is the
+    same."""
     elements = sg.elements()
     tables: list[tuple[WordEquation, SymbolTable, list[tuple[int, ...]]]] = []
     image_lists: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
@@ -115,13 +118,16 @@ def sweep_instances(
                 )
             ]
         tables.append((eq, SymbolTable(sigma, used), image_lists[shape]))
-    keys = ((n, images) for n, (_, _, image_list) in enumerate(tables) for images in image_list)
+    # starts[n] is the number of the first instance of equation n
+    starts = list(itertools.accumulate((len(images) for _, _, images in tables), initial=0))
+    numbers = range(starts[-1])
     if seed is not None:
-        keys = list(keys)
-        random.Random(seed).shuffle(keys)
-    for n, images in keys:
-        eq, syms, _ = tables[n]
-        mapping = dict(zip(syms.all_symbols(), images))
+        numbers = array("l", numbers)
+        random.Random(seed).shuffle(numbers)
+    for k in numbers:
+        n = bisect.bisect_right(starts, k) - 1
+        eq, syms, image_list = tables[n]
+        mapping = dict(zip(syms.all_symbols(), image_list[k - starts[n]]))
         yield Instance((eq,), ConstraintMorphism.from_dict(syms, sg, mapping))
 
 

@@ -1,8 +1,9 @@
 """Brute-force ground truth: exhaustive solution enumeration up to a length
 bound, and the exhaustive exponent-of-periodicity maximum.
 
-Internally words are packed into strings of one character per token so the
-hot comparison loop runs on native string operations; results are converted
+Internally words are packed into strings of one character per token
+(`equations.packing`, shared with `solution_graph.build`) so the hot
+comparison loop runs on native string operations; results are converted
 back to token tuples.  Candidates are pre-filtered per variable by the
 constraint image and by forced first/last letters, and assignments are
 enumerated per length profile so length-infeasible combinations are skipped
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .equations import Instance, Solution, exp_solution, require_solution
+from .equations import Instance, Solution, exp_solution, packing, require_solution
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -66,10 +67,7 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
     if len(syms.constants) ** (bound * nvars) > budget:
         raise BudgetExceeded(len(syms.constants) ** (bound * nvars), budget)
 
-    # one char per token; constants and variables all get distinct chars
-    tokens = syms.all_symbols()
-    char_of = {t: chr(0xE000 + i) for i, t in enumerate(tokens)}
-    token_of = {c: t for t, c in char_of.items()}
+    char_of, token_of = packing(syms)
 
     edges = _edge_constraints(ins)
     sols: list[Solution] = []

@@ -6,6 +6,21 @@ substitutions (or are silent head cancellations).  Accepting paths, read as
 composed substitutions, enumerate exactly the solution set; a cycle in the
 trimmed automaton witnesses infinitude.
 
+Exploration runs on packed words.  `equations.packing`, which the oracle
+uses too, maps token i of the symbol table to one code point, so a side is
+a `str`, a substitution is `str.replace` and letter counting is `str.count`.
+A state is the key (lhs, rhs, images, is_true), where images holds the
+constraint image of each variable by rank and -1 for a variable that is no
+longer active.  States get ids in the order they are first generated and
+are expanded in that order, breadth-first, recording their moves as integer
+successors with packed labels.  Only after trimming are the kept states
+decoded into `GraphState`s and each kept move into one `GraphTransition`.
+Two keys are equal exactly when the decoded states are, and the moves of a
+state are generated in the order they have over token tuples, so the state
+numbering, the order of each state's transitions, the SCC order (and with
+it the certificate `pumpable_state` picks) and the DOT output are those of
+exploration over token tuples.
+
 A degenerate state whose equation has been consumed entirely is represented
 by a TRUE marker that keeps its variable set; it is accepting once the
 variable set is empty, and remaining variables are assigned by the
@@ -41,12 +56,13 @@ automaton and its numbering stay the same.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .equations import EquationError, Instance, Solution, Word, require_solution, substitute
+from .equations import (
+    PACK_BASE, EquationError, Instance, Solution, Word, packing, require_solution, substitute,
+)
 from .semigroup import FiniteSemigroup
 
 
@@ -114,9 +130,6 @@ class SolutionGraph:
     def transition_count(self) -> int:
         return len(self.transitions)
 
-    def out_transitions(self, sid: int):
-        return [self.transitions[t] for t in self.out[sid]]
-
     def state_mu(self, sid: int) -> dict[str, int]:
         """Constraint images at a state: original constants plus the state's
         active-variable images."""
@@ -152,113 +165,116 @@ def _left_quotients(sg: FiniteSemigroup) -> dict[tuple[int, int], tuple[int, ...
 
 def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
     """Breadth-first closure from the initial state under the transition
-    schema, followed by trimming and SCC computation."""
+    schema, on packed words, followed by trimming, SCC computation and the
+    decoding of the kept states."""
     eq = ins.equation
     if not eq.lhs or not eq.rhs:
         raise EmptySide("both sides must be nonempty")
     ins.require_quadratic()
     syms = ins.symbols
     sg = ins.mu.target
-    sigma = syms.constants
-    var_rank = {v: i for i, v in enumerate(syms.variables)}
-    quot = _left_quotients(sg)
+    char_of, token_of = packing(syms)
+    n_const = len(syms.constants)
+    alphabet = "".join(token_of)  # the packed symbols, constants first
+    consts, var_chars = alphabet[:n_const], alphabet[n_const:]
+    var_base = PACK_BASE + n_const  # ord(c) - var_base is the rank of variable c
+    symbol_imgs = tuple(map(ins.mu.__getitem__, syms.all_symbols()))
+    const_imgs = symbol_imgs[:n_const]
     n0 = len(eq.lhs) + len(eq.rhs)
-    const_mu = {a: ins.mu[a] for a in sigma}
     table = sg.table
     test_images = sg.order > 1
 
-    def images_differ(lhs: Word, rhs: Word, mu: dict[str, int]) -> bool:
-        m = {**const_mu, **mu}
-        left = m[lhs[0]]
-        for t in lhs[1:]:
-            left = table[left][m[t]]
-        right = m[rhs[0]]
-        for t in rhs[1:]:
-            right = table[right][m[t]]
+    def images_differ(lhs: str, rhs: str, images: tuple[int, ...]) -> bool:
+        vals = const_imgs + images  # indexed like all_symbols()
+        left = vals[ord(lhs[0]) - PACK_BASE]
+        for c in lhs[1:]:
+            left = table[left][vals[ord(c) - PACK_BASE]]
+        right = vals[ord(rhs[0]) - PACK_BASE]
+        for c in rhs[1:]:
+            right = table[right][vals[ord(c) - PACK_BASE]]
         return left != right
 
-    states: list[GraphState] = []
-    index: dict[GraphState, int] = {}
-    out: list[list[int]] = []
-    transitions: list[GraphTransition] = []
+    # a state is (lhs, rhs, images, is_true): packed sides and the image of
+    # each variable by rank, -1 once it is no longer active.  States are
+    # expanded in id order, so the moves of state s are the entries
+    # first[s]:first[s + 1] of dsts and labels.
+    keys: list[tuple[str, str, tuple[int, ...], bool]] = []
+    index: dict[tuple[str, str, tuple[int, ...], bool], int] = {}
+    first: list[int] = []
+    dsts: list[int] = []
+    labels: list[str] = []  # "" silent, else variable + replacement
 
     def intern(
-        lhs: Word, rhs: Word, varset: frozenset[str], mu: dict[str, int], true_: bool,
+        lhs: str, rhs: str, images: tuple[int, ...], true_: bool,
         cancelled: bool = False, counts: bool = False,
     ) -> int:
         """Id of the state, adding it on first sight; DEAD when, on first
         sight of a non-true state, a head has `cancelled` on the way and the
         sides' images differ, or `counts` is set and letter counting
         refutes it."""
-        st = GraphState(lhs, rhs, varset, tuple(sorted((v, mu[v]) for v in varset)), true_)
-        sid = index.get(st)
+        key = (lhs, rhs, images, true_)
+        sid = index.get(key)
         if sid is None:
             if not true_ and (
-                (cancelled and test_images and images_differ(lhs, rhs, mu))
-                or (counts and _abelian_refuted(lhs, rhs, varset))
+                (cancelled and test_images and images_differ(lhs, rhs, images))
+                or (counts and _abelian_refuted(lhs, rhs, var_chars))
             ):
-                index[st] = DEAD
+                index[key] = DEAD
                 return DEAD
-            sid = len(states)
-            index[st] = sid
-            states.append(st)
-            out.append([])
-            queue.append(sid)
+            sid = len(keys)
+            index[key] = sid
+            keys.append(key)
         return sid
 
-    def add(src: int, dst: int, label: Label) -> None:
-        if dst == DEAD:
-            return
-        tid = len(transitions)
-        transitions.append(GraphTransition(src, dst, label))
-        out[src].append(tid)
+    def add(dst: int, label: str) -> None:
+        """Record a move of the state being expanded."""
+        if dst != DEAD:
+            dsts.append(dst)
+            labels.append(label)
 
-    init_vars = frozenset(syms.variables)
-    init_mu = {v: ins.mu[v] for v in syms.variables}
-    queue: deque[int] = deque()
-    initial = intern(eq.lhs, eq.rhs, init_vars, init_mu, False, cancelled=True, counts=True)
+    initial = intern(
+        "".join(map(char_of.__getitem__, eq.lhs)), "".join(map(char_of.__getitem__, eq.rhs)),
+        symbol_imgs[n_const:], False, cancelled=True, counts=True,
+    )
+    quot = _left_quotients(sg) if keys else {}  # needed only to expand states
 
-    while queue:
-        sid = queue.popleft()
-        st = states[sid]
-        varset = st.varset
-        mu = dict(st.mu_items)
-        mu_of = {a: ins.mu[a] for a in sigma}
-        mu_of.update(mu)
+    # breadth-first: the loop reads the states that intern appends
+    for lhs, rhs, images, is_true in keys:
+        first.append(len(dsts))
 
-        if not st.is_true and st.lhs[0] == st.rhs[0]:
+        if not is_true and lhs[0] == rhs[0]:
             # silent head cancellation: the unique outgoing transition
-            l, r = st.lhs[1:], st.rhs[1:]
+            l, r = lhs[1:], rhs[1:]
             if l and r:
-                add(sid, intern(l, r, varset, mu, False, cancelled=True), None)
+                add(intern(l, r, images, False, cancelled=True), "")
             elif not l and not r:
-                add(sid, intern((), (), varset, mu, True), None)
+                add(intern("", "", images, True), "")
             continue
 
-        occurring = {t for t in st.lhs + st.rhs if t in varset}
-        absent = [v for v in sorted(varset, key=var_rank.get) if v not in occurring]
-        if absent and not faithful:
-            absent = absent[:1]
-        for x in absent:
-            for a in sigma:
-                for t in quot.get((mu_of[a], mu[x]), ()):
-                    mu2 = dict(mu)
-                    mu2[x] = t
-                    add(sid, intern(st.lhs, st.rhs, varset, mu2, st.is_true), (x, (a, x)))
-                if mu[x] == mu_of[a]:
-                    add(
-                        sid,
-                        intern(st.lhs, st.rhs, varset - {x}, mu, st.is_true),
-                        (x, (a,)),
-                    )
-        if st.is_true:
+        for k, x in enumerate(var_chars):
+            mx = images[k]
+            if mx == -1 or x in lhs or x in rhs:
+                continue
+            # an active variable that does not occur: only the first one
+            # unless faithful
+            for a, ma in zip(consts, const_imgs):
+                for t in quot.get((ma, mx), ()):
+                    add(intern(lhs, rhs, images[:k] + (t,) + images[k + 1:], is_true), x + a + x)
+                if mx == ma:
+                    add(intern(lhs, rhs, images[:k] + (-1,) + images[k + 1:], is_true), x + a)
+            if not faithful:
+                break
+        if is_true:
             continue
 
-        def head_rules(this: Word, other: Word, swapped: bool) -> None:
+        vals = const_imgs + images
+        for this, other, swapped in ((lhs, rhs, False), (rhs, lhs, True)):
             x = this[0]
-            if x not in varset:
-                return
+            k = ord(x) - var_base
+            if k < 0:  # a constant head
+                continue
             alpha = other[0]
+            mx, ma = images[k], vals[ord(alpha) - PACK_BASE]
             u, v = this[1:], other[1:]
             # x -> alpha x and x -> alpha add c_x = |this|_x - |other|_x to
             # the count difference of alpha; with c_x = 0 the children have
@@ -266,51 +282,46 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
             counts = u.count(x) + 1 != v.count(x)
 
             # keeping transition: x -> alpha x, the opposing head cancels
-            keep_l = (x,) + substitute(u, x, (alpha, x))
-            keep_r = substitute(v, x, (alpha, x))
+            ax = alpha + x
+            keep_r = v.replace(x, ax)
             if keep_r:
+                keep_l = x + u.replace(x, ax)
                 pair = (keep_l, keep_r) if not swapped else (keep_r, keep_l)
-                for t in quot.get((mu_of[alpha], mu[x]), ()):
-                    mu2 = dict(mu)
-                    mu2[x] = t
+                for t in quot.get((ma, mx), ()):
                     add(
-                        sid,
-                        intern(pair[0], pair[1], varset, mu2, False, cancelled=True, counts=counts),
-                        (x, (alpha, x)),
+                        intern(pair[0], pair[1], images[:k] + (t,) + images[k + 1:], False,
+                               cancelled=True, counts=counts),
+                        x + ax,
                     )
             # deleting transition: x -> alpha
-            if mu[x] == mu_of[alpha]:
-                dl, dr = substitute(u, x, (alpha,)), substitute(v, x, (alpha,))
+            if mx == ma:
+                dl, dr = u.replace(x, alpha), v.replace(x, alpha)
                 if swapped:
                     dl, dr = dr, dl
+                gone = images[:k] + (-1,) + images[k + 1:]
                 if dl and dr:
-                    add(
-                        sid,
-                        intern(dl, dr, varset - {x}, mu, False, cancelled=True, counts=counts),
-                        (x, (alpha,)),
-                    )
+                    add(intern(dl, dr, gone, False, cancelled=True, counts=counts), x + alpha)
                 elif not dl and not dr:
-                    add(sid, intern((), (), varset - {x}, mu, True), (x, (alpha,)))
+                    add(intern("", "", gone, True), x + alpha)
 
-        head_rules(st.lhs, st.rhs, swapped=False)
-        head_rules(st.rhs, st.lhs, swapped=True)
-
-    finals = frozenset(
-        sid for sid, st in enumerate(states)
-        if not st.varset and (
-            st.is_true
-            or (len(st.lhs) == 1 == len(st.rhs) and st.lhs == st.rhs and syms.is_constant(st.lhs[0]))
-        )
-    )
-    return _trim(ins, states, transitions, out, initial, finals, n0, faithful)
+    none_active = (-1,) * len(var_chars)
+    finals = [
+        sid for sid, (lhs, rhs, images, is_true) in enumerate(keys)
+        if images == none_active and (is_true or (len(lhs) == 1 and lhs == rhs and lhs in consts))
+    ]
+    first.append(len(dsts))
+    del index  # decoding needs only the explored states and their moves
+    return _trim(ins, keys, first, dsts, labels, initial, finals, n0, faithful, token_of)
 
 
 DEAD = -1  # index entry of a state refuted by its images or by letter counting
 
 
-def _abelian_refuted(lhs: Word, rhs: Word, varset: frozenset[str]) -> bool:
+def _abelian_refuted(lhs: Word | str, rhs: Word | str, varset: frozenset[str] | str) -> bool:
     """Whether letter counting alone shows that the equation has no solution
-    in nonempty words.  With d_a = |lhs|_a - |rhs|_a for each constant a and
+    in nonempty words; the sides are token tuples, with varset the set of
+    active variables, or packed strings, with varset the packed variables
+    (those that occur are active).  With d_a = |lhs|_a - |rhs|_a for each constant a and
     c_X = |lhs|_X - |rhs|_X for each variable X, a solution s satisfies
     d_a + sum_X c_X |s(X)|_a = 0 for every a and |s(X)| >= 1, which fails
     when some d_a != 0 but every c_X = 0; when every c_X is even but some
@@ -343,16 +354,18 @@ def _abelian_refuted(lhs: Word, rhs: Word, varset: frozenset[str]) -> bool:
     return False
 
 
-def _trim(ins, states, transitions, out, initial, finals, n0, faithful) -> SolutionGraph:
+def _trim(ins, keys, first, dsts, labels, initial, finals, n0, faithful, token_of) -> SolutionGraph:
+    """Keep the states from which a final state is reachable, renumbered in
+    exploration order, and decode them and their transitions to tokens."""
     co = set(finals)
     if co:  # without finals nothing is co-reachable, as when the initial state is DEAD
-        rev: list[list[int]] = [[] for _ in states]
-        for t in transitions:
-            rev[t.target].append(t.source)
-        frontier = deque(co)
+        rev: list[list[int]] = [[] for _ in keys]
+        for src in range(len(keys)):
+            for dst in dsts[first[src]:first[src + 1]]:
+                rev[dst].append(src)
+        frontier = list(co)
         while frontier:
-            s = frontier.popleft()
-            for p in rev[s]:
+            for p in rev[frontier.pop()]:
                 if p not in co:
                     co.add(p)
                     frontier.append(p)
@@ -360,27 +373,56 @@ def _trim(ins, states, transitions, out, initial, finals, n0, faithful) -> Solut
         empty = SccData((), (), ())
         return SolutionGraph(ins, [], [], [], None, frozenset(), True, empty, n0, faithful)
     keep = sorted(co)  # all states are forward-reachable by construction
-    remap = {old: new for new, old in enumerate(keep)}
-    new_states = [states[old] for old in keep]
-    new_out: list[list[int]] = [[] for _ in keep]
-    new_transitions: list[GraphTransition] = []
+    new_id = [DEAD] * len(keys)
+    for new, old in enumerate(keep):
+        new_id[old] = new
+    targets: list[int] = []  # the target of each kept transition
+    out: list[list[int]] = []
+    transitions: list[GraphTransition] = []
+    decoded: dict[str, Label] = {}
+    for new, old in enumerate(keep):
+        start = len(targets)
+        for e in range(first[old], first[old + 1]):
+            dst = new_id[dsts[e]]
+            if dst == DEAD:
+                continue
+            lab = labels[e]
+            label = decoded.get(lab)
+            if label is None and lab:
+                label = decoded[lab] = (token_of[lab[0]], tuple(map(token_of.__getitem__, lab[1:])))
+            targets.append(dst)
+            transitions.append(GraphTransition(new, dst, label))
+        out.append(list(range(start, len(targets))))
+
+    variables = ins.symbols.variables
+    token = token_of.__getitem__
+    words: dict[str, Word] = {}
+    active: dict[tuple[int, ...], tuple[frozenset[str], tuple[tuple[str, int], ...]]] = {}
+    states: list[GraphState] = []
     for old in keep:
-        for tid in out[old]:
-            t = transitions[tid]
-            if t.target in co:
-                new_out[remap[old]].append(len(new_transitions))
-                new_transitions.append(GraphTransition(remap[t.source], remap[t.target], t.label))
-    g = SolutionGraph(
-        ins, new_states, new_transitions, new_out,
-        remap[initial], frozenset(remap[f] for f in finals if f in co),
-        True, SccData((), (), ()), n0, faithful,
+        lhs, rhs, images, is_true = keys[old]
+        varset_mu = active.get(images)
+        if varset_mu is None:
+            mu_items = sorted([(v, e) for v, e in zip(variables, images) if e != -1])
+            varset_mu = active[images] = (frozenset([v for v, _ in mu_items]), tuple(mu_items))
+        lw = words.get(lhs)
+        if lw is None:
+            lw = words[lhs] = tuple(map(token, lhs))
+        rw = words.get(rhs)
+        if rw is None:
+            rw = words[rhs] = tuple(map(token, rhs))
+        states.append(GraphState(lw, rw, *varset_mu, is_true))
+    finals_new = frozenset(new_id[f] for f in finals if f in co)
+    return SolutionGraph(
+        ins, states, transitions, out, new_id[initial], finals_new,
+        True, _tarjan(out, targets), n0, faithful,
     )
-    g.scc = _tarjan(g)
-    return g
 
 
-def _tarjan(g: SolutionGraph) -> SccData:
-    n = len(g.states)
+def _tarjan(out: list[list[int]], targets: list[int]) -> SccData:
+    """Strongly connected components in topological order, of the graph in
+    which the successors of state s are targets[t] for t in out[s]."""
+    n = len(out)
     index_of = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -390,7 +432,7 @@ def _tarjan(g: SolutionGraph) -> SccData:
     for root in range(n):
         if index_of[root] != -1:
             continue
-        work = [(root, iter(g.out[root]))]
+        work = [(root, iter(out[root]))]
         index_of[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -398,14 +440,14 @@ def _tarjan(g: SolutionGraph) -> SccData:
         while work:
             v, it = work[-1]
             advanced = False
-            for tid in it:
-                w = g.transitions[tid].target
+            for t in it:
+                w = targets[t]
                 if index_of[w] == -1:
                     index_of[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(g.out[w])))
+                    work.append((w, iter(out[w])))
                     advanced = True
                     break
                 if on_stack[w]:
@@ -431,9 +473,11 @@ def _tarjan(g: SolutionGraph) -> SccData:
         for s in comp:
             comp_of[s] = ci
     has_tr = [False] * len(comps)
-    for t in g.transitions:
-        if comp_of[t.source] == comp_of[t.target]:
-            has_tr[comp_of[t.source]] = True
+    for src, tids in enumerate(out):
+        c = comp_of[src]
+        for t in tids:
+            if comp_of[targets[t]] == c:
+                has_tr[c] = True
     return SccData(tuple(comps), tuple(comp_of), tuple(has_tr))
 
 

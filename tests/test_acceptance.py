@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 with its runtime (run with `pytest -s` to see them live)."""
 
+import hashlib
 import itertools
+import json
 import time
 
 import pytest
@@ -22,9 +24,11 @@ from weq.equations import (
 from weq.oracle import brute_solutions
 from weq.periodicity import (
     analyze_scc,
+    certificate_to_json,
     decide_exp_infinite_dlg,
     find_nicely_balanced_on_cycle,
     instantiate,
+    pumping_certificate,
     simple_cycles,
 )
 from weq.semigroup import builtin, green, is_dlg, omega, opposite, stab_L, variety_report
@@ -126,6 +130,25 @@ def test_criterion_3_oracle_equivalence(battery_results):
         c.start -= battery_results["elapsed"]  # work done in the fixture
         assert battery_results["count"] > 50000
         assert battery_results["cyclic"]
+
+
+def test_battery_certificates_unchanged(battery_results):
+    """Every certificate of the battery, its JSON and its instantiations at
+    m = 0..2 hash as they did before exploration packed words (the state a
+    certificate pumps follows from the SCC order and the state numbering)."""
+    h = hashlib.sha256()
+    certified = 0
+    for ins in battery_results["cyclic"]:
+        cert = pumping_certificate(ins)
+        if cert is None:
+            continue
+        certified += 1
+        h.update(repr(cert).encode())
+        h.update(json.dumps(certificate_to_json(cert), sort_keys=True).encode())
+        for m in range(3):
+            h.update(repr(instantiate(cert, ins, m)).encode())
+    assert certified == 7914
+    assert h.hexdigest() == "f2747f6c7b7827a8ae83ad893d390220eb6cda30a1ea3682d92e7921f495cfd1"
 
 
 def _join_of_l_and_r(gr, n):

@@ -4,14 +4,31 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from collections import deque
+
 from conftest import make_instance
-from weq.equations import ConstraintMorphism, Instance, NotQuadratic, Solution, parse_instance
+from weq.equations import (
+    ConstraintMorphism,
+    Instance,
+    NotQuadratic,
+    Solution,
+    SymbolTable,
+    WordEquation,
+    parse_instance,
+    substitute,
+)
 from weq.hunt import sweep_instances
 from weq.oracle import brute_solutions
 from weq.semigroup import builtin
 from weq.solution_graph import (
+    EmptySide,
+    GraphState,
+    GraphTransition,
     NotAccepting,
+    SccData,
+    SolutionGraph,
     _abelian_refuted,
+    _left_quotients,
     build,
     enumerate_solutions,
     export_dot,
@@ -36,7 +53,7 @@ class TestBuild:
     def test_xa_ax_cycle_and_exit(self):
         g = build(make_instance("Xa=aX"))
         sid = find_state(g, "X a = a X")
-        labels = {t.label_str(): t.target for t in g.out_transitions(sid)}
+        labels = {g.transitions[t].label_str(): g.transitions[t].target for t in g.out[sid]}
         assert labels.get("X->aX") == sid  # self-reachable cycle
         assert "X->a" in labels
         assert has_infinitely_many(g)
@@ -46,13 +63,19 @@ class TestBuild:
                             mapping={"a": "x", "X": "x"})
         g = build(ins)
         sid = g.initial
-        labels = [t.label_str() for t in g.out_transitions(sid)]
+        labels = [g.transitions[t].label_str() for t in g.out[sid]]
         assert labels == ["X->a"]
         assert not has_infinitely_many(g)
 
     def test_rejects_non_quadratic(self):
         with pytest.raises(NotQuadratic):
             build(make_instance("XXa=aXb"))
+
+    def test_not_quadratic_names_the_first_variable(self):
+        # X and Y each occur three times across the two equations
+        ins = make_instance(["XaY=aX", "XbY=bY"])
+        with pytest.raises(NotQuadratic, match="^variable 'X' occurs 3 times$"):
+            ins.require_quadratic()
 
     def test_rejects_system(self):
         from weq.equations import EquationError
@@ -194,6 +217,17 @@ FIVE_VARIABLES = parse_instance(
 )
 
 
+def odd_tokens():
+    """XabY=YbaX over tokens with the characters DOT labels use as
+    separators and names of several characters, one a prefix of another;
+    two absent variables, and variable names whose sorted order is not
+    their declared order."""
+    syms = SymbolTable(("#", ",", "ab", "a"), ("X1", "->", "Yy", "z,#"))
+    eq = WordEquation(("->", "#", "ab", "X1"), ("X1", "ab", "#", "->"))
+    images = {"#": 1, ",": 0, "ab": 0, "a": 1, "->": 1, "X1": 0, "Yy": 1, "z,#": 0}
+    return Instance((eq,), ConstraintMorphism.from_dict(syms, builtin("z2"), images))
+
+
 class TestAbelianFilter:
     """Pruning states refuted by letter counting keeps the automaton."""
 
@@ -236,6 +270,13 @@ class TestAbelianFilter:
         pytest.param(make_instance("XaY=YaX", variables="XYZ"), True,
                      "dda6c2275471fe4163e8d90244d366a190b3f1600fa32d639b9f3fe68d5f8852",
                      id="XaY=YaX-absent-Z-faithful"),
+        # computed with tuple words, before exploration packed them
+        pytest.param(odd_tokens(), False,
+                     "7b23e7bcaf35303bd5de69fe76a6d8c912b3f4130378305489784f35f5f7a1a3",
+                     id="odd-tokens"),
+        pytest.param(odd_tokens(), True,
+                     "4fb4b7cf3b936be60eb6aa63605cd11d2f51cb77f03e5b5b7e3581fa15756b09",
+                     id="odd-tokens-faithful"),
     ])
     def test_dot_unchanged(self, ins, faithful, digest):
         dot = export_dot(build(ins, faithful=faithful))
@@ -317,3 +358,251 @@ def test_initial_images_that_differ_leave_no_solution(case, target, data):
     assume(ins.mu.eval(eq.lhs) != ins.mu.eval(eq.rhs))
     assert brute_solutions(ins, 4).solutions == ()
     assert not is_solvable(build(ins))
+
+
+def reference_build(ins, faithful=False):
+    """The solution graph by breadth-first exploration over token tuples,
+    with a GraphState and its sorted images built on every visit and the
+    trimmed transitions rebuilt from the explored ones: `build` as it was
+    before exploration packed words into strings."""
+    eq = ins.equation
+    if not eq.lhs or not eq.rhs:
+        raise EmptySide("both sides must be nonempty")
+    ins.require_quadratic()
+    syms = ins.symbols
+    sg = ins.mu.target
+    sigma = syms.constants
+    var_rank = {v: i for i, v in enumerate(syms.variables)}
+    quot = _left_quotients(sg)
+    n0 = len(eq.lhs) + len(eq.rhs)
+    const_mu = {a: ins.mu[a] for a in sigma}
+    test_images = sg.order > 1
+    dead = -1
+
+    def images_differ(lhs, rhs, mu):
+        m = {**const_mu, **mu}
+        return sg.fold(m[t] for t in lhs) != sg.fold(m[t] for t in rhs)
+
+    states, index, out, transitions = [], {}, [], []
+    queue = deque()
+
+    def intern(lhs, rhs, varset, mu, true_, cancelled=False, counts=False):
+        st = GraphState(lhs, rhs, varset, tuple(sorted((v, mu[v]) for v in varset)), true_)
+        sid = index.get(st)
+        if sid is None:
+            if not true_ and (
+                (cancelled and test_images and images_differ(lhs, rhs, mu))
+                or (counts and _abelian_refuted(lhs, rhs, varset))
+            ):
+                index[st] = dead
+                return dead
+            sid = index[st] = len(states)
+            states.append(st)
+            out.append([])
+            queue.append(sid)
+        return sid
+
+    def add(src, dst, label):
+        if dst != dead:
+            out[src].append(len(transitions))
+            transitions.append(GraphTransition(src, dst, label))
+
+    initial = intern(eq.lhs, eq.rhs, frozenset(syms.variables),
+                     {v: ins.mu[v] for v in syms.variables}, False, cancelled=True, counts=True)
+    while queue:
+        sid = queue.popleft()
+        st = states[sid]
+        varset = st.varset
+        mu = dict(st.mu_items)
+        mu_of = {**const_mu, **mu}
+        if not st.is_true and st.lhs[0] == st.rhs[0]:
+            l, r = st.lhs[1:], st.rhs[1:]
+            if l and r:
+                add(sid, intern(l, r, varset, mu, False, cancelled=True), None)
+            elif not l and not r:
+                add(sid, intern((), (), varset, mu, True), None)
+            continue
+        occurring = {t for t in st.lhs + st.rhs if t in varset}
+        absent = [v for v in sorted(varset, key=var_rank.get) if v not in occurring]
+        if absent and not faithful:
+            absent = absent[:1]
+        for x in absent:
+            for a in sigma:
+                for t in quot.get((mu_of[a], mu[x]), ()):
+                    add(sid, intern(st.lhs, st.rhs, varset, {**mu, x: t}, st.is_true), (x, (a, x)))
+                if mu[x] == mu_of[a]:
+                    add(sid, intern(st.lhs, st.rhs, varset - {x}, mu, st.is_true), (x, (a,)))
+        if st.is_true:
+            continue
+        for this, other, swapped in ((st.lhs, st.rhs, False), (st.rhs, st.lhs, True)):
+            x = this[0]
+            if x not in varset:
+                continue
+            alpha = other[0]
+            u, v = this[1:], other[1:]
+            counts = u.count(x) + 1 != v.count(x)
+            keep_l = (x,) + substitute(u, x, (alpha, x))
+            keep_r = substitute(v, x, (alpha, x))
+            if keep_r:
+                pair = (keep_l, keep_r) if not swapped else (keep_r, keep_l)
+                for t in quot.get((mu_of[alpha], mu[x]), ()):
+                    add(sid, intern(pair[0], pair[1], varset, {**mu, x: t}, False,
+                                    cancelled=True, counts=counts), (x, (alpha, x)))
+            if mu[x] == mu_of[alpha]:
+                dl, dr = substitute(u, x, (alpha,)), substitute(v, x, (alpha,))
+                if swapped:
+                    dl, dr = dr, dl
+                if dl and dr:
+                    add(sid, intern(dl, dr, varset - {x}, mu, False, cancelled=True, counts=counts),
+                        (x, (alpha,)))
+                elif not dl and not dr:
+                    add(sid, intern((), (), varset - {x}, mu, True), (x, (alpha,)))
+
+    finals = frozenset(
+        sid for sid, st in enumerate(states)
+        if not st.varset and (
+            st.is_true
+            or (len(st.lhs) == 1 == len(st.rhs) and st.lhs == st.rhs and syms.is_constant(st.lhs[0]))
+        )
+    )
+    co = set(finals)
+    rev = [[] for _ in states]
+    for t in transitions:
+        rev[t.target].append(t.source)
+    frontier = deque(co)
+    while frontier:
+        for p in rev[frontier.popleft()]:
+            if p not in co:
+                co.add(p)
+                frontier.append(p)
+    if initial not in co:
+        return SolutionGraph(ins, [], [], [], None, frozenset(), True, SccData((), (), ()), n0, faithful)
+    keep = sorted(co)
+    remap = {old: new for new, old in enumerate(keep)}
+    new_out = [[] for _ in keep]
+    new_transitions = []
+    for old in keep:
+        for tid in out[old]:
+            t = transitions[tid]
+            if t.target in co:
+                new_out[remap[old]].append(len(new_transitions))
+                new_transitions.append(GraphTransition(remap[t.source], remap[t.target], t.label))
+    g = SolutionGraph(
+        ins, [states[old] for old in keep], new_transitions, new_out, remap[initial],
+        frozenset(remap[f] for f in finals if f in co), True, SccData((), (), ()), n0, faithful,
+    )
+    g.scc = reference_tarjan(g)
+    return g
+
+
+def reference_tarjan(g):
+    """Tarjan's algorithm over the transition objects, components in
+    topological order."""
+    n = len(g.states)
+    index_of, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack, comps = [], []
+    counter = 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, iter(g.out[root]))]
+        index_of[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            for tid in it:
+                w = g.transitions[tid].target
+                if index_of[w] == -1:
+                    index_of[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(g.out[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index_of[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index_of[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(tuple(sorted(comp)))
+    comps.reverse()
+    comp_of = [0] * n
+    for ci, comp in enumerate(comps):
+        for s in comp:
+            comp_of[s] = ci
+    has_tr = [False] * len(comps)
+    for t in g.transitions:
+        if comp_of[t.source] == comp_of[t.target]:
+            has_tr[comp_of[t.source]] = True
+    return SccData(tuple(comps), tuple(comp_of), tuple(has_tr))
+
+
+def assert_same_graph(g, ref):
+    assert g.states == ref.states
+    assert g.transitions == ref.transitions
+    assert g.out == ref.out
+    assert g.initial == ref.initial
+    assert g.finals == ref.finals
+    assert g.scc == ref.scc
+
+
+class TestPackedExploration:
+    """Exploration over packed words gives the graph of the tuple-word
+    reference: states, their numbering, transitions in order and SCCs."""
+
+    @pytest.mark.parametrize("faithful", [False, True])
+    @pytest.mark.parametrize("ins", [
+        pytest.param(FIVE_VARIABLES, id="five-variables"),
+        pytest.param(long_cycle(8), id="long-cycle-8"),
+        pytest.param(long_cycle(20), id="long-cycle-20"),
+        pytest.param(long_cycle(32), id="long-cycle-32"),
+        pytest.param(odd_tokens(), id="odd-tokens"),
+    ])
+    def test_matches_reference(self, ins, faithful):
+        assert_same_graph(build(ins, faithful=faithful), reference_build(ins, faithful=faithful))
+
+    # sha256 of repr(g.scc), computed with tuple words; the order of the
+    # components decides the certificate that pumpable_state picks, and
+    # DOT does not show it
+    @pytest.mark.parametrize("faithful", [False, True])
+    def test_five_variables_scc_unchanged(self, faithful):
+        g = build(FIVE_VARIABLES, faithful=faithful)
+        assert hashlib.sha256(repr(g.scc).encode()).hexdigest() == (
+            "e807f199848a5f0fd38cb203c80ca4645f519610449696a4055bc2c9c03395c3"
+        )
+
+    @pytest.mark.parametrize("faithful, digest", [
+        (False, "1608fdd60a2059bc0bfcd340b4a83640a99e8ddeb8347c2a340e98eca7bf16b6"),
+        (True, "f0c92eb6221a8e6b3362a5b57bd32dec3828538b562f2529a45c19ae83e3b336"),
+    ])
+    def test_b2_sweep_scc_unchanged(self, faithful, digest):
+        h = hashlib.sha256()
+        for ins in sweep_instances(builtin("b2"), 2, 2, 4):
+            h.update(repr(build(ins, faithful=faithful).scc).encode())
+        assert h.hexdigest() == digest
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic_equations(), st.booleans(),
+       st.sampled_from(("z2", "n2", "rz2", "b2", "lz2")), st.data())
+def test_packed_build_matches_reference(case, absent, target, data):
+    spec, variables = case
+    if absent and len(variables) < 4:
+        variables += "V"  # declared but not in the equation
+    sg = builtin(target)
+    base = make_instance(spec, variables=variables)
+    images = {s: data.draw(st.integers(0, sg.order - 1)) for s in base.symbols.all_symbols()}
+    ins = Instance(base.equations, ConstraintMorphism.from_dict(base.symbols, sg, images))
+    for faithful in (False, True):
+        assert_same_graph(build(ins, faithful=faithful), reference_build(ins, faithful=faithful))
