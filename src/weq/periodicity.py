@@ -348,26 +348,37 @@ def _first_accepting_path(g: SolutionGraph, start: int) -> list[int]:
     return path
 
 
+def _base_fault(g: SolutionGraph, sid: int, base: dict[str, Word]) -> str | None:
+    """What keeps `base` from solving state `sid` under the state's
+    constraints, or None.  A base assigns each of the state's variables a
+    nonempty word of constants that meets its image; unless the state is
+    TRUE, it also solves the state's equation."""
+    st = g.states[sid]
+    if set(base) != st.varset:
+        return "does not cover the state's variables"
+    syms = g.instance.symbols
+    for v, w in base.items():
+        if not w or not all(syms.is_constant(t) for t in w):
+            return f"leaves {v!r} as {w!r}"
+    if not st.is_true:
+        sol = Solution.from_dict(base)
+        if sol.apply(st.lhs) != sol.apply(st.rhs):
+            return f"does not solve state {sid}"
+    mu = g.state_mu(sid)
+    for v, w in base.items():
+        if g.instance.mu.eval(w) != mu[v]:
+            return f"violates the constraint on {v!r}"
+    return None
+
+
 def _solve_state(g: SolutionGraph, sid: int, path: list[int]) -> dict[str, Word]:
     """Base solution of a state's own equation from an accepting path."""
-    st = g.states[sid]
-    patterns = {v: (v,) for v in st.varset}
+    patterns = {v: (v,) for v in g.states[sid].varset}
     for tid in path:
         patterns = _apply_label(patterns, g.transitions[tid].label)
-    syms = g.instance.symbols
-    for v, w in patterns.items():
-        if not w or not all(syms.is_constant(t) for t in w):
-            raise TheoremViolation(f"accepting path from state {sid} leaves {v!r} as {w!r}")
-    if not st.is_true:
-        sol = Solution.from_dict(patterns)
-        if sol.apply(st.lhs) != sol.apply(st.rhs):
-            raise TheoremViolation(f"accepting path from state {sid} does not solve it")
-    mu = g.state_mu(sid)
-    for v, w in patterns.items():
-        if g.instance.mu.eval(w) != mu[v]:
-            raise TheoremViolation(
-                f"accepting path from state {sid} violates the constraint on {v!r}"
-            )
+    fault = _base_fault(g, sid, patterns)
+    if fault is not None:
+        raise TheoremViolation(f"accepting path from state {sid} {fault}")
     return patterns
 
 
@@ -499,16 +510,9 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
         raise EquationError(f"certificate case {data['case']!r} is not {case!r}, the case of "
                             f"state {sid} on {var!r}")
     base = {v: tuple(w) for v, w in data["base"].items()}
-    st = g.states[sid]
-    if set(base) != set(st.varset):
-        raise EquationError("certificate base does not cover the state's variables")
-    sol = Solution.from_dict(base)
-    if not st.is_true and sol.apply(st.lhs) != sol.apply(st.rhs):
-        raise EquationError("certificate base does not solve the certified state")
-    mu = g.state_mu(sid)
-    for v, w in base.items():
-        if ins.mu.eval(w) != mu[v]:
-            raise EquationError("certificate base violates the constraints")
+    fault = _base_fault(g, sid, base)
+    if fault is not None:
+        raise EquationError(f"certificate base {fault}")
     if case == "free_variable":
         # the witness above makes the variable's constraint language infinite
         return _certificate(g, sid, var, labels, base, ())
@@ -516,7 +520,7 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     if not v_word:
         raise EquationError("certificate word v is empty")
     img = g.state_eval1(sid, v_word)  # the image of v under the base
-    if img not in stab_L(ins.mu.target, dict(st.mu_items)[var]):
+    if img not in stab_L(ins.mu.target, dict(g.states[sid].mu_items)[var]):
         raise EquationError("certificate word does not stabilize the variable image")
     cert = _certificate(g, sid, var, labels, base, v_word)
     if data["omega"] != cert.omega_exponent:

@@ -100,9 +100,6 @@ class FiniteSemigroup:
     def is_idempotent(self, x: int) -> bool:
         return self.table[x][x] == x
 
-    def idempotents(self) -> tuple[int, ...]:
-        return tuple(x for x in self.elements() if self.is_idempotent(x))
-
     def identity_element(self) -> int | None:
         """The neutral element of S itself, adjoined or not; None if absent."""
         for e in self.elements():
@@ -216,7 +213,6 @@ class GreenData:
     indexR: tuple[int, ...]
     indexJ: tuple[int, ...]
     indexH: tuple[int, ...]
-    indexD: tuple[int, ...]
 
     def L_of(self, x: int) -> tuple[int, ...]:
         return self.classesL[self.indexL[x]]
@@ -229,9 +225,6 @@ class GreenData:
 
     def same_L(self, x: int, y: int) -> bool:
         return self.indexL[x] == self.indexL[y]
-
-    def same_R(self, x: int, y: int) -> bool:
-        return self.indexR[x] == self.indexR[y]
 
     def same_J(self, x: int, y: int) -> bool:
         return self.indexJ[x] == self.indexJ[y]
@@ -282,7 +275,7 @@ def green(sg: FiniteSemigroup) -> GreenData:
     return GreenData(
         leqL, leqR, leqJ,
         classesL, classesR, classesJ, classesH, classesJ,
-        regularD, indexL, indexR, indexJ, indexH, indexJ,
+        regularD, indexL, indexR, indexJ, indexH,
     )
 
 

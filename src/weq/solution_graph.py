@@ -13,13 +13,23 @@ A state is the key (lhs, rhs, images, is_true), where images holds the
 constraint image of each variable by rank and -1 for a variable that is no
 longer active.  States get ids in the order they are first generated and
 are expanded in that order, breadth-first, recording their moves as integer
-successors with packed labels.  Only after trimming are the kept states
-decoded into `GraphState`s and each kept move into one `GraphTransition`.
-Two keys are equal exactly when the decoded states are, and the moves of a
-state are generated in the order they have over token tuples, so the state
-numbering, the order of each state's transitions, the SCC order (and with
-it the certificate `pumpable_state` picks) and the DOT output are those of
-exploration over token tuples.
+successors with packed labels.  Two keys are equal exactly when the decoded
+states are, and the moves of a state are generated in the order they have
+over token tuples.
+
+One iterative Tarjan pass (Tarjan 1972) over the integer moves, from the
+initial state, which reaches every explored state, then trims the
+automaton and finds its SCCs together.  A state is live when it is final or
+has a live successor, and a component is kept exactly when its root is live
+as it closes.  A state that reaches no final state reaches no kept state
+either, so descending into it never changes `low` or the stack order of a
+live state, and the kept components close in the order Tarjan's algorithm
+gives them on the trimmed automaton.  Only the kept states are decoded into
+`GraphState`s, renumbered in exploration order, and each kept move into one
+`GraphTransition`.  So the state numbering, the order of each state's
+transitions, the SCC order (and with it the certificate `pumpable_state`
+picks) and the DOT output are those of exploring over token tuples and
+running Tarjan on the trimmed automaton.
 
 A degenerate state whose equation has been consumed entirely is represented
 by a TRUE marker that keeps its variable set; it is accepting once the
@@ -117,7 +127,6 @@ class SolutionGraph:
     out: list[list[int]]
     initial: int | None
     finals: frozenset[int]
-    trimmed: bool
     scc: SccData
     n0: int
     faithful: bool = False
@@ -165,8 +174,8 @@ def _left_quotients(sg: FiniteSemigroup) -> dict[tuple[int, int], tuple[int, ...
 
 def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
     """Breadth-first closure from the initial state under the transition
-    schema, on packed words, followed by trimming, SCC computation and the
-    decoding of the kept states."""
+    schema, on packed words, followed by one pass that trims and finds the
+    SCCs, and the decoding of the kept states."""
     eq = ins.equation
     if not eq.lhs or not eq.rhs:
         raise EmptySide("both sides must be nonempty")
@@ -232,7 +241,7 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
             dsts.append(dst)
             labels.append(label)
 
-    initial = intern(
+    intern(  # the initial state: id 0, or DEAD with no state explored
         "".join(map(char_of.__getitem__, eq.lhs)), "".join(map(char_of.__getitem__, eq.rhs)),
         symbol_imgs[n_const:], False, cancelled=True, counts=True,
     )
@@ -311,7 +320,7 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
     ]
     first.append(len(dsts))
     del index  # decoding needs only the explored states and their moves
-    return _trim(ins, keys, first, dsts, labels, initial, finals, n0, faithful, token_of)
+    return _trim(ins, keys, first, dsts, labels, finals, n0, faithful, token_of)
 
 
 DEAD = -1  # index entry of a state refuted by its images or by letter counting
@@ -354,34 +363,77 @@ def _abelian_refuted(lhs: Word | str, rhs: Word | str, varset: frozenset[str] | 
     return False
 
 
-def _trim(ins, keys, first, dsts, labels, initial, finals, n0, faithful, token_of) -> SolutionGraph:
+def _trim(ins, keys, first, dsts, labels, finals, n0, faithful, token_of) -> SolutionGraph:
     """Keep the states from which a final state is reachable, renumbered in
-    exploration order, and decode them and their transitions to tokens."""
-    co = set(finals)
-    if co:  # without finals nothing is co-reachable, as when the initial state is DEAD
-        rev: list[list[int]] = [[] for _ in keys]
-        for src in range(len(keys)):
-            for dst in dsts[first[src]:first[src + 1]]:
-                rev[dst].append(src)
-        frontier = list(co)
-        while frontier:
-            for p in rev[frontier.pop()]:
-                if p not in co:
-                    co.add(p)
-                    frontier.append(p)
-    if initial not in co:
-        empty = SccData((), (), ())
-        return SolutionGraph(ins, [], [], [], None, frozenset(), True, empty, n0, faithful)
-    keep = sorted(co)  # all states are forward-reachable by construction
-    new_id = [DEAD] * len(keys)
+    exploration order, find their SCCs in the same Tarjan pass from the
+    initial state 0, and decode the kept states and transitions to tokens.
+    A DFS child passes its live flag to its parent as it returns; a state
+    whose component has closed gets index n, which no longer lowers `low`."""
+    if not finals:  # nothing is co-reachable, as when the initial state is DEAD
+        return SolutionGraph(ins, [], [], [], None, frozenset(), SccData((), (), ()), n0, faithful)
+    n = len(keys)
+    index_of = [-1] * n
+    low = [0] * n
+    live = [False] * n
+    for f in finals:
+        live[f] = True
+    stack = [0]
+    path: list[tuple[int, int]] = []  # the DFS ancestors of v, each with its next edge
+    comps: list[list[int]] = []  # the kept components, in closing order
+    cyclic: list[bool] = []
+    counter = 1
+    index_of[0] = 0
+    v, e = 0, first[0]
+    while True:
+        end = first[v + 1]
+        while e < end:
+            w = dsts[e]
+            e += 1
+            iw = index_of[w]
+            if iw == -1:
+                break
+            if iw < low[v]:
+                low[v] = iw
+            if live[w]:
+                live[v] = True
+        else:
+            if low[v] == index_of[v]:  # v roots a component: close it
+                comp = []
+                while True:
+                    w = stack.pop()
+                    index_of[w] = n
+                    comp.append(w)
+                    if w == v:
+                        break
+                if live[v]:
+                    for w in comp:
+                        live[w] = True
+                    comps.append(comp)
+                    cyclic.append(len(comp) > 1 or v in dsts[first[v]:end])
+            if not path:
+                break
+            w = v
+            v, e = path.pop()
+            if low[w] < low[v]:
+                low[v] = low[w]
+            if live[w]:
+                live[v] = True
+            continue
+        path.append((v, e))  # descend to the unvisited successor w
+        index_of[w] = low[w] = counter
+        counter += 1
+        stack.append(w)
+        v, e = w, first[w]
+
+    keep = [s for s in range(n) if live[s]]
+    new_id = [DEAD] * n
     for new, old in enumerate(keep):
         new_id[old] = new
-    targets: list[int] = []  # the target of each kept transition
     out: list[list[int]] = []
     transitions: list[GraphTransition] = []
     decoded: dict[str, Label] = {}
     for new, old in enumerate(keep):
-        start = len(targets)
+        start = len(transitions)
         for e in range(first[old], first[old + 1]):
             dst = new_id[dsts[e]]
             if dst == DEAD:
@@ -390,9 +442,15 @@ def _trim(ins, keys, first, dsts, labels, initial, finals, n0, faithful, token_o
             label = decoded.get(lab)
             if label is None and lab:
                 label = decoded[lab] = (token_of[lab[0]], tuple(map(token_of.__getitem__, lab[1:])))
-            targets.append(dst)
             transitions.append(GraphTransition(new, dst, label))
-        out.append(list(range(start, len(targets))))
+        out.append(list(range(start, len(transitions))))
+    comps.reverse()  # topological order
+    components = tuple(tuple(sorted(map(new_id.__getitem__, comp))) for comp in comps)
+    comp_of = [0] * len(keep)
+    for ci, comp in enumerate(components):
+        for s in comp:
+            comp_of[s] = ci
+    scc = SccData(components, tuple(comp_of), tuple(reversed(cyclic)))
 
     variables = ins.symbols.variables
     token = token_of.__getitem__
@@ -412,73 +470,8 @@ def _trim(ins, keys, first, dsts, labels, initial, finals, n0, faithful, token_o
         if rw is None:
             rw = words[rhs] = tuple(map(token, rhs))
         states.append(GraphState(lw, rw, *varset_mu, is_true))
-    finals_new = frozenset(new_id[f] for f in finals if f in co)
-    return SolutionGraph(
-        ins, states, transitions, out, new_id[initial], finals_new,
-        True, _tarjan(out, targets), n0, faithful,
-    )
-
-
-def _tarjan(out: list[list[int]], targets: list[int]) -> SccData:
-    """Strongly connected components in topological order, of the graph in
-    which the successors of state s are targets[t] for t in out[s]."""
-    n = len(out)
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[tuple[int, ...]] = []
-    counter = 0
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, iter(out[root]))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for t in it:
-                w = targets[t]
-                if index_of[w] == -1:
-                    index_of[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(out[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-    comps.reverse()  # topological order
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for s in comp:
-            comp_of[s] = ci
-    has_tr = [False] * len(comps)
-    for src, tids in enumerate(out):
-        c = comp_of[src]
-        for t in tids:
-            if comp_of[targets[t]] == c:
-                has_tr[c] = True
-    return SccData(tuple(comps), tuple(comp_of), tuple(has_tr))
+    finals_new = frozenset(new_id[f] for f in finals)
+    return SolutionGraph(ins, states, transitions, out, 0, finals_new, scc, n0, faithful)
 
 
 def is_solvable(g: SolutionGraph) -> bool:
@@ -576,8 +569,10 @@ def export_dot(g: SolutionGraph) -> str:
     compact = all(len(t) == 1 for t in syms.all_symbols())
 
     def word_str(w: Word) -> str:
-        s = "".join(w) if compact else " ".join(w)
-        return s.replace("\\", "\\\\").replace('"', '\\"')
+        return "".join(w) if compact else " ".join(w)
+
+    def escaped(label: str) -> str:
+        return label.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph solution_graph {", "  rankdir=LR;"]
     if g.initial is not None:
@@ -592,7 +587,7 @@ def export_dot(g: SolutionGraph) -> str:
             f"{v}={g.instance.mu.target.names[e]}" for v, e in st.mu_items
         ) or "-"
         shape = "doublecircle" if sid in g.finals else "circle"
-        label = f"{eqs} | {vars_part} | {mu_part}"
+        label = escaped(f"{eqs} | {vars_part} | {mu_part}")
         lines.append(f'  q{sid} [shape={shape}, label="{label}"];')
     if g.initial is not None:
         lines.append(f"  __start -> q{g.initial};")
@@ -601,6 +596,7 @@ def export_dot(g: SolutionGraph) -> str:
             lines.append(f'  q{t.source} -> q{t.target} [style=dashed, label="ε"];')
         else:
             var, repl = t.label
-            lines.append(f'  q{t.source} -> q{t.target} [label="{var}->{word_str(repl)}"];')
+            label = escaped(f"{var}->{word_str(repl)}")
+            lines.append(f'  q{t.source} -> q{t.target} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -56,6 +56,13 @@ map a -> x
 map X -> x
 """
 
+ABSENT_Z = """\
+constants a b
+variables Z
+equation a a = a a
+semigroup builtin:trivial
+"""
+
 SYSTEM = """\
 ; two independent commutation requirements (still quadratic as a system)
 constants a b
@@ -72,7 +79,7 @@ def files(tmp_path):
     for name, text in [
         ("xabby.weq", XABBY), ("xa_bx.weq", XA_BX),
         ("b2.weq", B2_CONSTRAINED), ("lz2.weq", LZ2_CONSTRAINED), ("n2.weq", N2_FINITE),
-        ("system.weq", SYSTEM),
+        ("system.weq", SYSTEM), ("absent_z.weq", ABSENT_Z),
     ]:
         p = tmp_path / name
         p.write_text(text)
@@ -220,6 +227,20 @@ class TestPump:
         data["base"]["X"] = ["b"]
         cert.write_text(json.dumps(data))
         assert main(["pump", files["xabby.weq"], "--cert-in", str(cert)]) == 2
+
+    def test_base_of_variables_is_rejected(self, files, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        assert main(["pump", files["absent_z.weq"], "--m", "0", "--cert-out", str(cert)]) == 0
+        capsys.readouterr()
+        data = json.loads(cert.read_text())
+        assert data["base"] == {"Z": ["a"]}
+        data["base"]["Z"] = ["Z"]
+        cert.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main(["pump", files["absent_z.weq"], "--cert-in", str(cert), "--cert-out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "certificate" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ['{"state": 0}', "not json", "[1, 2]"])
     def test_malformed_certificate_exits_2(self, files, tmp_path, capsys, text):

@@ -31,7 +31,7 @@ def synthetic_state_graph(ins, lhs, rhs, varset):
         tuple(sorted((v, ins.mu[v]) for v in varset)), False,
     )
     return SolutionGraph(
-        ins, [st], [], [[]], 0, frozenset(), True,
+        ins, [st], [], [[]], 0, frozenset(),
         SccData(((0,),), (0,), (False,)), len(lhs) + len(rhs),
     )
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +20,7 @@ from weq.equations import (
 )
 from weq.hunt import sweep_instances
 from weq.oracle import brute_solutions
-from weq.semigroup import builtin
+from weq.semigroup import builtin, from_table
 from weq.solution_graph import (
     EmptySide,
     GraphState,
@@ -206,6 +207,19 @@ class TestDot:
         dot = export_dot(g)
         assert dot.count("label=") >= 1
 
+    def test_names_are_escaped(self):
+        """Quotes and backslashes in variable and element names are escaped
+        as in words, so every label is one well-formed DOT string."""
+        syms = SymbolTable(("a",), ('X"',))
+        eq = WordEquation(('X"', "a"), ("a", 'X"'))
+        sg = from_table(("\\",), [[0]])
+        ins = Instance((eq,), ConstraintMorphism.from_dict(syms, sg, {"a": 0, 'X"': 0}))
+        lines = [line for line in export_dot(build(ins)).splitlines() if "label=" in line]
+        assert len(lines) > 2
+        for line in lines:
+            assert re.search(r'label="(?:[^"\\]|\\.)*"\];$', line), line
+        assert 'label="X\\" a = a X\\" | X\\" | X\\"=\\\\"' in lines[0]
+
 
 def long_cycle(k):
     return make_instance("X" + "a" * k + "b=" + "a" * k + "bX")
@@ -226,6 +240,12 @@ def odd_tokens():
     eq = WordEquation(("->", "#", "ab", "X1"), ("X1", "ab", "#", "->"))
     images = {"#": 1, ",": 0, "ab": 0, "a": 1, "->": 1, "X1": 0, "Yy": 1, "z,#": 0}
     return Instance((eq,), ConstraintMorphism.from_dict(syms, builtin("z2"), images))
+
+
+def dead_cycles():
+    """XY=YX over n2 with every symbol at 0: of its 13 explored states, two
+    have self-loops but reach no final state, and 6 are kept."""
+    return make_instance("XY=YX", sg=builtin("n2"), mapping={s: "0" for s in "abXY"})
 
 
 class TestAbelianFilter:
@@ -476,7 +496,7 @@ def reference_build(ins, faithful=False):
                 co.add(p)
                 frontier.append(p)
     if initial not in co:
-        return SolutionGraph(ins, [], [], [], None, frozenset(), True, SccData((), (), ()), n0, faithful)
+        return SolutionGraph(ins, [], [], [], None, frozenset(), SccData((), (), ()), n0, faithful)
     keep = sorted(co)
     remap = {old: new for new, old in enumerate(keep)}
     new_out = [[] for _ in keep]
@@ -489,7 +509,7 @@ def reference_build(ins, faithful=False):
                 new_transitions.append(GraphTransition(remap[t.source], remap[t.target], t.label))
     g = SolutionGraph(
         ins, [states[old] for old in keep], new_transitions, new_out, remap[initial],
-        frozenset(remap[f] for f in finals if f in co), True, SccData((), (), ()), n0, faithful,
+        frozenset(remap[f] for f in finals if f in co), SccData((), (), ()), n0, faithful,
     )
     g.scc = reference_tarjan(g)
     return g
@@ -568,6 +588,7 @@ class TestPackedExploration:
         pytest.param(long_cycle(20), id="long-cycle-20"),
         pytest.param(long_cycle(32), id="long-cycle-32"),
         pytest.param(odd_tokens(), id="odd-tokens"),
+        pytest.param(dead_cycles(), id="dead-cycles"),
     ])
     def test_matches_reference(self, ins, faithful):
         assert_same_graph(build(ins, faithful=faithful), reference_build(ins, faithful=faithful))
