@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 affirmative, 3 negative, 2 parse/usage error (including
-exhausted budgets), 4 unknown verdict, 5 unsupported instance.
+Exit codes: 0 affirmative, 3 negative, 2 parse/usage error or exhausted
+budget, 4 unknown verdict or failed guarantee, 5 unsupported instance.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ from .equations import (
     Instance,
     NotQuadratic,
     exp_solution,
+    format_instance,
     parse_instance,
     system_to_single,
 )
 from .periodicity import (
+    TheoremViolation,
     certificate_to_json,
     instantiate,
     load_certificate,
@@ -129,8 +131,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def cmd_check(args) -> int:
-    ins = _load(args.path)
-    report = _run_report(ins, args.crosscheck, args.faithful)
+    report = _run_report(args.instance, args.crosscheck, args.faithful)
     _emit(report, args.json)
     if not args.json:
         print("satisfiable" if report["solvable"] else "unsatisfiable")
@@ -138,14 +139,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_infinite(args) -> int:
-    ins = _load(args.path)
-    report = _run_report(ins, args.crosscheck, args.faithful)
+    report = _run_report(args.instance, args.crosscheck, args.faithful)
     _emit(report, args.json)
     return EXIT_YES if report["infinite"] else EXIT_NO
 
 
 def cmd_pump(args) -> int:
-    ins = _load(args.path)
+    ins = args.instance
     g = build(ins)
     if args.cert_in:
         with open(args.cert_in, encoding="utf-8") as fh:
@@ -189,7 +189,7 @@ def cmd_pump(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    ins = _load(args.path)
+    ins = args.instance
     g = build(ins, faithful=args.faithful)
     sols = enumerate_solutions(g, max_word_len=args.max_len)
     if args.json:
@@ -206,7 +206,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    ins = _load(args.path)
+    ins = args.instance
     g = build(ins, faithful=args.faithful)
     dot = export_dot(g)
     if args.dot:
@@ -220,7 +220,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    ins = _load(args.path)
+    ins = args.instance
     rep = oracle.brute_solutions(ins, args.max_len, budget=args.budget)
     if args.json:
         print(json.dumps({
@@ -393,7 +393,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_YES
     try:
+        if "path" in args:  # the commands that read an instance file
+            args.instance = _load(args.path)
         return args.func(args)
+    except TheoremViolation as exc:  # the verdict is unknown; the text replays it
+        print(f"internal guarantee failed: {exc}", file=sys.stderr)
+        if "instance" in args:
+            print(format_instance(args.instance), end="", file=sys.stderr)
+        return EXIT_UNKNOWN
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -88,9 +88,6 @@ class WordEquation:
         if not self.lhs or not self.rhs:
             raise EquationError("equation sides must be nonempty")
 
-    def sides(self) -> tuple[Word, Word]:
-        return self.lhs, self.rhs
-
     def __str__(self):
         return " ".join(self.lhs) + " = " + " ".join(self.rhs)
 

@@ -156,7 +156,7 @@ class HuntReport:
         }
 
 
-def classify(ins: Instance, oracle_budget: int = oracle.DEFAULT_BUDGET) -> tuple[str, dict]:
+def classify(ins: Instance) -> tuple[str, dict]:
     g = build(ins)
     if not is_solvable(g):
         return "Unsatisfiable", {}
@@ -168,8 +168,8 @@ def classify(ins: Instance, oracle_budget: int = oracle.DEFAULT_BUDGET) -> tuple
     low = len(eq.lhs) + len(eq.rhs)
     detail: dict = {"states_checked": sum(len(c) for c in cyclic_components(g))}
     try:
-        e1 = oracle.max_exp_up_to(ins, low, budget=oracle_budget)
-        e2 = oracle.max_exp_up_to(ins, low + 2, budget=oracle_budget)
+        e1 = oracle.max_exp_up_to(ins, low)
+        e2 = oracle.max_exp_up_to(ins, low + 2)
         detail["max_exp"] = {"low_bound": low, "low": e1, "high_bound": low + 2, "high": e2}
         stagnant = e2 <= e1
     except oracle.BudgetExceeded:

@@ -25,7 +25,7 @@ from .equations import (
     require_solution,
 )
 from .semigroup import green, is_dlg, omega, stab_L
-from .solution_graph import SolutionGraph, _apply_label, build
+from .solution_graph import SolutionGraph, build, compose
 
 
 class NotDLG(EquationError):
@@ -325,27 +325,24 @@ def _shortest_path(g: SolutionGraph, src: int, dst: int) -> list[int]:
 
 def _first_accepting_path(g: SolutionGraph, start: int) -> list[int]:
     """First accepting path in depth-first order over the deterministic
-    transition order; exists because the automaton is trim."""
+    transition order, kept as a stack of edge cursors, not recursion;
+    exists because the automaton is trim."""
     if start in g.finals:
         return []
     visited = {start}
-    path: list[int] = []
-
-    def dfs(at: int) -> bool:
-        for tid in g.out[at]:
-            t = g.transitions[tid]
-            if t.target in visited:
-                continue
-            visited.add(t.target)
-            path.append(tid)
-            if t.target in g.finals or dfs(t.target):
-                return True
-            path.pop()
-        return False
-
-    if not dfs(start):
-        raise EquationError("trimmed state has no accepting continuation")  # pragma: no cover
-    return path
+    stack = [(-1, iter(g.out[start]))]  # (edge into the state, cursor over its edges)
+    while stack:
+        for tid in stack[-1][1]:
+            target = g.transitions[tid].target
+            if target not in visited:
+                visited.add(target)
+                if target in g.finals:
+                    return [edge for edge, _ in stack[1:]] + [tid]
+                stack.append((tid, iter(g.out[target])))
+                break
+        else:
+            stack.pop()
+    raise EquationError("trimmed state has no accepting continuation")  # pragma: no cover
 
 
 def _base_fault(g: SolutionGraph, sid: int, base: dict[str, Word]) -> str | None:
@@ -373,9 +370,7 @@ def _base_fault(g: SolutionGraph, sid: int, base: dict[str, Word]) -> str | None
 
 def _solve_state(g: SolutionGraph, sid: int, path: list[int]) -> dict[str, Word]:
     """Base solution of a state's own equation from an accepting path."""
-    patterns = {v: (v,) for v in g.states[sid].varset}
-    for tid in path:
-        patterns = _apply_label(patterns, g.transitions[tid].label)
+    patterns = compose(g.states[sid].varset, (g.transitions[tid].label for tid in path))
     fault = _base_fault(g, sid, patterns)
     if fault is not None:
         raise TheoremViolation(f"accepting path from state {sid} {fault}")
@@ -430,9 +425,7 @@ def instantiate(cert: PumpingCertificate, ins: Instance, m: int) -> Solution:
     local = dict(base)
     local[cert.variable] = pumped
     # lift through the path prefix back to the original variables
-    patterns = {v: (v,) for v in ins.symbols.variables}
-    for label in cert.prefix_labels:
-        patterns = _apply_label(patterns, label)
+    patterns = compose(ins.symbols.variables, cert.prefix_labels)
     sol = Solution.from_dict({v: apply_map(w, local) for v, w in patterns.items()})
     require_solution(ins, sol)
     if exp_solution(sol) < m:

@@ -62,6 +62,16 @@ mu(alpha) = mu(x)), so only cancellation can make them differ.  Over a
 target of order 1 every fold is equal and the test is skipped.  A dead
 state is never co-reachable, so by the argument above the trimmed
 automaton and its numbering stay the same.
+
+`enumerate_solutions` searches pairs of a state and its patterns, the word
+each variable has become under the labels composed so far, and prunes a
+move that pushes a word past the bound B; a substitution never shortens a
+word, so no solution within B is lost.  The search ends with no bound on
+the path length: a move that lengthens no word either deletes an active
+variable or is silent and shortens the state by two tokens, neither count
+ever grows, and every active variable occurs in its own pattern, so a
+keeping move x -> alpha x lengthens a word.  A path within B thus has at
+most B*k + n0/2 moves, for k variables and n0 tokens in the equation.
 """
 
 from __future__ import annotations
@@ -128,8 +138,6 @@ class SolutionGraph:
     initial: int | None
     finals: frozenset[int]
     scc: SccData
-    n0: int
-    faithful: bool = False
 
     @property
     def state_count(self) -> int:
@@ -189,7 +197,6 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
     var_base = PACK_BASE + n_const  # ord(c) - var_base is the rank of variable c
     symbol_imgs = tuple(map(ins.mu.__getitem__, syms.all_symbols()))
     const_imgs = symbol_imgs[:n_const]
-    n0 = len(eq.lhs) + len(eq.rhs)
     table = sg.table
     test_images = sg.order > 1
 
@@ -320,7 +327,7 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
     ]
     first.append(len(dsts))
     del index  # decoding needs only the explored states and their moves
-    return _trim(ins, keys, first, dsts, labels, finals, n0, faithful, token_of)
+    return _trim(ins, keys, first, dsts, labels, finals, token_of)
 
 
 DEAD = -1  # index entry of a state refuted by its images or by letter counting
@@ -363,14 +370,14 @@ def _abelian_refuted(lhs: Word | str, rhs: Word | str, varset: frozenset[str] | 
     return False
 
 
-def _trim(ins, keys, first, dsts, labels, finals, n0, faithful, token_of) -> SolutionGraph:
+def _trim(ins, keys, first, dsts, labels, finals, token_of) -> SolutionGraph:
     """Keep the states from which a final state is reachable, renumbered in
     exploration order, find their SCCs in the same Tarjan pass from the
     initial state 0, and decode the kept states and transitions to tokens.
     A DFS child passes its live flag to its parent as it returns; a state
     whose component has closed gets index n, which no longer lowers `low`."""
     if not finals:  # nothing is co-reachable, as when the initial state is DEAD
-        return SolutionGraph(ins, [], [], [], None, frozenset(), SccData((), (), ()), n0, faithful)
+        return SolutionGraph(ins, [], [], [], None, frozenset(), SccData((), (), ()))
     n = len(keys)
     index_of = [-1] * n
     low = [0] * n
@@ -471,7 +478,7 @@ def _trim(ins, keys, first, dsts, labels, finals, n0, faithful, token_of) -> Sol
             rw = words[rhs] = tuple(map(token, rhs))
         states.append(GraphState(lw, rw, *varset_mu, is_true))
     finals_new = frozenset(new_id[f] for f in finals)
-    return SolutionGraph(ins, states, transitions, out, 0, finals_new, scc, n0, faithful)
+    return SolutionGraph(ins, states, transitions, out, 0, finals_new, scc)
 
 
 def is_solvable(g: SolutionGraph) -> bool:
@@ -482,11 +489,16 @@ def has_infinitely_many(g: SolutionGraph) -> bool:
     return any(g.scc.has_transition)
 
 
-def _apply_label(patterns: dict[str, Word], label: Label) -> dict[str, Word]:
-    if label is None:
-        return patterns
-    var, repl = label
-    return {k: substitute(w, var, repl) for k, w in patterns.items()}
+def compose(variables, labels) -> dict[str, Word]:
+    """The word each variable becomes under the labels' substitutions,
+    applied first label first; a silent label (None) changes nothing."""
+    patterns = {v: (v,) for v in variables}
+    for label in labels:
+        if label is not None:
+            var, repl = label
+            for v, w in patterns.items():
+                patterns[v] = substitute(w, var, repl)
+    return patterns
 
 
 def extract_solution(g: SolutionGraph, path) -> Solution:
@@ -495,19 +507,19 @@ def extract_solution(g: SolutionGraph, path) -> Solution:
     accepting run and that the result solves the instance."""
     if g.initial is None:
         raise NotAccepting("the automaton accepts nothing")
-    path = list(path)
     at = g.initial
-    patterns = {v: (v,) for v in g.instance.symbols.variables}
+    labels = []
     for tid in path:
         if not 0 <= tid < len(g.transitions):
             raise NotAccepting(f"no transition {tid}")
         t = g.transitions[tid]
         if t.source != at:
             raise NotAccepting(f"transition {tid} does not start at state {at}")
-        patterns = _apply_label(patterns, t.label)
+        labels.append(t.label)
         at = t.target
     if at not in g.finals:
         raise NotAccepting(f"path ends at non-final state {at}")
+    patterns = compose(g.instance.symbols.variables, labels)
     syms = g.instance.symbols
     for v, w in patterns.items():
         if not w or any(not syms.is_constant(tok) for tok in w):
@@ -517,48 +529,36 @@ def extract_solution(g: SolutionGraph, path) -> Solution:
     return sol
 
 
-def enumerate_solutions(
-    g: SolutionGraph,
-    max_word_len: int | None = None,
-    max_path_len: int | None = None,
-) -> list[Solution]:
-    """Depth-bounded traversal of accepting paths.  With a word bound B and
-    path bound n0*(B+1), every solution whose words all have length <= B is
-    produced."""
-    if max_word_len is None and max_path_len is None:
-        raise ValueError("a word bound or a path bound is required")
-    if max_path_len is None:
-        max_path_len = g.n0 * (max_word_len + 1)
+def enumerate_solutions(g: SolutionGraph, max_word_len: int) -> list[Solution]:
+    """Every solution whose words all have length <= max_word_len, in the
+    oracle's order; the module docstring says why the search ends."""
     if g.initial is None:
         return []
     syms = g.instance.symbols
+    variables = syms.variables
     found: set[Solution] = set()
-    seen: set[tuple] = set()
-    init_patterns = tuple((v, (v,)) for v in syms.variables)
-
-    stack = [(g.initial, init_patterns, max_path_len)]
+    init = (g.initial, tuple((v,) for v in variables))
+    seen = {init}
+    stack = [init]
     while stack:
-        sid, patterns, depth = stack.pop()
-        key = (sid, patterns, depth)
-        if key in seen:
-            continue
-        seen.add(key)
-        pat_map = dict(patterns)
+        sid, patterns = stack.pop()
         if sid in g.finals:
-            if all(all(syms.is_constant(t) for t in w) for w in pat_map.values()):
-                sol = Solution.from_dict(pat_map)
-                if max_word_len is None or all(len(w) <= max_word_len for w in pat_map.values()):
-                    if sol not in found:
-                        require_solution(g.instance, sol)
-                        found.add(sol)
-        if depth == 0:
-            continue
+            sol = Solution.from_dict(dict(zip(variables, patterns)))
+            if sol not in found:
+                require_solution(g.instance, sol)
+                found.add(sol)
         for tid in g.out[sid]:
             t = g.transitions[tid]
-            nxt = _apply_label(pat_map, t.label)
-            if max_word_len is not None and any(len(w) > max_word_len for w in nxt.values()):
-                continue
-            stack.append((t.target, tuple(sorted(nxt.items())), depth - 1))
+            nxt = patterns
+            if t.label is not None:
+                var, repl = t.label
+                nxt = tuple([substitute(w, var, repl) for w in patterns])
+                if max(map(len, nxt)) > max_word_len:
+                    continue
+            key = (t.target, nxt)
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
     return sorted(found, key=lambda s: s.sort_key(syms))
 
 

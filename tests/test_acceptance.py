@@ -105,9 +105,10 @@ def battery_results(battery_equations):
     for ins in battery_instances(battery_equations):
         count += 1
         g = build(ins)
+        n0 = len(ins.equation.lhs) + len(ins.equation.rhs)
         for st in g.states:
             if not st.is_true:
-                assert len(st.lhs) + len(st.rhs) <= g.n0, f"state {st} outgrew {ins.equations[0]}"
+                assert len(st.lhs) + len(st.rhs) <= n0, f"state {st} outgrew {ins.equations[0]}"
                 assert all(st.lhs.count(v) + st.rhs.count(v) <= 2 for v in st.varset), (
                     f"state {st} of {ins.equations[0]} is not quadratic"
                 )

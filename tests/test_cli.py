@@ -8,6 +8,7 @@ import pytest
 
 from weq import periodicity
 from weq.cli import main
+from weq.equations import format_instance, parse_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,6 +157,17 @@ class TestInfinite:
     def test_yes(self, files):
         assert main(["infinite", files["xabby.weq"]]) == 0
 
+    def test_long_cycle(self, tmp_path):
+        # the certificate's accepting path is longer than the default
+        # recursion limit
+        k = 600
+        path = tmp_path / "long.weq"
+        path.write_text(
+            f"constants a b\nvariables X\nequation X {'a ' * k}b = {'a ' * k}b X\n"
+            "semigroup builtin:trivial\n"
+        )
+        assert main(["infinite", str(path)]) == 0
+
     def test_no(self, files):
         assert main(["infinite", files["n2.weq"]]) == 3
 
@@ -178,6 +190,18 @@ class TestPump:
         monkeypatch.setattr(periodicity, "pumpable_state", lambda g: None)
         assert main(["pump", files["b2.weq"]]) == 4
         assert "unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["infinite", "pump"])
+    def test_exit_4_on_failed_guarantee(self, files, capsys, monkeypatch, command):
+        def miss(g):
+            raise periodicity.TheoremViolation("no pumpable state")
+
+        monkeypatch.setattr(periodicity, "pumpable_state", miss)
+        assert main([command, files["xabby.weq"]]) == 4
+        err = capsys.readouterr().err
+        assert "no pumpable state" in err
+        assert format_instance(parse_instance(XABBY)) in err  # replays the failure
+        assert "Traceback" not in err
 
     def test_pumps_what_check_certifies_outside_variety(self, files, capsys):
         # lz2 is not DLG; the scan still finds a pumpable state

@@ -32,7 +32,7 @@ def synthetic_state_graph(ins, lhs, rhs, varset):
     )
     return SolutionGraph(
         ins, [st], [], [[]], 0, frozenset(),
-        SccData(((0,),), (0,), (False,)), len(lhs) + len(rhs),
+        SccData(((0,),), (0,), (False,)),
     )
 
 
@@ -222,9 +222,11 @@ class TestCertificates:
             for m in range(4):
                 assert verify_solution(ins, instantiate(cert, ins, m))
 
-    @pytest.mark.parametrize("k", [20, 32])
+    @pytest.mark.parametrize("k", [20, 32, 600])
     def test_cycle_longer_than_twenty(self, k):
-        # every cycle of X a^k b = a^k b X passes through k + 1 states or more
+        # every cycle of X a^k b = a^k b X passes through k + 1 states or
+        # more; at k = 600 the accepting path from the pumpable state is
+        # longer than the interpreter's default recursion limit
         ins = make_instance("X" + "a" * k + "b=" + "a" * k + "bX")
         dec = decide_exp_infinite_dlg(ins)
         assert dec.infinite and dec.certificate is not None

@@ -85,8 +85,9 @@ class TestBuild:
 
     def test_lengths_never_increase(self):
         for spec in ("XabY=YbaX", "Xa=aX", "XY=YX", "XaY=YbX"):
-            g = build(make_instance(spec))
-            n0 = g.n0
+            ins = make_instance(spec)
+            g = build(ins)
+            n0 = len(ins.equation.lhs) + len(ins.equation.rhs)
             for t in g.transitions:
                 src = g.states[t.source]
                 dst = g.states[t.target]
@@ -177,7 +178,7 @@ class TestEnumerate:
         assert enumerate_solutions(build(make_instance("Xa=bX")), max_word_len=4) == []
 
     def test_needs_some_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             enumerate_solutions(build(make_instance("Xa=aX")))
 
     def test_faithful_mode_agrees(self):
@@ -329,10 +330,11 @@ class TestAbelianFilter:
 
 
 @st.composite
-def quadratic_equations(draw):
-    """Up to four variables, each occurring once or twice, plus up to four
-    constants, shuffled and cut into two nonempty sides."""
-    variables = "WXYZ"[:draw(st.integers(1, 4))]
+def quadratic_equations(draw, max_vars=4):
+    """Up to `max_vars` (at most four) variables, each occurring once or
+    twice, plus up to four constants, shuffled and cut into two nonempty
+    sides."""
+    variables = "WXYZ"[:draw(st.integers(1, max_vars))]
     tokens = [v for v in variables for _ in range(draw(st.integers(1, 2)))]
     tokens += draw(st.lists(st.sampled_from("ab"), max_size=4))
     assume(len(tokens) >= 2)
@@ -394,7 +396,6 @@ def reference_build(ins, faithful=False):
     sigma = syms.constants
     var_rank = {v: i for i, v in enumerate(syms.variables)}
     quot = _left_quotients(sg)
-    n0 = len(eq.lhs) + len(eq.rhs)
     const_mu = {a: ins.mu[a] for a in sigma}
     test_images = sg.order > 1
     dead = -1
@@ -496,7 +497,7 @@ def reference_build(ins, faithful=False):
                 co.add(p)
                 frontier.append(p)
     if initial not in co:
-        return SolutionGraph(ins, [], [], [], None, frozenset(), SccData((), (), ()), n0, faithful)
+        return SolutionGraph(ins, [], [], [], None, frozenset(), SccData((), (), ()))
     keep = sorted(co)
     remap = {old: new for new, old in enumerate(keep)}
     new_out = [[] for _ in keep]
@@ -509,7 +510,7 @@ def reference_build(ins, faithful=False):
                 new_transitions.append(GraphTransition(remap[t.source], remap[t.target], t.label))
     g = SolutionGraph(
         ins, [states[old] for old in keep], new_transitions, new_out, remap[initial],
-        frozenset(remap[f] for f in finals if f in co), SccData((), (), ()), n0, faithful,
+        frozenset(remap[f] for f in finals if f in co), SccData((), (), ()),
     )
     g.scc = reference_tarjan(g)
     return g
@@ -627,3 +628,21 @@ def test_packed_build_matches_reference(case, absent, target, data):
     ins = Instance(base.equations, ConstraintMorphism.from_dict(base.symbols, sg, images))
     for faithful in (False, True):
         assert_same_graph(build(ins, faithful=faithful), reference_build(ins, faithful=faithful))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic_equations(max_vars=3), st.booleans(),
+       st.sampled_from(("z2", "n2", "rz2", "b2", "lz2")), st.data())
+def test_enumeration_matches_oracle(case, absent, target, data):
+    """The word bound alone ends the search and misses no solution, also
+    with an absent variable over a constrained target."""
+    spec, variables = case
+    if absent and len(variables) < 3:
+        variables += "V"  # declared but not in the equation
+    sg = builtin(target)
+    base = make_instance(spec, variables=variables)
+    images = {s: data.draw(st.integers(0, sg.order - 1)) for s in base.symbols.all_symbols()}
+    ins = Instance(base.equations, ConstraintMorphism.from_dict(base.symbols, sg, images))
+    want = list(brute_solutions(ins, 3).solutions)
+    for faithful in (False, True):
+        assert enumerate_solutions(build(ins, faithful=faithful), 3) == want
