@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 affirmative, 3 negative, 2 parse/usage error or exhausted
-budget, 4 unknown verdict or failed guarantee, 5 unsupported instance.
+budget (an oracle assignment budget, or the `--max-states` budget of the
+automaton), 4 unknown verdict or failed guarantee, 5 unsupported instance.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 
 from . import hunt as hunt_mod
 from . import oracle
-from ._text import ParseError
+from ._text import ParseError, logical_lines
 from .equations import (
     EquationError,
     Instance,
@@ -32,6 +33,7 @@ from .periodicity import (
     pumping_certificate,
 )
 from .semigroup import (
+    BUILTIN_NAMES,
     SemigroupError,
     green,
     omega,
@@ -39,7 +41,15 @@ from .semigroup import (
     stab_L,
     variety_report,
 )
-from .solution_graph import build, enumerate_solutions, export_dot, has_infinitely_many, is_solvable
+from .solution_graph import (
+    DEFAULT_MAX_STATES,
+    StateBudgetExceeded,
+    build,
+    enumerate_solutions,
+    export_dot,
+    has_infinitely_many,
+    is_solvable,
+)
 
 EXIT_YES = 0
 EXIT_NO = 3
@@ -48,13 +58,20 @@ EXIT_UNKNOWN = 4
 EXIT_UNSUPPORTED = 5
 
 
-def _load(path: str) -> Instance:
+def _load(path: str) -> tuple[Instance, Instance, str | None]:
+    """The instance in the file reduced to one equation, the instance as
+    written, and for a target loaded from a file its spec as an absolute
+    `file:` path (None for a builtin), so that `format_instance` of the
+    last two reloads the instance from any directory."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    ins = parse_instance(text, base_dir=os.path.dirname(os.path.abspath(path)))
-    if len(ins.equations) > 1:
-        ins = system_to_single(ins)
-    return ins
+    base_dir = os.path.dirname(os.path.abspath(path))
+    written = parse_instance(text, base_dir=base_dir)
+    ins = system_to_single(written) if len(written.equations) > 1 else written
+    spec = [toks[1] for _, toks in logical_lines(text, comment=";") if toks[0] == "semigroup"][-1]
+    if spec.startswith("builtin:") or spec in BUILTIN_NAMES:
+        return ins, written, None
+    return ins, written, "file:" + os.path.join(base_dir, spec.removeprefix("file:"))
 
 
 def _instance_summary(ins: Instance) -> dict:
@@ -68,10 +85,11 @@ def _instance_summary(ins: Instance) -> dict:
     }
 
 
-def _run_report(ins: Instance, crosscheck: int | None, faithful: bool) -> dict:
+def _run_report(args) -> dict:
+    ins, crosscheck = args.instance, args.crosscheck
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    g = build(ins, faithful=faithful)
+    g = build(ins, faithful=args.faithful, max_states=args.max_states)
     timings["build"] = time.perf_counter() - t0
     solvable = is_solvable(g)
     infinite = has_infinitely_many(g)
@@ -131,7 +149,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def cmd_check(args) -> int:
-    report = _run_report(args.instance, args.crosscheck, args.faithful)
+    report = _run_report(args)
     _emit(report, args.json)
     if not args.json:
         print("satisfiable" if report["solvable"] else "unsatisfiable")
@@ -139,14 +157,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_infinite(args) -> int:
-    report = _run_report(args.instance, args.crosscheck, args.faithful)
+    report = _run_report(args)
     _emit(report, args.json)
     return EXIT_YES if report["infinite"] else EXIT_NO
 
 
 def cmd_pump(args) -> int:
     ins = args.instance
-    g = build(ins)
+    g = build(ins, max_states=args.max_states)
     if args.cert_in:
         with open(args.cert_in, encoding="utf-8") as fh:
             try:
@@ -190,7 +208,7 @@ def cmd_pump(args) -> int:
 
 def cmd_solve(args) -> int:
     ins = args.instance
-    g = build(ins, faithful=args.faithful)
+    g = build(ins, faithful=args.faithful, max_states=args.max_states)
     sols = enumerate_solutions(g, max_word_len=args.max_len)
     if args.json:
         print(json.dumps({
@@ -207,7 +225,7 @@ def cmd_solve(args) -> int:
 
 def cmd_graph(args) -> int:
     ins = args.instance
-    g = build(ins, faithful=args.faithful)
+    g = build(ins, faithful=args.faithful, max_states=args.max_states)
     dot = export_dot(g)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -324,9 +342,13 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, crosscheck=False, faithful=False):
+    def common(sp, crosscheck=False, faithful=False, graph=True):
         sp.add_argument("path", help="instance file")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+        if graph:
+            sp.add_argument("--max-states", type=_int_in(1), default=DEFAULT_MAX_STATES, metavar="N",
+                            help="give up once the automaton has more than N states, "
+                                 "dead ones included (default %(default)s)")
         if crosscheck:
             sp.add_argument("--crosscheck", type=_int_in(1), default=None, metavar="L",
                             help="also compare against the brute-force oracle up to length L")
@@ -360,7 +382,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_graph)
 
     sp = sub.add_parser("oracle", help="brute-force solution enumeration")
-    common(sp)
+    common(sp, graph=False)
     sp.add_argument("--max-len", type=_int_in(1), default=4, metavar="L")
     sp.add_argument("--budget", type=_int_in(0), default=oracle.DEFAULT_BUDGET)
     sp.set_defaults(func=cmd_oracle)
@@ -392,14 +414,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_YES
+    replay = None  # the instance as written and its semigroup spec
     try:
         if "path" in args:  # the commands that read an instance file
-            args.instance = _load(args.path)
+            args.instance, *replay = _load(args.path)
         return args.func(args)
     except TheoremViolation as exc:  # the verdict is unknown; the text replays it
         print(f"internal guarantee failed: {exc}", file=sys.stderr)
-        if "instance" in args:
-            print(format_instance(args.instance), end="", file=sys.stderr)
+        if replay is not None:
+            print(format_instance(*replay), end="", file=sys.stderr)
         return EXIT_UNKNOWN
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -407,7 +430,7 @@ def main(argv=None) -> int:
     except NotQuadratic as exc:
         print(f"unsupported instance: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except oracle.BudgetExceeded as exc:
+    except (oracle.BudgetExceeded, StateBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EquationError, SemigroupError, OSError) as exc:

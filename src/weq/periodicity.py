@@ -55,7 +55,7 @@ def is_nicely_balanced(g: SolutionGraph, sid: int, var: str) -> BalanceWitness |
     the variable is infinite and either the variable is absent from the
     equation, or (up to swapping sides) the equation reads X u = v X v' with
     the image of v an L-stabilizer of the image of X."""
-    st = g.states[sid]
+    st = g.state(sid)
     if var not in st.varset:
         raise EquationError(f"variable {var!r} is not active in state {sid}")
     mu_x = dict(st.mu_items)[var]
@@ -102,19 +102,18 @@ class SccAnalysis:
 def _head_j_candidates(g: SolutionGraph, gr, sid: int, comp: set[int]) -> tuple[list[int], list[str]]:
     """J-class indices contributing to a state's leading J-class, plus any
     structural violations found."""
-    st = g.states[sid]
+    st = g.state(sid)
     syms = g.instance.symbols
     mu = g.state_mu(sid)
     violations: list[str] = []
     if st.is_true:
         # no heads; use the variables driving the in-component transitions
         cands = []
-        for tid in g.out[sid]:
-            t = g.transitions[tid]
-            if g.scc.comp_of[t.target] != g.scc.comp_of[sid] or t.label is None:
+        for e in g.edges(sid):
+            label = g.label(e)
+            if g.scc.comp_of[g.dst[e]] != g.scc.comp_of[sid] or label is None:
                 continue
-            var = t.label[0]
-            cands.append(gr.indexJ[mu[var]])
+            cands.append(gr.indexJ[mu[label[0]]])
         if not cands:
             violations.append(f"state {sid}: no in-component transition to read a class from")
         return sorted(set(cands)), violations
@@ -170,7 +169,7 @@ def analyze_scc(g: SolutionGraph, comp_index: int) -> SccAnalysis:
 
     per_state: dict[int, StatePlayground] = {}
     for sid in comp:
-        st = g.states[sid]
+        st = g.state(sid)
         mu = g.state_mu(sid)
 
         def prefix(word: Word) -> Word:
@@ -224,9 +223,8 @@ def simple_cycles(g: SolutionGraph, max_len: int = 20, max_count: int = 10000) -
             stack = [(anchor, (anchor,))]
             while stack and len(cycles) < max_count:
                 node, path = stack.pop()
-                for tid in g.out[node]:
-                    t = g.transitions[tid]
-                    nxt = t.target
+                for e in g.edges(node):
+                    nxt = g.dst[e]
                     if nxt not in comp_set or nxt < anchor:
                         continue
                     if nxt == anchor:
@@ -244,7 +242,7 @@ def find_nicely_balanced_on_cycle(g: SolutionGraph, states) -> tuple[int, str, B
     a miss."""
     syms = g.instance.symbols
     for sid in states:
-        st = g.states[sid]
+        st = g.state(sid)
         for var in sorted(st.varset, key=syms.variable_order):
             wit = is_nicely_balanced(g, sid, var)
             if wit is not None:
@@ -301,25 +299,25 @@ class PumpingCertificate:
 
 
 def _shortest_path(g: SolutionGraph, src: int, dst: int) -> list[int]:
+    """The edges of a shortest run from src to dst, breadth-first in edge
+    order; each state reached records its (predecessor, edge in)."""
     if src == dst:
         return []
-    prev: dict[int, int] = {src: -1}
+    prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
     queue = deque([src])
     while queue:
         at = queue.popleft()
-        for tid in g.out[at]:
-            t = g.transitions[tid]
-            if t.target not in prev:
-                prev[t.target] = tid
-                if t.target == dst:
+        for e in g.edges(at):
+            target = g.dst[e]
+            if target not in prev:
+                prev[target] = (at, e)
+                if target == dst:
                     path = []
-                    back = dst
-                    while back != src:
-                        tid2 = prev[back]
-                        path.append(tid2)
-                        back = g.transitions[tid2].source
+                    while target != src:
+                        target, e = prev[target]
+                        path.append(e)
                     return path[::-1]
-                queue.append(t.target)
+                queue.append(target)
     raise EquationError(f"state {dst} unreachable from {src}")
 
 
@@ -330,15 +328,15 @@ def _first_accepting_path(g: SolutionGraph, start: int) -> list[int]:
     if start in g.finals:
         return []
     visited = {start}
-    stack = [(-1, iter(g.out[start]))]  # (edge into the state, cursor over its edges)
+    stack = [(-1, iter(g.edges(start)))]  # (edge into the state, cursor over its edges)
     while stack:
-        for tid in stack[-1][1]:
-            target = g.transitions[tid].target
+        for e in stack[-1][1]:
+            target = g.dst[e]
             if target not in visited:
                 visited.add(target)
                 if target in g.finals:
-                    return [edge for edge, _ in stack[1:]] + [tid]
-                stack.append((tid, iter(g.out[target])))
+                    return [edge for edge, _ in stack[1:]] + [e]
+                stack.append((e, iter(g.edges(target))))
                 break
         else:
             stack.pop()
@@ -350,7 +348,7 @@ def _base_fault(g: SolutionGraph, sid: int, base: dict[str, Word]) -> str | None
     constraints, or None.  A base assigns each of the state's variables a
     nonempty word of constants that meets its image; unless the state is
     TRUE, it also solves the state's equation."""
-    st = g.states[sid]
+    st = g.state(sid)
     if set(base) != st.varset:
         return "does not cover the state's variables"
     syms = g.instance.symbols
@@ -370,7 +368,7 @@ def _base_fault(g: SolutionGraph, sid: int, base: dict[str, Word]) -> str | None
 
 def _solve_state(g: SolutionGraph, sid: int, path: list[int]) -> dict[str, Word]:
     """Base solution of a state's own equation from an accepting path."""
-    patterns = compose(g.states[sid].varset, (g.transitions[tid].label for tid in path))
+    patterns = compose(g.state(sid).varset, map(g.label, path))
     fault = _base_fault(g, sid, patterns)
     if fault is not None:
         raise TheoremViolation(f"accepting path from state {sid} {fault}")
@@ -388,7 +386,7 @@ def _certificate(
     if v:
         om = omega(g.instance.mu.target, g.state_eval1(sid, v))
         return PumpingCertificate(case="head_balanced", v=v, omega_exponent=om.exponent, **fields)
-    pump = preimage_pump(g.instance.mu, dict(g.states[sid].mu_items)[var])
+    pump = preimage_pump(g.instance.mu, dict(g.state(sid).mu_items)[var])
     return PumpingCertificate(case="free_variable", pump=pump, **fields)
 
 
@@ -402,7 +400,7 @@ def pumping_certificate(ins: Instance, graph: SolutionGraph | None = None) -> Pu
     if hit is None:
         return None
     sid, var, wit = hit
-    labels = tuple(g.transitions[t].label for t in _shortest_path(g, g.initial, sid))
+    labels = tuple(map(g.label, _shortest_path(g, g.initial, sid)))
     base = _solve_state(g, sid, _first_accepting_path(g, sid))
     return _certificate(g, sid, var, labels, base, wit.v)
 
@@ -484,10 +482,10 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     frontier = {g.initial}
     for lab in labels:
         frontier = {
-            g.transitions[t].target
+            g.dst[e]
             for at in frontier
-            for t in g.out[at]
-            if g.transitions[t].label == lab
+            for e in g.edges(at)
+            if g.label(e) == lab
         }
         if not frontier:
             raise EquationError("certificate path prefix does not run in the automaton")
@@ -513,7 +511,7 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     if not v_word:
         raise EquationError("certificate word v is empty")
     img = g.state_eval1(sid, v_word)  # the image of v under the base
-    if img not in stab_L(ins.mu.target, dict(g.states[sid].mu_items)[var]):
+    if img not in stab_L(ins.mu.target, dict(g.state(sid).mu_items)[var]):
         raise EquationError("certificate word does not stabilize the variable image")
     cert = _certificate(g, sid, var, labels, base, v_word)
     if data["omega"] != cert.omega_exponent:

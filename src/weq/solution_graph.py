@@ -24,12 +24,23 @@ has a live successor, and a component is kept exactly when its root is live
 as it closes.  A state that reaches no final state reaches no kept state
 either, so descending into it never changes `low` or the stack order of a
 live state, and the kept components close in the order Tarjan's algorithm
-gives them on the trimmed automaton.  Only the kept states are decoded into
-`GraphState`s, renumbered in exploration order, and each kept move into one
-`GraphTransition`.  So the state numbering, the order of each state's
-transitions, the SCC order (and with it the certificate `pumpable_state`
-picks) and the DOT output are those of exploring over token tuples and
-running Tarjan on the trimmed automaton.
+gives them on the trimmed automaton.  The kept states are renumbered in
+exploration order, and each keeps its moves in the order they were made.
+So the state numbering, the order of each state's transitions, the SCC
+order (and with it the certificate `pumpable_state` picks) and the DOT
+output are those of exploring over token tuples and running Tarjan on the
+trimmed automaton.
+
+`SolutionGraph` stores the trimmed automaton as arrays and decodes nothing
+while it is built: the packed key of each kept state, out-offsets `first`
+and integer targets `dst` per edge, the packed label of each edge, and the
+map from packed characters back to tokens.  The verdicts read the SCCs and
+the final states; the path searches walk `first` and `dst`; enumeration
+composes packed labels.  `g.state(sid)` decodes one `GraphState` (memoized
+per graph) and `g.label(e)` one label, which is all that the pumpable-state
+scan and the certificates need.  `g.states`, `g.transitions` and `g.out`
+decode the whole automaton on first access, for `export_dot` and for
+callers that want objects.
 
 A degenerate state whose equation has been consumed entirely is represented
 by a TRUE marker that keeps its variable set; it is accepting once the
@@ -63,8 +74,8 @@ target of order 1 every fold is equal and the test is skipped.  A dead
 state is never co-reachable, so by the argument above the trimmed
 automaton and its numbering stay the same.
 
-`enumerate_solutions` searches pairs of a state and its patterns, the word
-each variable has become under the labels composed so far, and prunes a
+`enumerate_solutions` searches pairs of a state and its patterns, the packed
+word each variable has become under the labels composed so far, and prunes a
 move that pushes a word past the bound B; a substitution never shortens a
 word, so no solution within B is lost.  The search ends with no bound on
 the path length: a move that lengthens no word either deletes an active
@@ -76,8 +87,8 @@ most B*k + n0/2 moves, for k variables and n0 tokens in the equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .equations import (
@@ -92,6 +103,23 @@ class EmptySide(EquationError):
 
 class NotAccepting(EquationError):
     """The given path is not an accepting run of the automaton."""
+
+
+class StateBudgetExceeded(Exception):
+    """`build` interned more states than its budget allows."""
+
+    def __init__(self, count: int, budget: int):
+        super().__init__(f"exploration reached {count} states, budget is {budget}")
+        self.count = count
+        self.budget = budget
+
+
+# the default state budget of `build`.  An interned state, dead ones
+# included, costs about 0.6 KB of RSS while exploring and 0.65 KB at the
+# peak of a finished build (measured at 1.8 to 6 x 10^5 states), so a build
+# stays near 0.7 GB at the cap.  Decoding the whole automaton, as
+# `export_dot` does, costs about 2.3 KB per interned state in all.
+DEFAULT_MAX_STATES = 1_000_000
 
 
 Label = tuple[str, Word] | None  # None = silent head cancellation
@@ -131,27 +159,78 @@ class SccData:
 
 @dataclass
 class SolutionGraph:
+    """The trimmed automaton as arrays: state s is the packed key keys[s],
+    its moves are the edges first[s]:first[s + 1], edge e goes to state
+    dst[e] under the packed label labels[e] ("" for a silent move, else
+    the variable's character followed by its replacement), and token_of
+    maps each packed character back to its token."""
+
     instance: Instance
-    states: list[GraphState]
-    transitions: list[GraphTransition]
-    out: list[list[int]]
+    keys: list[tuple[str, str, tuple[int, ...], bool]]
+    first: list[int]
+    dst: list[int]
+    labels: list[str]
+    token_of: dict[str, str]
     initial: int | None
     finals: frozenset[int]
     scc: SccData
+    _decoded: dict[int, GraphState] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def state_count(self) -> int:
-        return len(self.states)
+        return len(self.keys)
 
     @property
     def transition_count(self) -> int:
-        return len(self.transitions)
+        return len(self.dst)
+
+    def state(self, sid: int) -> GraphState:
+        """State `sid` decoded to tokens, once per graph."""
+        st = self._decoded.get(sid)
+        if st is None:
+            lhs, rhs, images, is_true = self.keys[sid]
+            token = self.token_of.__getitem__
+            mu_items = sorted([(v, e) for v, e in zip(self.instance.symbols.variables, images) if e != -1])
+            st = self._decoded[sid] = GraphState(
+                tuple(map(token, lhs)), tuple(map(token, rhs)),
+                frozenset([v for v, _ in mu_items]), tuple(mu_items), is_true,
+            )
+        return st
+
+    def edges(self, sid: int) -> range:
+        """The ids of the edges out of state `sid`, in the order of its moves."""
+        return range(self.first[sid], self.first[sid + 1])
+
+    def label(self, e: int) -> Label:
+        """The label of edge e decoded to tokens."""
+        lab = self.labels[e]
+        if not lab:
+            return None
+        return self.token_of[lab[0]], tuple(map(self.token_of.__getitem__, lab[1:]))
+
+    @cached_property
+    def states(self) -> list[GraphState]:
+        """Every state decoded, in id order."""
+        return [self.state(sid) for sid in range(len(self.keys))]
+
+    @cached_property
+    def transitions(self) -> list[GraphTransition]:
+        """Every edge decoded, in edge order."""
+        return [
+            GraphTransition(sid, self.dst[e], self.label(e))
+            for sid in range(len(self.keys)) for e in self.edges(sid)
+        ]
+
+    @cached_property
+    def out(self) -> list[list[int]]:
+        """The edges of each state."""
+        return [list(self.edges(sid)) for sid in range(len(self.keys))]
 
     def state_mu(self, sid: int) -> dict[str, int]:
         """Constraint images at a state: original constants plus the state's
         active-variable images."""
         mu = {a: self.instance.mu[a] for a in self.instance.symbols.constants}
-        mu.update(self.states[sid].mu_items)
+        mu.update(self.state(sid).mu_items)
         return mu
 
     def state_eval1(self, sid: int, word) -> int:
@@ -180,10 +259,11 @@ def _left_quotients(sg: FiniteSemigroup) -> dict[tuple[int, int], tuple[int, ...
     return {k: tuple(v) for k, v in table.items()}
 
 
-def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
+def build(ins: Instance, faithful: bool = False, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
     """Breadth-first closure from the initial state under the transition
     schema, on packed words, followed by one pass that trims and finds the
-    SCCs, and the decoding of the kept states."""
+    SCCs; raises StateBudgetExceeded once more than `max_states` states,
+    dead ones included, have been interned."""
     eq = ins.equation
     if not eq.lhs or not eq.rhs:
         raise EmptySide("both sides must be nonempty")
@@ -231,6 +311,8 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
         key = (lhs, rhs, images, true_)
         sid = index.get(key)
         if sid is None:
+            if len(index) >= max_states:
+                raise StateBudgetExceeded(len(index) + 1, max_states)
             if not true_ and (
                 (cancelled and test_images and images_differ(lhs, rhs, images))
                 or (counts and _abelian_refuted(lhs, rhs, var_chars))
@@ -326,7 +408,7 @@ def build(ins: Instance, faithful: bool = False) -> SolutionGraph:
         if images == none_active and (is_true or (len(lhs) == 1 and lhs == rhs and lhs in consts))
     ]
     first.append(len(dsts))
-    del index  # decoding needs only the explored states and their moves
+    del index  # trimming needs only the explored states and their moves
     return _trim(ins, keys, first, dsts, labels, finals, token_of)
 
 
@@ -373,11 +455,11 @@ def _abelian_refuted(lhs: Word | str, rhs: Word | str, varset: frozenset[str] | 
 def _trim(ins, keys, first, dsts, labels, finals, token_of) -> SolutionGraph:
     """Keep the states from which a final state is reachable, renumbered in
     exploration order, find their SCCs in the same Tarjan pass from the
-    initial state 0, and decode the kept states and transitions to tokens.
+    initial state 0, and keep their moves as arrays renumbered the same way.
     A DFS child passes its live flag to its parent as it returns; a state
     whose component has closed gets index n, which no longer lowers `low`."""
     if not finals:  # nothing is co-reachable, as when the initial state is DEAD
-        return SolutionGraph(ins, [], [], [], None, frozenset(), SccData((), (), ()))
+        return SolutionGraph(ins, [], [0], [], [], token_of, None, frozenset(), SccData((), (), ()))
     n = len(keys)
     index_of = [-1] * n
     low = [0] * n
@@ -433,24 +515,23 @@ def _trim(ins, keys, first, dsts, labels, finals, token_of) -> SolutionGraph:
         v, e = w, first[w]
 
     keep = [s for s in range(n) if live[s]]
-    new_id = [DEAD] * n
-    for new, old in enumerate(keep):
-        new_id[old] = new
-    out: list[list[int]] = []
-    transitions: list[GraphTransition] = []
-    decoded: dict[str, Label] = {}
-    for new, old in enumerate(keep):
-        start = len(transitions)
-        for e in range(first[old], first[old + 1]):
-            dst = new_id[dsts[e]]
-            if dst == DEAD:
-                continue
-            lab = labels[e]
-            label = decoded.get(lab)
-            if label is None and lab:
-                label = decoded[lab] = (token_of[lab[0]], tuple(map(token_of.__getitem__, lab[1:])))
-            transitions.append(GraphTransition(new, dst, label))
-        out.append(list(range(start, len(transitions))))
+    new_id = keep
+    if len(keep) < n:  # renumber, dropping the moves to states that are not kept
+        new_id = [DEAD] * n
+        for new, old in enumerate(keep):
+            new_id[old] = new
+        kept_first: list[int] = []
+        kept_dst: list[int] = []
+        kept_labels: list[str] = []
+        for old in keep:
+            kept_first.append(len(kept_dst))
+            for e in range(first[old], first[old + 1]):
+                dst = new_id[dsts[e]]
+                if dst != DEAD:
+                    kept_dst.append(dst)
+                    kept_labels.append(labels[e])
+        kept_first.append(len(kept_dst))
+        keys, first, dsts, labels = [keys[old] for old in keep], kept_first, kept_dst, kept_labels
     comps.reverse()  # topological order
     components = tuple(tuple(sorted(map(new_id.__getitem__, comp))) for comp in comps)
     comp_of = [0] * len(keep)
@@ -458,27 +539,8 @@ def _trim(ins, keys, first, dsts, labels, finals, token_of) -> SolutionGraph:
         for s in comp:
             comp_of[s] = ci
     scc = SccData(components, tuple(comp_of), tuple(reversed(cyclic)))
-
-    variables = ins.symbols.variables
-    token = token_of.__getitem__
-    words: dict[str, Word] = {}
-    active: dict[tuple[int, ...], tuple[frozenset[str], tuple[tuple[str, int], ...]]] = {}
-    states: list[GraphState] = []
-    for old in keep:
-        lhs, rhs, images, is_true = keys[old]
-        varset_mu = active.get(images)
-        if varset_mu is None:
-            mu_items = sorted([(v, e) for v, e in zip(variables, images) if e != -1])
-            varset_mu = active[images] = (frozenset([v for v, _ in mu_items]), tuple(mu_items))
-        lw = words.get(lhs)
-        if lw is None:
-            lw = words[lhs] = tuple(map(token, lhs))
-        rw = words.get(rhs)
-        if rw is None:
-            rw = words[rhs] = tuple(map(token, rhs))
-        states.append(GraphState(lw, rw, *varset_mu, is_true))
     finals_new = frozenset(new_id[f] for f in finals)
-    return SolutionGraph(ins, states, transitions, out, 0, finals_new, scc)
+    return SolutionGraph(ins, keys, first, dsts, labels, token_of, 0, finals_new, scc)
 
 
 def is_solvable(g: SolutionGraph) -> bool:
@@ -509,14 +571,13 @@ def extract_solution(g: SolutionGraph, path) -> Solution:
         raise NotAccepting("the automaton accepts nothing")
     at = g.initial
     labels = []
-    for tid in path:
-        if not 0 <= tid < len(g.transitions):
-            raise NotAccepting(f"no transition {tid}")
-        t = g.transitions[tid]
-        if t.source != at:
-            raise NotAccepting(f"transition {tid} does not start at state {at}")
-        labels.append(t.label)
-        at = t.target
+    for e in path:
+        if not 0 <= e < len(g.dst):
+            raise NotAccepting(f"no transition {e}")
+        if e not in g.edges(at):
+            raise NotAccepting(f"transition {e} does not start at state {at}")
+        labels.append(g.label(e))
+        at = g.dst[e]
     if at not in g.finals:
         raise NotAccepting(f"path ends at non-final state {at}")
     patterns = compose(g.instance.symbols.variables, labels)
@@ -531,35 +592,41 @@ def extract_solution(g: SolutionGraph, path) -> Solution:
 
 def enumerate_solutions(g: SolutionGraph, max_word_len: int) -> list[Solution]:
     """Every solution whose words all have length <= max_word_len, in the
-    oracle's order; the module docstring says why the search ends."""
+    oracle's order; the module docstring says why the search ends.  The
+    patterns stay packed, one `str` per variable, until a final state
+    yields them."""
     if g.initial is None:
         return []
     syms = g.instance.symbols
     variables = syms.variables
-    found: set[Solution] = set()
-    init = (g.initial, tuple((v,) for v in variables))
+    dst, labels, finals = g.dst, g.labels, g.finals
+    found: set[tuple[str, ...]] = set()
+    init = (g.initial, tuple(packing(syms)[0][v] for v in variables))
     seen = {init}
     stack = [init]
     while stack:
         sid, patterns = stack.pop()
-        if sid in g.finals:
-            sol = Solution.from_dict(dict(zip(variables, patterns)))
-            if sol not in found:
-                require_solution(g.instance, sol)
-                found.add(sol)
-        for tid in g.out[sid]:
-            t = g.transitions[tid]
+        if sid in finals:
+            found.add(patterns)
+        for e in g.edges(sid):
+            lab = labels[e]
             nxt = patterns
-            if t.label is not None:
-                var, repl = t.label
-                nxt = tuple([substitute(w, var, repl) for w in patterns])
+            if lab:
+                x, repl = lab[0], lab[1:]
+                nxt = tuple([w.replace(x, repl) for w in patterns])
                 if max(map(len, nxt)) > max_word_len:
                     continue
-            key = (t.target, nxt)
+            key = (dst[e], nxt)
             if key not in seen:
                 seen.add(key)
                 stack.append(key)
-    return sorted(found, key=lambda s: s.sort_key(syms))
+    token = g.token_of.__getitem__
+    sols = []
+    for patterns in found:
+        sol = Solution.from_dict({v: tuple(map(token, w)) for v, w in zip(variables, patterns)})
+        require_solution(g.instance, sol)
+        sols.append(sol)
+    return sorted(sols, key=lambda s: s.sort_key(syms))
 
 
 def export_dot(g: SolutionGraph) -> str:

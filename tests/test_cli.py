@@ -301,6 +301,59 @@ class TestPump:
         assert captured.out == "" and "--m" in captured.err
 
 
+FIVE_VARIABLES = """\
+constants a b
+variables X0 X1 X2 X3 X4
+equation b X2 X3 X4 X3 b X0 b b = X1 X0 X2 X4 X1
+semigroup builtin:trivial
+"""
+
+
+class TestStateBudget:
+    @pytest.mark.parametrize("command", ["check", "infinite", "pump", "solve", "graph"])
+    def test_over_budget_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "five.weq"
+        path.write_text(FIVE_VARIABLES)
+        assert main([command, str(path), "--max-states", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget exceeded" in captured.err and "Traceback" not in captured.err
+
+
+class TestReplay:
+    @pytest.mark.parametrize("equations", [
+        "equation X a b Y = Y b a X\n",
+        "equation X a = a X\nequation Y b = b Y\n",  # a system, reduced to one equation
+    ], ids=["equation", "system"])
+    def test_exit_4_text_reloads_a_file_semigroup(self, tmp_path, capsys, monkeypatch, equations):
+        """The instance text that exit 4 prints is the instance as written,
+        with a semigroup file named by its absolute path, so it replays from
+        another directory."""
+        here = tmp_path / "here"
+        here.mkdir()
+        (here / "g.sg").write_text("semigroup sl\nelements 1 0\ntable\n1 0\n0 0\n")
+        (here / "x.weq").write_text(
+            "constants a b\nvariables X Y\n" + equations + "semigroup file:g.sg\n"
+            "map a -> 1\nmap b -> 1\nmap X -> 1\nmap Y -> 1\n"
+        )
+
+        def miss(g):
+            raise periodicity.TheoremViolation("no pumpable state")
+
+        monkeypatch.setattr(periodicity, "pumpable_state", miss)
+        assert main(["infinite", str(here / "x.weq")]) == 4
+        err = capsys.readouterr().err
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        replay = elsewhere / "replay.weq"
+        replay.write_text("".join(err.splitlines(keepends=True)[1:]))
+        assert parse_instance(replay.read_text()) == parse_instance((here / "x.weq").read_text(),
+                                                                    base_dir=str(here))
+        monkeypatch.chdir(elsewhere)
+        assert main(["check", str(replay)]) in (0, 3, 4)
+        assert "cannot load semigroup" not in capsys.readouterr().err
+
+
 class TestSolveOracleGraph:
     def test_solve_matches_oracle(self, files, capsys):
         assert main(["solve", files["xabby.weq"], "--max-len", "3", "--json"]) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import battery_instances, make_instance, quadratic_equation_battery
 from weq import periodicity
-from weq.equations import EquationError, Solution, exp_solution, parse_instance, verify_solution
+from weq.equations import EquationError, Solution, exp_solution, packing, parse_instance, verify_solution
 from weq.periodicity import (
     NotDLG,
     TheoremViolation,
@@ -21,17 +21,18 @@ from weq.periodicity import (
     simple_cycles,
 )
 from weq.semigroup import ONE, builtin, green, is_dlg
-from weq.solution_graph import GraphState, SccData, SolutionGraph, build
+from weq.solution_graph import SccData, SolutionGraph, build
 
 
 def synthetic_state_graph(ins, lhs, rhs, varset):
     """A single hand-built state for direct shape checks."""
-    st = GraphState(
-        tuple(lhs), tuple(rhs), frozenset(varset),
-        tuple(sorted((v, ins.mu[v]) for v in varset)), False,
+    char_of, token_of = packing(ins.symbols)
+    key = (
+        "".join(map(char_of.get, lhs)), "".join(map(char_of.get, rhs)),
+        tuple(ins.mu[v] if v in varset else -1 for v in ins.symbols.variables), False,
     )
     return SolutionGraph(
-        ins, [st], [], [[]], 0, frozenset(),
+        ins, [key], [0, 0], [], [], token_of, 0, frozenset(),
         SccData(((0,),), (0,), (False,)),
     )
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from collections import deque
+from types import SimpleNamespace
 
 from conftest import make_instance
 from weq.equations import (
@@ -20,6 +21,7 @@ from weq.equations import (
 )
 from weq.hunt import sweep_instances
 from weq.oracle import brute_solutions
+from weq.periodicity import instantiate, pumping_certificate
 from weq.semigroup import builtin, from_table
 from weq.solution_graph import (
     EmptySide,
@@ -27,7 +29,7 @@ from weq.solution_graph import (
     GraphTransition,
     NotAccepting,
     SccData,
-    SolutionGraph,
+    StateBudgetExceeded,
     _abelian_refuted,
     _left_quotients,
     build,
@@ -232,6 +234,30 @@ FIVE_VARIABLES = parse_instance(
 )
 
 
+def test_hot_path_stays_lazy():
+    """The verdicts, a certificate and enumeration decode no more than a few
+    states of the packed automaton."""
+    g = build(FIVE_VARIABLES)
+    assert is_solvable(g) and has_infinitely_many(g)
+    cert = pumping_certificate(FIVE_VARIABLES, graph=g)
+    for m in range(3):
+        instantiate(cert, FIVE_VARIABLES, m)
+    assert enumerate_solutions(g, 2) == list(brute_solutions(FIVE_VARIABLES, 2).solutions)
+    assert not {"states", "transitions", "out"} & set(vars(g))
+    assert len(g._decoded) < 100
+
+
+class TestStateBudget:
+    # FIVE_VARIABLES interns 7,377 states, dead ones included, and keeps 4,591
+    def test_exact_budget_suffices(self):
+        assert build(FIVE_VARIABLES, max_states=7377).state_count == 4591
+
+    def test_budget_error_carries_the_count(self):
+        with pytest.raises(StateBudgetExceeded) as exc:
+            build(FIVE_VARIABLES, max_states=7376)
+        assert (exc.value.count, exc.value.budget) == (7377, 7376)
+
+
 def odd_tokens():
     """XabY=YbaX over tokens with the characters DOT labels use as
     separators and names of several characters, one a prefix of another;
@@ -386,7 +412,8 @@ def reference_build(ins, faithful=False):
     """The solution graph by breadth-first exploration over token tuples,
     with a GraphState and its sorted images built on every visit and the
     trimmed transitions rebuilt from the explored ones: `build` as it was
-    before exploration packed words into strings."""
+    before exploration packed words into strings.  Returns plain lists of
+    states, transitions and each state's transition ids."""
     eq = ins.equation
     if not eq.lhs or not eq.rhs:
         raise EmptySide("both sides must be nonempty")
@@ -497,7 +524,8 @@ def reference_build(ins, faithful=False):
                 co.add(p)
                 frontier.append(p)
     if initial not in co:
-        return SolutionGraph(ins, [], [], [], None, frozenset(), SccData((), (), ()))
+        return SimpleNamespace(states=[], transitions=[], out=[], initial=None,
+                               finals=frozenset(), scc=SccData((), (), ()))
     keep = sorted(co)
     remap = {old: new for new, old in enumerate(keep)}
     new_out = [[] for _ in keep]
@@ -508,9 +536,9 @@ def reference_build(ins, faithful=False):
             if t.target in co:
                 new_out[remap[old]].append(len(new_transitions))
                 new_transitions.append(GraphTransition(remap[t.source], remap[t.target], t.label))
-    g = SolutionGraph(
-        ins, [states[old] for old in keep], new_transitions, new_out, remap[initial],
-        frozenset(remap[f] for f in finals if f in co), SccData((), (), ()),
+    g = SimpleNamespace(
+        states=[states[old] for old in keep], transitions=new_transitions, out=new_out,
+        initial=remap[initial], finals=frozenset(remap[f] for f in finals if f in co),
     )
     g.scc = reference_tarjan(g)
     return g
