@@ -11,6 +11,20 @@ class ParseError(Exception):
         super().__init__(f"line {line}: {message}")
 
 
+class NotText(Exception):
+    """An input file that is not UTF-8 text."""
+
+
+def read_text(path: str) -> str:
+    """The text of the file at `path`, read as UTF-8; a file that is not
+    UTF-8 raises NotText, whose message names it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise NotText(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def logical_lines(text: str, comment: str) -> list[tuple[int, list[str]]]:
     """Split into (line_number, tokens), dropping blanks and comment lines.
 

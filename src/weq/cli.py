@@ -3,11 +3,16 @@
 Exit codes: 0 affirmative, 3 negative, 2 parse/usage error or exhausted
 budget (an oracle assignment budget, or the `--max-states` budget of the
 automaton), 4 unknown verdict or failed guarantee, 5 unsupported instance.
+
+The argument parser is built once per process, on the first `main` call,
+and reused: `parse_args` returns a fresh namespace each time, and the
+`cmd_*` functions look up what they call at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -15,7 +20,7 @@ import time
 
 from . import hunt as hunt_mod
 from . import oracle
-from ._text import ParseError, logical_lines
+from ._text import NotText, ParseError, logical_lines, read_text
 from .equations import (
     EquationError,
     Instance,
@@ -45,8 +50,8 @@ from .solution_graph import (
     DEFAULT_MAX_STATES,
     StateBudgetExceeded,
     build,
+    dot_lines,
     enumerate_solutions,
-    export_dot,
     has_infinitely_many,
     is_solvable,
 )
@@ -63,8 +68,7 @@ def _load(path: str) -> tuple[Instance, Instance, str | None]:
     written, and for a target loaded from a file its spec as an absolute
     `file:` path (None for a builtin), so that `format_instance` of the
     last two reloads the instance from any directory."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     written = parse_instance(text, base_dir=base_dir)
     ins = system_to_single(written) if len(written.equations) > 1 else written
@@ -169,8 +173,9 @@ def cmd_pump(args) -> int:
         with open(args.cert_in, encoding="utf-8") as fh:
             try:
                 cert = load_certificate(ins, json.load(fh), graph=g)
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                # not JSON, or JSON without the certificate's fields and types
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+                # not JSON, JSON nested too deeply to read, or JSON without
+                # the certificate's fields and types
                 raise EquationError(f"malformed certificate {args.cert_in}: {exc!r}") from exc
     else:
         if not has_infinitely_many(g):
@@ -226,12 +231,11 @@ def cmd_solve(args) -> int:
 def cmd_graph(args) -> int:
     ins = args.instance
     g = build(ins, faithful=args.faithful, max_states=args.max_states)
-    dot = export_dot(g)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+            fh.writelines(dot_lines(g))
     else:
-        print(dot, end="")
+        sys.stdout.writelines(dot_lines(g))
     if args.json:
         print(json.dumps(g.summary(), indent=2, sort_keys=True))
     return EXIT_YES
@@ -335,6 +339,7 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="weq",
@@ -433,7 +438,7 @@ def main(argv=None) -> int:
     except (oracle.BudgetExceeded, StateBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EquationError, SemigroupError, OSError) as exc:
+    except (EquationError, SemigroupError, NotText, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

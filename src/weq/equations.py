@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import semigroup as sgmod
-from ._text import ParseError, logical_lines
+from ._text import NotText, ParseError, logical_lines
 from .semigroup import ONE, FiniteSemigroup, adjoin_zero, builtin, resolve_semigroup
 
 Word = tuple[str, ...]
@@ -608,7 +608,7 @@ def parse_instance(text: str, base_dir: str = ".") -> Instance:
     no, spec = sg_spec
     try:
         target = resolve_semigroup(spec, base_dir)
-    except (OSError, ParseError, sgmod.SemigroupError) as exc:
+    except (OSError, NotText, ParseError, sgmod.SemigroupError) as exc:
         raise ParseError(no, f"cannot load semigroup {spec!r}: {exc}") from exc
     syms = SymbolTable(constants, variables)
     eqs = []

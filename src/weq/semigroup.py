@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ._text import ParseError, logical_lines
+from ._text import ParseError, logical_lines, read_text
 
 ONE = -1
 """Pseudo-index of the adjoined identity of S^1 (never a table index)."""
@@ -605,5 +605,4 @@ def resolve_semigroup(spec: str, base_dir: str = ".") -> FiniteSemigroup:
         path = spec
     if not os.path.isabs(path):
         path = os.path.join(base_dir, path)
-    with open(path, encoding="utf-8") as fh:
-        return parse_semigroup(fh.read())
+    return parse_semigroup(read_text(path))

@@ -38,9 +38,9 @@ map from packed characters back to tokens.  The verdicts read the SCCs and
 the final states; the path searches walk `first` and `dst`; enumeration
 composes packed labels.  `g.state(sid)` decodes one `GraphState` (memoized
 per graph) and `g.label(e)` one label, which is all that the pumpable-state
-scan and the certificates need.  `g.states`, `g.transitions` and `g.out`
-decode the whole automaton on first access, for `export_dot` and for
-callers that want objects.
+scan and the certificates need.  `dot_lines` decodes each state and edge as
+it writes its line and keeps none.  `g.states`, `g.transitions` and `g.out`
+decode the whole automaton on first access, for callers that want objects.
 
 A degenerate state whose equation has been consumed entirely is represented
 by a TRUE marker that keeps its variable set; it is accepting once the
@@ -89,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .equations import (
     PACK_BASE, EquationError, Instance, Solution, Word, packing, require_solution, substitute,
@@ -117,8 +117,8 @@ class StateBudgetExceeded(Exception):
 # the default state budget of `build`.  An interned state, dead ones
 # included, costs about 0.6 KB of RSS while exploring and 0.65 KB at the
 # peak of a finished build (measured at 1.8 to 6 x 10^5 states), so a build
-# stays near 0.7 GB at the cap.  Decoding the whole automaton, as
-# `export_dot` does, costs about 2.3 KB per interned state in all.
+# stays near 0.7 GB at the cap.  `dot_lines` decodes one state or edge at
+# a time, so `weq graph` peaks where its build does.
 DEFAULT_MAX_STATES = 1_000_000
 
 
@@ -632,38 +632,44 @@ def enumerate_solutions(g: SolutionGraph, max_word_len: int) -> list[Solution]:
 def export_dot(g: SolutionGraph) -> str:
     """Deterministic DOT rendering: final states double-circled, silent edges
     dashed, nodes ordered by state id."""
-    syms = g.instance.symbols
-    compact = all(len(t) == 1 for t in syms.all_symbols())
+    return "".join(dot_lines(g))
 
-    def word_str(w: Word) -> str:
-        return "".join(w) if compact else " ".join(w)
+
+def dot_lines(g: SolutionGraph) -> Iterator[str]:
+    """The lines of `export_dot(g)`, each with its newline.  Each state and
+    edge is decoded from the arrays as its line is made and is not kept, so
+    writing the lines out holds one line at a time."""
+    syms = g.instance.symbols
+    variables, names = syms.variables, g.instance.mu.target.names
+    token = g.token_of.__getitem__
+    sep = "" if all(len(t) == 1 for t in syms.all_symbols()) else " "
+
+    def word_str(packed: str) -> str:
+        return sep.join(map(token, packed))
 
     def escaped(label: str) -> str:
         return label.replace("\\", "\\\\").replace('"', '\\"')
 
-    lines = ["digraph solution_graph {", "  rankdir=LR;"]
+    yield "digraph solution_graph {\n"
+    yield "  rankdir=LR;\n"
     if g.initial is not None:
-        lines.append("  __start [shape=point];")
-    for sid, st in enumerate(g.states):
-        if st.is_true:
-            eqs = "(true)"
-        else:
-            eqs = f"{word_str(st.lhs)} = {word_str(st.rhs)}"
-        vars_part = ",".join(sorted(st.varset, key=syms.variable_order)) or "-"
-        mu_part = ",".join(
-            f"{v}={g.instance.mu.target.names[e]}" for v, e in st.mu_items
-        ) or "-"
+        yield "  __start [shape=point];\n"
+    for sid, (lhs, rhs, images, is_true) in enumerate(g.keys):
+        eqs = "(true)" if is_true else f"{word_str(lhs)} = {word_str(rhs)}"
+        active = [(v, e) for v, e in zip(variables, images) if e != -1]
+        vars_part = ",".join(v for v, _ in active) or "-"
+        mu_part = ",".join(f"{v}={names[e]}" for v, e in sorted(active)) or "-"
         shape = "doublecircle" if sid in g.finals else "circle"
         label = escaped(f"{eqs} | {vars_part} | {mu_part}")
-        lines.append(f'  q{sid} [shape={shape}, label="{label}"];')
+        yield f'  q{sid} [shape={shape}, label="{label}"];\n'
     if g.initial is not None:
-        lines.append(f"  __start -> q{g.initial};")
-    for t in g.transitions:
-        if t.label is None:
-            lines.append(f'  q{t.source} -> q{t.target} [style=dashed, label="ε"];')
-        else:
-            var, repl = t.label
-            label = escaped(f"{var}->{word_str(repl)}")
-            lines.append(f'  q{t.source} -> q{t.target} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  __start -> q{g.initial};\n"
+    for sid in range(g.state_count):
+        for e in g.edges(sid):
+            lab = g.labels[e]
+            if not lab:
+                yield f'  q{sid} -> q{g.dst[e]} [style=dashed, label="ε"];\n'
+            else:
+                label = escaped(f"{token(lab[0])}->{word_str(lab[1:])}")
+                yield f'  q{sid} -> q{g.dst[e]} [label="{label}"];\n'
+    yield "}\n"

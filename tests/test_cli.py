@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -295,10 +296,98 @@ class TestPump:
         assert main(["pump", files["xabby.weq"], "--cert-in", str(cert)]) == 2
         assert "malformed certificate" in capsys.readouterr().err
 
+    def test_deeply_nested_certificate_is_malformed(self, files, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        cert.write_text("[" * 100000 + "]" * 100000)
+        assert main(["pump", files["xabby.weq"], "--cert-in", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed certificate" in captured.err and "Traceback" not in captured.err
+
     def test_negative_pump_count_exits_2(self, files, capsys):
         assert main(["pump", files["xabby.weq"], "--m", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--m" in captured.err
+
+
+class TestNotText:
+    """An input file that is not UTF-8 ends in exit 2 and a one-line error
+    that names it."""
+
+    def assert_names(self, capsys, name):
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "error:" in captured.err and name in captured.err
+        assert "not UTF-8" in captured.err and len(captured.err.splitlines()) == 1
+
+    def test_instance_file(self, tmp_path, capsys):
+        p = tmp_path / "bad.weq"
+        p.write_bytes(XABBY.encode() + b"; \xff\n")
+        assert main(["check", str(p)]) == 2
+        self.assert_names(capsys, "bad.weq")
+
+    def test_semigroup_file_of_an_instance(self, tmp_path, capsys):
+        (tmp_path / "bad.sg").write_bytes(b"semigroup g\nelements 1\ntable\n1 \xff\n")
+        p = tmp_path / "x.weq"
+        p.write_text("constants a\nvariables X\nequation X a = a X\nsemigroup file:bad.sg\n"
+                     "map a -> 1\nmap X -> 1\n")
+        assert main(["check", str(p)]) == 2
+        self.assert_names(capsys, "bad.sg")
+
+    def test_semigroup_command(self, tmp_path, capsys):
+        p = tmp_path / "bad.sg"
+        p.write_bytes(b"\xff\xfe")
+        assert main(["semigroup", f"file:{p}"]) == 2
+        self.assert_names(capsys, "bad.sg")
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; calls stay independent."""
+
+    def test_later_calls_build_no_parser(self, files, capsys, monkeypatch):
+        assert main(["check", files["xabby.weq"]]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["check", files["xabby.weq"]]) == 0
+        assert main(["pump", files["xabby.weq"], "--m", "1"]) == 0
+        assert main(["frobnicate"]) == 2
+        assert built == []
+
+    def test_defaults_do_not_carry_over(self, files, capsys):
+        def rows(argv):
+            assert main(argv) == 0
+            return [l for l in capsys.readouterr().out.splitlines() if l.startswith("m=")]
+
+        assert len(rows(["pump", files["xabby.weq"], "--m", "5"])) == 6
+        assert len(rows(["pump", files["xabby.weq"]])) == 4
+
+    def test_flags_do_not_carry_over(self, files, capsys):
+        assert main(["check", files["xabby.weq"], "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["solvable"] is True
+        assert main(["check", files["xabby.weq"]]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("equation: ") and out.endswith("\nsatisfiable\n")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["pump", "{xabby}", "--m", "-1"], 2),
+        (["pump", "--m", "2"], 2),
+        (["--help"], 0),
+        (["pump", "--help"], 0),
+    ])
+    def test_usage_exit_leaves_next_call_unchanged(self, files, capsys, argv, code):
+        valid = ["pump", files["xabby.weq"], "--m", "2", "--json"]
+        assert main(valid) == 0
+        expected = capsys.readouterr().out
+        assert main([arg.format(xabby=files["xabby.weq"]) for arg in argv]) == code
+        capsys.readouterr()
+        assert main(valid) == 0
+        assert capsys.readouterr().out == expected
 
 
 FIVE_VARIABLES = """\
