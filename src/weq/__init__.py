@@ -33,9 +33,7 @@ from .periodicity import (
     ExpDecision,
     NotDLG,
     PumpingCertificate,
-    SccAnalysis,
     TheoremViolation,
-    analyze_scc,
     certificate_to_json,
     decide_exp_infinite_dlg,
     find_nicely_balanced_on_cycle,
@@ -44,7 +42,6 @@ from .periodicity import (
     load_certificate,
     pumpable_state,
     pumping_certificate,
-    simple_cycles,
 )
 from .semigroup import (
     ONE,

@@ -63,6 +63,14 @@ EXIT_UNKNOWN = 4
 EXIT_UNSUPPORTED = 5
 
 
+def _file_spec(spec: str, base_dir: str) -> str | None:
+    """A semigroup spec read relative to `base_dir` as an absolute `file:`
+    path, which loads from any directory; None for a builtin."""
+    if spec.startswith("builtin:") or spec in BUILTIN_NAMES:
+        return None
+    return "file:" + os.path.join(base_dir, spec.removeprefix("file:"))
+
+
 def _load(path: str) -> tuple[Instance, Instance, str | None]:
     """The instance in the file reduced to one equation, the instance as
     written, and for a target loaded from a file its spec as an absolute
@@ -73,9 +81,7 @@ def _load(path: str) -> tuple[Instance, Instance, str | None]:
     written = parse_instance(text, base_dir=base_dir)
     ins = system_to_single(written) if len(written.equations) > 1 else written
     spec = [toks[1] for _, toks in logical_lines(text, comment=";") if toks[0] == "semigroup"][-1]
-    if spec.startswith("builtin:") or spec in BUILTIN_NAMES:
-        return ins, written, None
-    return ins, written, "file:" + os.path.join(base_dir, spec.removeprefix("file:"))
+    return ins, written, _file_spec(spec, base_dir)
 
 
 def _instance_summary(ins: Instance) -> dict:
@@ -123,7 +129,7 @@ def _run_report(args) -> dict:
     if crosscheck is not None:
         t0 = time.perf_counter()
         rep = oracle.brute_solutions(ins, crosscheck)
-        enum = enumerate_solutions(g, max_word_len=crosscheck)
+        enum = enumerate_solutions(g, max_word_len=crosscheck, max_states=args.max_states)
         report["oracle_crosscheck"] = {
             "bound": crosscheck,
             "oracle_count": len(rep.solutions),
@@ -214,7 +220,7 @@ def cmd_pump(args) -> int:
 def cmd_solve(args) -> int:
     ins = args.instance
     g = build(ins, faithful=args.faithful, max_states=args.max_states)
-    sols = enumerate_solutions(g, max_word_len=args.max_len)
+    sols = enumerate_solutions(g, max_word_len=args.max_len, max_states=args.max_states)
     if args.json:
         print(json.dumps({
             "instance": _instance_summary(ins),
@@ -310,11 +316,13 @@ def cmd_semigroup(args) -> int:
 
 def cmd_hunt(args) -> int:
     sg = resolve_semigroup(args.semigroup, base_dir=os.getcwd())
+    # a file target by its absolute path, so that findings replay anywhere
+    sg_spec = _file_spec(args.semigroup, os.getcwd()) or args.semigroup
     try:
         report = hunt_mod.run_hunt(
             sg, args.sigma, args.vars, args.max_len,
             budget=args.budget, seed=args.seed,
-            findings_path=args.out, sg_spec=args.semigroup,
+            findings_path=args.out, sg_spec=sg_spec,
         )
         code = EXIT_YES
     except hunt_mod.BudgetExceeded as exc:
@@ -352,8 +360,10 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if graph:
             sp.add_argument("--max-states", type=_int_in(1), default=DEFAULT_MAX_STATES, metavar="N",
-                            help="give up once the automaton has more than N states, "
-                                 "dead ones included (default %(default)s)")
+                            help="give up once the automaton has more than N states, dead ones "
+                                 "included, or the enumeration of solve and --crosscheck more than "
+                                 "N (state, patterns) pairs (default %(default)s: at most about "
+                                 "0.7 GB RSS for the automaton, 0.5 GB for the enumeration)")
         if crosscheck:
             sp.add_argument("--crosscheck", type=_int_in(1), default=None, metavar="L",
                             help="also compare against the brute-force oracle up to length L")

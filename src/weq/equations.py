@@ -69,9 +69,6 @@ class SymbolTable:
     def is_constant(self, tok: str) -> bool:
         return tok in self.constant_set
 
-    def is_variable(self, tok: str) -> bool:
-        return tok in self.variable_set
-
     def all_symbols(self) -> tuple[str, ...]:
         return self.constants + self.variables
 

@@ -2,10 +2,11 @@
 
 Detects states that admit pumping (a head variable whose opposite-side
 prefix stabilizes its constraint image, or a variable with an infinite
-constraint language that is absent from the equation), analyzes the
-invariants of strongly connected components, and assembles reusable
-certificates that instantiate to solutions of arbitrarily large exponent
-of periodicity.
+constraint language that is absent from the equation), scans the cyclic
+components for the first such state, and assembles reusable certificates
+that instantiate to solutions of arbitrarily large exponent of
+periodicity.  The component invariants of the paper's proof are not needed
+for this; the tests check them against a reference implementation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .equations import (
     preimage_pump,
     require_solution,
 )
-from .semigroup import green, is_dlg, omega, stab_L
+from .semigroup import is_dlg, omega, stab_L
 from .solution_graph import SolutionGraph, build, compose
 
 
@@ -77,137 +78,10 @@ def is_nicely_balanced(g: SolutionGraph, sid: int, var: str) -> BalanceWitness |
 
 
 # ---------------------------------------------------------------------------
-# SCC invariants
-
-
-@dataclass(frozen=True)
-class StatePlayground:
-    prefix_lhs: Word
-    prefix_rhs: Word
-    size: int
-    players: frozenset[str]
-    balanced: frozenset[str]
-    unbalanced: frozenset[str]
-
-
-@dataclass
-class SccAnalysis:
-    component: tuple[int, ...]
-    leading_J: frozenset[int] | None
-    leading_stab: frozenset[int] | None
-    per_state: dict[int, StatePlayground]
-    violations: tuple[str, ...]
-
-
-def _head_j_candidates(g: SolutionGraph, gr, sid: int, comp: set[int]) -> tuple[list[int], list[str]]:
-    """J-class indices contributing to a state's leading J-class, plus any
-    structural violations found."""
-    st = g.state(sid)
-    syms = g.instance.symbols
-    mu = g.state_mu(sid)
-    violations: list[str] = []
-    if st.is_true:
-        # no heads; use the variables driving the in-component transitions
-        cands = []
-        for e in g.edges(sid):
-            label = g.label(e)
-            if g.scc.comp_of[g.dst[e]] != g.scc.comp_of[sid] or label is None:
-                continue
-            cands.append(gr.indexJ[mu[label[0]]])
-        if not cands:
-            violations.append(f"state {sid}: no in-component transition to read a class from")
-        return sorted(set(cands)), violations
-    heads = (st.lhs[0], st.rhs[0])
-    var_heads = [h for h in heads if syms.is_variable(h)]
-    if not var_heads:
-        violations.append(f"state {sid}: both heads are constants inside a cyclic component")
-        return sorted({gr.indexJ[mu[h]] for h in heads}), violations
-    if len(var_heads) == 1:
-        return [gr.indexJ[mu[var_heads[0]]]], violations
-    return sorted({gr.indexJ[mu[h]] for h in var_heads}), violations
-
-
-def analyze_scc(g: SolutionGraph, comp_index: int) -> SccAnalysis:
-    """Leading J-class, leading stabilizer, playgrounds and players of one
-    strongly connected component that contains a transition.
-
-    When the constraint target is in the supported variety the cross-state
-    invariants are asserted; otherwise failures are reported in
-    `violations`.
-    """
-    if not g.scc.has_transition[comp_index]:
-        raise EquationError("component has no transition; nothing to analyze")
-    comp = g.scc.components[comp_index]
-    comp_set = set(comp)
-    target = g.instance.mu.target
-    gr = green(target)
-    violations: list[str] = []
-
-    leading_per_state: dict[int, int | None] = {}
-    for sid in comp:
-        cands, vio = _head_j_candidates(g, gr, sid, comp_set)
-        violations.extend(vio)
-        if not cands:
-            leading_per_state[sid] = None
-            continue
-        reps = [gr.classesJ[c][0] for c in cands]
-        mins = [
-            c for c, r in zip(cands, reps)
-            if all(gr.leq_J(r, r2) for r2 in reps)
-        ]
-        if not mins:
-            violations.append(f"state {sid}: head J-classes are incomparable")
-            leading_per_state[sid] = min(cands)
-        else:
-            leading_per_state[sid] = mins[0]
-    values = {v for v in leading_per_state.values() if v is not None}
-    if len(values) > 1:
-        violations.append(f"leading J-class differs across states: {sorted(values)}")
-    leading = min(values) if values else None
-    leading_J = frozenset(gr.classesJ[leading]) if leading is not None else None
-    leading_stab = stab_L(target, gr.classesJ[leading][0]) if leading is not None else None
-
-    per_state: dict[int, StatePlayground] = {}
-    for sid in comp:
-        st = g.state(sid)
-        mu = g.state_mu(sid)
-
-        def prefix(word: Word) -> Word:
-            for i, tok in enumerate(word):
-                if leading_stab is None or mu[tok] not in leading_stab:
-                    return word[:i + 1]
-            return word
-
-        pl, pr = prefix(st.lhs), prefix(st.rhs)
-        body = pl + pr
-        players = frozenset(
-            v for v in st.varset
-            if leading is not None
-            and gr.indexJ[mu[v]] == leading
-            and body.count(v) == 2
-            and preimage_infinite(g.instance.mu, mu[v])
-        )
-        balanced = frozenset(v for v in players if pl.count(v) == 1 and pr.count(v) == 1)
-        per_state[sid] = StatePlayground(
-            pl, pr, len(body), players, balanced, players - balanced,
-        )
-    sizes = {p.size for p in per_state.values()}
-    players_sets = {p.players for p in per_state.values()}
-    if len(sizes) > 1:
-        violations.append(f"playground size differs across states: {sorted(sizes)}")
-    if len(players_sets) > 1:
-        violations.append("player sets differ across states")
-    if violations and is_dlg(target):
-        raise TheoremViolation(
-            f"component invariants failed under supported constraints: {violations}"
-        )
-    return SccAnalysis(comp, leading_J, leading_stab, per_state, tuple(violations))
-
-
-# ---------------------------------------------------------------------------
 # cycles
 
 
+# no caller in the library; kept because the tracer in perfbench/spans.py wraps it by name
 def simple_cycles(g: SolutionGraph, max_len: int = 20, max_count: int = 10000) -> list[tuple[int, ...]]:
     """Simple cycles (as state sequences, repetition of the anchor implied),
     grouped by component in topological order, then ordered by length and by

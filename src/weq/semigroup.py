@@ -57,14 +57,6 @@ class FiniteSemigroup:
     def order(self) -> int:
         return len(self.names)
 
-    @property
-    def has_adjoined_identity(self) -> bool:
-        return self.adjoined_identity is not None
-
-    @property
-    def has_adjoined_zero(self) -> bool:
-        return self.adjoined_zero is not None
-
     def elements(self) -> range:
         return range(len(self.names))
 
@@ -200,9 +192,6 @@ def _omega_vector(sg: FiniteSemigroup) -> list[int]:
 
 @dataclass(frozen=True)
 class GreenData:
-    leqL: tuple[tuple[bool, ...], ...]
-    leqR: tuple[tuple[bool, ...], ...]
-    leqJ: tuple[tuple[bool, ...], ...]
     classesL: tuple[tuple[int, ...], ...]
     classesR: tuple[tuple[int, ...], ...]
     classesJ: tuple[tuple[int, ...], ...]
@@ -214,26 +203,8 @@ class GreenData:
     indexJ: tuple[int, ...]
     indexH: tuple[int, ...]
 
-    def L_of(self, x: int) -> tuple[int, ...]:
-        return self.classesL[self.indexL[x]]
-
-    def R_of(self, x: int) -> tuple[int, ...]:
-        return self.classesR[self.indexR[x]]
-
-    def J_of(self, x: int) -> tuple[int, ...]:
-        return self.classesJ[self.indexJ[x]]
-
     def same_L(self, x: int, y: int) -> bool:
         return self.indexL[x] == self.indexL[y]
-
-    def same_J(self, x: int, y: int) -> bool:
-        return self.indexJ[x] == self.indexJ[y]
-
-    def leq_J(self, x: int, y: int) -> bool:
-        return self.leqJ[x][y]
-
-    def leq_R(self, x: int, y: int) -> bool:
-        return self.leqR[x][y]
 
 
 def _partition(keys: list) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -264,16 +235,12 @@ def green(sg: FiniteSemigroup) -> GreenData:
     for y in rng:
         left = Lsets[y]
         Jsets.append(frozenset(left | {T[b][v] for b in left for v in rng}))
-    leqL = tuple(tuple(x in Lsets[y] for y in rng) for x in rng)
-    leqR = tuple(tuple(x in Rsets[y] for y in rng) for x in rng)
-    leqJ = tuple(tuple(x in Jsets[y] for y in rng) for x in rng)
     classesL, indexL = _partition(Lsets)
     classesR, indexR = _partition(Rsets)
     classesJ, indexJ = _partition(Jsets)
     classesH, indexH = _partition(list(zip(Lsets, Rsets)))
     regularD = tuple(any(sg.is_idempotent(x) for x in cls) for cls in classesJ)
     return GreenData(
-        leqL, leqR, leqJ,
         classesL, classesR, classesJ, classesH, classesJ,
         regularD, indexL, indexR, indexJ, indexH,
     )

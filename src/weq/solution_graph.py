@@ -82,7 +82,10 @@ the path length: a move that lengthens no word either deletes an active
 variable or is silent and shortens the state by two tokens, neither count
 ever grows, and every active variable occurs in its own pattern, so a
 keeping move x -> alpha x lengthens a word.  A path within B thus has at
-most B*k + n0/2 moves, for k variables and n0 tokens in the equation.
+most B*k + n0/2 moves, for k variables and n0 tokens in the equation.  The
+number of pairs can still grow exponentially in B (X Y = Y X doubles it
+with each step of B), so the pairs the search interns count against the
+same `max_states` budget as the states of `build`.
 """
 
 from __future__ import annotations
@@ -106,7 +109,8 @@ class NotAccepting(EquationError):
 
 
 class StateBudgetExceeded(Exception):
-    """`build` interned more states than its budget allows."""
+    """`build` interned more states, or `enumerate_solutions` more (state,
+    patterns) pairs, than the budget allows."""
 
     def __init__(self, count: int, budget: int):
         super().__init__(f"exploration reached {count} states, budget is {budget}")
@@ -142,12 +146,6 @@ class GraphTransition(NamedTuple):
     source: int
     target: int
     label: Label
-
-    def label_str(self) -> str:
-        if self.label is None:
-            return "eps"
-        var, repl = self.label
-        return f"{var}->{''.join(repl)}"
 
 
 @dataclass
@@ -590,11 +588,14 @@ def extract_solution(g: SolutionGraph, path) -> Solution:
     return sol
 
 
-def enumerate_solutions(g: SolutionGraph, max_word_len: int) -> list[Solution]:
+def enumerate_solutions(
+    g: SolutionGraph, max_word_len: int, max_states: int = DEFAULT_MAX_STATES
+) -> list[Solution]:
     """Every solution whose words all have length <= max_word_len, in the
     oracle's order; the module docstring says why the search ends.  The
     patterns stay packed, one `str` per variable, until a final state
-    yields them."""
+    yields them.  Raises StateBudgetExceeded once more than `max_states`
+    (state, patterns) pairs are interned."""
     if g.initial is None:
         return []
     syms = g.instance.symbols
@@ -618,6 +619,8 @@ def enumerate_solutions(g: SolutionGraph, max_word_len: int) -> list[Solution]:
                     continue
             key = (dst[e], nxt)
             if key not in seen:
+                if len(seen) >= max_states:
+                    raise StateBudgetExceeded(len(seen) + 1, max_states)
                 seen.add(key)
                 stack.append(key)
     token = g.token_of.__getitem__

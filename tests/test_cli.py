@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from weq import periodicity
+from weq import hunt, periodicity
 from weq.cli import main
 from weq.equations import format_instance, parse_instance
 
@@ -408,6 +408,21 @@ class TestStateBudget:
         assert captured.out == ""
         assert "budget exceeded" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--max-len", "12", "--max-states", "1000"],
+        ["check", "--crosscheck", "6", "--max-states", "300"],
+    ], ids=["solve", "crosscheck"])
+    def test_enumeration_over_budget_exits_2(self, tmp_path, capsys, argv):
+        """The automaton of X Y = Y X has 6 states, but the (state, patterns)
+        pairs its enumeration searches double with each step of the length
+        bound: 17,925 at length 12."""
+        path = tmp_path / "xy.weq"
+        path.write_text("constants a b\nvariables X Y\nequation X Y = Y X\nsemigroup builtin:trivial\n")
+        assert main([argv[0], str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget exceeded" in captured.err and "Traceback" not in captured.err
+
 
 class TestReplay:
     @pytest.mark.parametrize("equations", [
@@ -572,6 +587,25 @@ class TestHunt:
         assert json.loads(capsys.readouterr().out)["total"] == 2
         assert main(["hunt", "--sigma", "8", "--vars", "6", "--max-len", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["total"] > 2
+
+    def test_findings_with_a_relative_file_target_replay_elsewhere(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        """A findings line names a semigroup file by its absolute path, so
+        `weq check` reloads it from another directory."""
+        (tmp_path / "tables").mkdir()
+        (tmp_path / "tables" / "t2.sg").write_text("semigroup sl\nelements 1 0\ntable\n1 0\n0 0\n")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(hunt, "classify", lambda ins: ("Suspect", {}))
+        assert main(["hunt", "--sigma", "1", "--vars", "1", "--max-len", "2",
+                     "--semigroup", "file:tables/t2.sg", "--out", "elsewhere/f.jsonl"]) == 0
+        lines = (tmp_path / "elsewhere" / "f.jsonl").read_text().splitlines()
+        assert lines
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        for k, line in enumerate(lines):
+            Path(f"{k}.weq").write_text(json.loads(line)["instance"])
+            assert main(["check", f"{k}.weq"]) in (0, 3, 4)
+        assert "cannot load semigroup" not in capsys.readouterr().err
 
     def test_seeded_runs_agree(self, capsys):
         args = ["hunt", "--sigma", "2", "--vars", "1", "--max-len", "3",

@@ -205,7 +205,7 @@ class TestSystemToSingle:
         out = system_to_single(ins)
         eq = out.equation
         assert eq.lhs == ("X", "a", "#") and eq.rhs == ("a", "X", "#")
-        assert out.mu.target.has_adjoined_zero
+        assert out.mu.target.adjoined_zero is not None
         assert out.mu["#"] == out.mu.target.adjoined_zero
 
     def test_two_equations(self):

@@ -4,12 +4,12 @@ import json
 import pytest
 
 from conftest import battery_instances, make_instance, quadratic_equation_battery
+from scc_reference import leq_J, scc_invariants
 from weq import periodicity
 from weq.equations import EquationError, Solution, exp_solution, packing, parse_instance, verify_solution
 from weq.periodicity import (
     NotDLG,
     TheoremViolation,
-    analyze_scc,
     certificate_to_json,
     decide_exp_infinite_dlg,
     find_nicely_balanced_on_cycle,
@@ -89,10 +89,9 @@ class TestSccAnalysis:
     def test_trivial_constraints_full_playground(self):
         g = build(make_instance("XabY=YbaX"))
         comp = next(i for i, h in enumerate(g.scc.has_transition) if h)
-        an = analyze_scc(g, comp)
+        an = scc_invariants(g, comp)
         assert an.leading_J == frozenset({0})
         assert an.leading_stab == frozenset({ONE, 0})
-        assert not an.violations
         pg = an.per_state[g.initial]
         assert pg.size == 8
         assert pg.players == {"X", "Y"} == pg.balanced
@@ -102,33 +101,18 @@ class TestSccAnalysis:
                             mapping={"a": "x", "X": "0", "Y": "0"})
         g = build(ins)
         comp = next(i for i, h in enumerate(g.scc.has_transition) if h)
-        an = analyze_scc(g, comp)
+        an = scc_invariants(g, comp)
         zero = builtin("n2").index_of("0")
         assert an.leading_J == frozenset({zero})
         assert len(an.leading_stab) == 3  # all of the target plus the identity
         pg = next(iter(an.per_state.values()))
         assert pg.players == {"X", "Y"}
 
-    def test_requires_cyclic_component(self):
-        g = build(make_instance("Xa=aX"))
-        lonely = next(i for i, h in enumerate(g.scc.has_transition) if not h)
-        with pytest.raises(EquationError):
-            analyze_scc(g, lonely)
-
     def test_true_state_component(self):
         g = build(make_instance("X=Y"))
         comp = next(i for i, h in enumerate(g.scc.has_transition) if h)
-        an = analyze_scc(g, comp)
-        assert not an.violations
+        an = scc_invariants(g, comp)
         assert all(p.size == 0 for p in an.per_state.values())
-
-    def test_non_dlg_reports_instead_of_raising(self):
-        ins = make_instance("XabY=YbaX", sg=builtin("lz2"),
-                            mapping={"a": "a", "b": "a", "X": "a", "Y": "a"})
-        g = build(ins)
-        cyclic = [i for i, h in enumerate(g.scc.has_transition) if h]
-        for comp in cyclic:
-            analyze_scc(g, comp)  # must not raise
 
 
 class TestCycles:
@@ -244,7 +228,7 @@ class TestCertificates:
         cyclic = [i for i, h in enumerate(g.scc.has_transition) if h]
         for _ in range(3):
             for ci in cyclic:
-                analyze_scc(g, ci)
+                scc_invariants(g, ci)
             pumping_certificate(ins, graph=g)
             find_nicely_balanced_on_cycle(g, g.scc.components[cyclic[0]])
             decide_exp_infinite_dlg(ins, graph=g)
@@ -316,15 +300,14 @@ class TestAbsentVariableComponents:
         # absent-variable rule; the component analysis must survive targets
         # whose J-order is not a chain
         from weq.equations import ConstraintMorphism, Instance, SymbolTable
-        from weq.semigroup import builtin, direct_product, green, is_dlg
+        from weq.semigroup import builtin, direct_product, is_dlg
         from weq.solution_graph import has_infinitely_many
         from conftest import compact_equation
 
         sg = direct_product(builtin("sl2"), builtin("sl2"))
         assert is_dlg(sg).holds
-        gr = green(sg)
         assert any(
-            not gr.leq_J(x, y) and not gr.leq_J(y, x)
+            not leq_J(sg, x, y) and not leq_J(sg, y, x)
             for x in sg.elements() for y in sg.elements()
         )
         syms = SymbolTable(("a", "b"), ("X", "Y"))
@@ -337,8 +320,7 @@ class TestAbsentVariableComponents:
                 g = build(ins)
                 cyclic = [i for i, h in enumerate(g.scc.has_transition) if h]
                 for ci in cyclic:
-                    an = analyze_scc(g, ci)
-                    assert not an.violations
+                    scc_invariants(g, ci)  # asserts the invariants
                 if cyclic:
                     cert = pumping_certificate(ins, graph=g)
                     assert cert is not None

@@ -104,9 +104,9 @@ class TestGreen:
     def test_b2_classes(self):
         b2 = builtin("b2")
         gr = green(b2)
-        assert names_of(b2, gr.L_of(0)) == ["a", "ba"]
-        assert names_of(b2, gr.R_of(0)) == ["a", "ab"]
-        assert names_of(b2, gr.J_of(0)) == ["a", "ab", "b", "ba"]
+        assert names_of(b2, gr.classesL[gr.indexL[0]]) == ["a", "ba"]
+        assert names_of(b2, gr.classesR[gr.indexR[0]]) == ["a", "ab"]
+        assert names_of(b2, gr.classesJ[gr.indexJ[0]]) == ["a", "ab", "b", "ba"]
         assert gr.regularD == (True, True)
 
     def test_regularity_equivalences(self, zoo_members):
@@ -117,10 +117,10 @@ class TestGreen:
             for di, dcls in enumerate(gr.classesD):
                 has_idem = gr.regularD[di]
                 l_ok = all(
-                    any(sg.is_idempotent(e) for e in gr.L_of(x)) for x in dcls
+                    any(sg.is_idempotent(e) for e in gr.classesL[gr.indexL[x]]) for x in dcls
                 )
                 r_ok = all(
-                    any(sg.is_idempotent(e) for e in gr.R_of(x)) for x in dcls
+                    any(sg.is_idempotent(e) for e in gr.classesR[gr.indexR[x]]) for x in dcls
                 )
                 elem_ok = all(
                     any(sg.mul(sg.mul(x, y), x) == x for y in sg.elements()) for x in dcls
@@ -131,7 +131,7 @@ class TestGreen:
         for name, sg in zoo_members:
             gr = green(sg)
             for x in sg.elements():
-                expect = set(gr.L_of(x)) & set(gr.R_of(x))
+                expect = set(gr.classesL[gr.indexL[x]]) & set(gr.classesR[gr.indexR[x]])
                 assert set(gr.classesH[gr.indexH[x]]) == expect
 
 
@@ -184,7 +184,7 @@ class TestDlg:
                         for v in st:
                             assert sg.mul1(u, v) in st or sg.mul1(u, v) == ONE, name
                     for y in sg.elements():
-                        if gr.same_J(x, y):
+                        if gr.indexJ[x] == gr.indexJ[y]:
                             assert stabs[x] == stabs[y], name
                 for u in sg.elements():
                     for x in sg.elements():
@@ -241,13 +241,13 @@ class TestStructure:
     def test_adjoin_identity(self):
         sg = adjoin_identity(builtin("n2"))
         e = sg.adjoined_identity
-        assert sg.has_adjoined_identity
+        assert e is not None
         assert all(sg.mul(e, x) == x == sg.mul(x, e) for x in sg.elements())
 
     def test_adjoin_zero(self):
         sg = adjoin_zero(builtin("z2"))
         z = sg.adjoined_zero
-        assert sg.has_adjoined_zero
+        assert z is not None
         assert all(sg.mul(z, x) == z == sg.mul(x, z) for x in sg.elements())
 
     def test_direct_product_orders(self):

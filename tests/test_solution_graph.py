@@ -45,6 +45,10 @@ def state_strs(g):
     return {st.equation_str() for st in g.states}
 
 
+def label_str(t):
+    return "eps" if t.label is None else f"{t.label[0]}->{''.join(t.label[1])}"
+
+
 def find_state(g, s):
     for i, st in enumerate(g.states):
         if st.equation_str() == s:
@@ -56,7 +60,7 @@ class TestBuild:
     def test_xa_ax_cycle_and_exit(self):
         g = build(make_instance("Xa=aX"))
         sid = find_state(g, "X a = a X")
-        labels = {g.transitions[t].label_str(): g.transitions[t].target for t in g.out[sid]}
+        labels = {label_str(g.transitions[t]): g.transitions[t].target for t in g.out[sid]}
         assert labels.get("X->aX") == sid  # self-reachable cycle
         assert "X->a" in labels
         assert has_infinitely_many(g)
@@ -66,7 +70,7 @@ class TestBuild:
                             mapping={"a": "x", "X": "x"})
         g = build(ins)
         sid = g.initial
-        labels = [g.transitions[t].label_str() for t in g.out[sid]]
+        labels = [label_str(g.transitions[t]) for t in g.out[sid]]
         assert labels == ["X->a"]
         assert not has_infinitely_many(g)
 

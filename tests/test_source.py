@@ -1,6 +1,8 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weq"
@@ -43,3 +45,20 @@ def test_no_self_recursion():
         if isinstance(node, ast.Call) and called_name(node) == fn.name
     ]
     assert found == []
+
+
+def test_tracer_names_resolve():
+    """The benchmark's tracer wraps library functions by name and looks
+    them up with `getattr`, so a renamed or deleted function breaks
+    `perfbench/run.py --trace 1`; every name it lists must resolve."""
+    path = SRC.parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped = set()
+    for layer, (modname, functions, _) in spans.LAYERS.items():
+        module = importlib.import_module(modname)
+        for fname in functions:
+            assert callable(getattr(module, fname, None)), f"{modname}.{fname}"
+            wrapped.add(f"{layer}.{fname}")
+    assert set(spans.COUNTERS) <= wrapped
