@@ -99,7 +99,7 @@ def _run_report(args) -> dict:
     ins, crosscheck = args.instance, args.crosscheck
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    g = build(ins, faithful=args.faithful, max_states=args.max_states)
+    g = build(ins, max_states=args.max_states)
     timings["build"] = time.perf_counter() - t0
     solvable = is_solvable(g)
     infinite = has_infinitely_many(g)
@@ -219,7 +219,7 @@ def cmd_pump(args) -> int:
 
 def cmd_solve(args) -> int:
     ins = args.instance
-    g = build(ins, faithful=args.faithful, max_states=args.max_states)
+    g = build(ins, max_states=args.max_states)
     sols = enumerate_solutions(g, max_word_len=args.max_len, max_states=args.max_states)
     if args.json:
         print(json.dumps({
@@ -236,7 +236,7 @@ def cmd_solve(args) -> int:
 
 def cmd_graph(args) -> int:
     ins = args.instance
-    g = build(ins, faithful=args.faithful, max_states=args.max_states)
+    g = build(ins, max_states=args.max_states)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.writelines(dot_lines(g))
@@ -355,7 +355,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, crosscheck=False, faithful=False, graph=True):
+    def common(sp, crosscheck=False, graph=True):
         sp.add_argument("path", help="instance file")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if graph:
@@ -367,16 +367,13 @@ def make_parser() -> argparse.ArgumentParser:
         if crosscheck:
             sp.add_argument("--crosscheck", type=_int_in(1), default=None, metavar="L",
                             help="also compare against the brute-force oracle up to length L")
-        if faithful:
-            sp.add_argument("--faithful", action="store_true",
-                            help="fire the absent-variable rule for every variable, not just the first")
 
     sp = sub.add_parser("check", help="decide satisfiability")
-    common(sp, crosscheck=True, faithful=True)
+    common(sp, crosscheck=True)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("infinite", help="decide whether infinitely many solutions exist")
-    common(sp, crosscheck=True, faithful=True)
+    common(sp, crosscheck=True)
     sp.set_defaults(func=cmd_infinite)
 
     sp = sub.add_parser("pump", help="emit pumped solutions of growing exponent")
@@ -387,12 +384,12 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_pump)
 
     sp = sub.add_parser("solve", help="enumerate solutions up to a word length")
-    common(sp, faithful=True)
+    common(sp)
     sp.add_argument("--max-len", type=_int_in(1), default=4, metavar="L")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("graph", help="export the solution automaton as DOT")
-    common(sp, faithful=True)
+    common(sp)
     sp.add_argument("--dot", metavar="FILE", help="output file (default: stdout)")
     sp.set_defaults(func=cmd_graph)
 

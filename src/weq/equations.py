@@ -408,13 +408,14 @@ def preimage_pump(mu: ConstraintMorphism, s: int) -> tuple[Word, Word, Word] | N
 # fresh tokens and instance-level reductions
 
 
-def fresh_constant(taken, base: str = "#") -> str:
-    if base not in taken:
-        return base
+def fresh_constant(taken) -> str:
+    """`#`, or the first of `#1`, `#2`, ... that is not taken."""
+    if "#" not in taken:
+        return "#"
     i = 1
-    while f"{base}{i}" in taken:
+    while f"#{i}" in taken:
         i += 1
-    return f"{base}{i}"
+    return f"#{i}"
 
 
 def fresh_variables(taken, count: int) -> list[str]:

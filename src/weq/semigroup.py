@@ -49,8 +49,6 @@ class InternalDisagreement(SemigroupError):
 class FiniteSemigroup:
     names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
-    adjoined_identity: int | None = None
-    adjoined_zero: int | None = None
     label: str = field(default="", compare=False)
 
     @property
@@ -110,13 +108,7 @@ class FiniteSemigroup:
         return f"FiniteSemigroup({tag})"
 
 
-def from_table(
-    names,
-    table,
-    adjoined_identity: int | None = None,
-    adjoined_zero: int | None = None,
-    label: str = "",
-) -> FiniteSemigroup:
+def from_table(names, table, label: str = "") -> FiniteSemigroup:
     """Build and eagerly validate a semigroup from a multiplication table.
 
     Raises BadIndex on shape/entry problems and NonAssociative with the
@@ -145,16 +137,7 @@ def from_table(
             for z in rng:
                 if row_xy[z] != rx[row_y[z]]:
                     raise NonAssociative(x, y, z, names)
-    sg = FiniteSemigroup(names, rows, adjoined_identity, adjoined_zero, label)
-    if adjoined_identity is not None:
-        e = adjoined_identity
-        if not 0 <= e < n or any(rows[e][x] != x or rows[x][e] != x for x in rng):
-            raise BadIndex("designated identity is not neutral")
-    if adjoined_zero is not None:
-        z = adjoined_zero
-        if not 0 <= z < n or any(rows[z][x] != z or rows[x][z] != z for x in rng):
-            raise BadIndex("designated zero is not absorbing")
-    return sg
+    return FiniteSemigroup(names, rows, label)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +375,7 @@ def opposite(sg: FiniteSemigroup) -> FiniteSemigroup:
     n = sg.order
     table = tuple(tuple(sg.table[y][x] for y in range(n)) for x in range(n))
     label = f"{sg.label}^op" if sg.label else ""
-    return FiniteSemigroup(sg.names, table, sg.adjoined_identity, sg.adjoined_zero, label)
+    return FiniteSemigroup(sg.names, table, label)
 
 
 def _fresh_name(taken, base: str) -> str:
@@ -402,28 +385,22 @@ def _fresh_name(taken, base: str) -> str:
     return name
 
 
-def adjoin_identity(sg: FiniteSemigroup, name: str | None = None) -> FiniteSemigroup:
+def adjoin_identity(sg: FiniteSemigroup) -> FiniteSemigroup:
+    """S with a new last element `1` (primed until new) as its identity."""
     n = sg.order
-    name = name if name is not None else _fresh_name(sg.names, "1")
     rows = [list(row) + [i] for i, row in enumerate(sg.table)]
     rows.append(list(range(n + 1)))
     label = f"{sg.label}+1" if sg.label else ""
-    return FiniteSemigroup(
-        sg.names + (name,), tuple(tuple(r) for r in rows),
-        adjoined_identity=n, adjoined_zero=sg.adjoined_zero, label=label,
-    )
+    return FiniteSemigroup(sg.names + (_fresh_name(sg.names, "1"),), tuple(map(tuple, rows)), label)
 
 
-def adjoin_zero(sg: FiniteSemigroup, name: str | None = None) -> FiniteSemigroup:
+def adjoin_zero(sg: FiniteSemigroup) -> FiniteSemigroup:
+    """S with a new last element `0` (primed until new) as its zero."""
     n = sg.order
-    name = name if name is not None else _fresh_name(sg.names, "0")
     rows = [list(row) + [n] for row in sg.table]
     rows.append([n] * (n + 1))
     label = f"{sg.label}+0" if sg.label else ""
-    return FiniteSemigroup(
-        sg.names + (name,), tuple(tuple(r) for r in rows),
-        adjoined_identity=sg.adjoined_identity, adjoined_zero=n, label=label,
-    )
+    return FiniteSemigroup(sg.names + (_fresh_name(sg.names, "0"),), tuple(map(tuple, rows)), label)
 
 
 def direct_product(a: FiniteSemigroup, b: FiniteSemigroup) -> FiniteSemigroup:

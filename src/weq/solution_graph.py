@@ -112,8 +112,8 @@ class StateBudgetExceeded(Exception):
     """`build` interned more states, or `enumerate_solutions` more (state,
     patterns) pairs, than the budget allows."""
 
-    def __init__(self, count: int, budget: int):
-        super().__init__(f"exploration reached {count} states, budget is {budget}")
+    def __init__(self, count: int, budget: int, counted: str = "states"):
+        super().__init__(f"exploration reached {count} {counted}, budget is {budget}")
         self.count = count
         self.budget = budget
 
@@ -257,11 +257,12 @@ def _left_quotients(sg: FiniteSemigroup) -> dict[tuple[int, int], tuple[int, ...
     return {k: tuple(v) for k, v in table.items()}
 
 
-def build(ins: Instance, faithful: bool = False, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
+def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
     """Breadth-first closure from the initial state under the transition
     schema, on packed words, followed by one pass that trims and finds the
     SCCs; raises StateBudgetExceeded once more than `max_states` states,
-    dead ones included, have been interned."""
+    dead ones included, have been interned.  An instance has one automaton,
+    so the state ids a certificate names are the same in every build."""
     eq = ins.equation
     if not eq.lhs or not eq.rhs:
         raise EmptySide("both sides must be nonempty")
@@ -351,15 +352,15 @@ def build(ins: Instance, faithful: bool = False, max_states: int = DEFAULT_MAX_S
             mx = images[k]
             if mx == -1 or x in lhs or x in rhs:
                 continue
-            # an active variable that does not occur: only the first one
-            # unless faithful
+            # only the first active variable that does not occur; the next
+            # has its turn once this one is deleted, so firing for every one
+            # would add paths but no solutions
             for a, ma in zip(consts, const_imgs):
                 for t in quot.get((ma, mx), ()):
                     add(intern(lhs, rhs, images[:k] + (t,) + images[k + 1:], is_true), x + a + x)
                 if mx == ma:
                     add(intern(lhs, rhs, images[:k] + (-1,) + images[k + 1:], is_true), x + a)
-            if not faithful:
-                break
+            break
         if is_true:
             continue
 
@@ -620,7 +621,7 @@ def enumerate_solutions(
             key = (dst[e], nxt)
             if key not in seen:
                 if len(seen) >= max_states:
-                    raise StateBudgetExceeded(len(seen) + 1, max_states)
+                    raise StateBudgetExceeded(len(seen) + 1, max_states, "(state, patterns) pairs")
                 seen.add(key)
                 stack.append(key)
     token = g.token_of.__getitem__

@@ -65,6 +65,23 @@ equation a a = a a
 semigroup builtin:trivial
 """
 
+# two declared variables absent from the equation: the automaton fires the
+# absent-variable rule for the first of them only
+N2_ABSENT = """\
+constants a b
+variables X Y Z W
+equation X X = Y
+semigroup builtin:n2
+map a -> x
+map b -> 0
+map X -> 0
+map Y -> 0
+map Z -> x
+map W -> x
+"""
+
+DEMO_INSTANCES = sorted(str(p) for p in (ROOT / "demos" / "instances").glob("*.weq"))
+
 SYSTEM = """\
 ; two independent commutation requirements (still quadratic as a system)
 constants a b
@@ -81,7 +98,7 @@ def files(tmp_path):
     for name, text in [
         ("xabby.weq", XABBY), ("xa_bx.weq", XA_BX),
         ("b2.weq", B2_CONSTRAINED), ("lz2.weq", LZ2_CONSTRAINED), ("n2.weq", N2_FINITE),
-        ("system.weq", SYSTEM), ("absent_z.weq", ABSENT_Z),
+        ("system.weq", SYSTEM), ("absent_z.weq", ABSENT_Z), ("n2_absent.weq", N2_ABSENT),
     ]:
         p = tmp_path / name
         p.write_text(text)
@@ -406,7 +423,7 @@ class TestStateBudget:
         assert main([command, str(path), "--max-states", "1000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "budget exceeded" in captured.err and "Traceback" not in captured.err
+        assert captured.err == "budget exceeded: exploration reached 1001 states, budget is 1000\n"
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--max-len", "12", "--max-states", "1000"],
@@ -415,13 +432,42 @@ class TestStateBudget:
     def test_enumeration_over_budget_exits_2(self, tmp_path, capsys, argv):
         """The automaton of X Y = Y X has 6 states, but the (state, patterns)
         pairs its enumeration searches double with each step of the length
-        bound: 17,925 at length 12."""
+        bound: 17,925 at length 12.  The message names what it counted."""
         path = tmp_path / "xy.weq"
         path.write_text("constants a b\nvariables X Y\nequation X Y = Y X\nsemigroup builtin:trivial\n")
         assert main([argv[0], str(path)] + argv[1:]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "budget exceeded" in captured.err and "Traceback" not in captured.err
+        budget = int(argv[-1])
+        assert captured.err == (
+            f"budget exceeded: exploration reached {budget + 1} (state, patterns) pairs, "
+            f"budget is {budget}\n"
+        )
+
+
+class TestOneAutomaton:
+    """An instance has one automaton, so the state ids a certificate names
+    mean the same to every command."""
+
+    @pytest.mark.parametrize("command", ["check", "infinite", "solve", "graph"])
+    def test_faithful_is_no_option(self, files, capsys, command):
+        assert main([command, files["xabby.weq"], "--faithful"]) == 2
+        assert "unrecognized arguments: --faithful" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["n2_absent.weq"] + DEMO_INSTANCES, ids=lambda p: Path(p).stem)
+    def test_check_certificate_replays_through_pump(self, files, tmp_path, capsys, path):
+        path = files.get(path, path)
+        main(["check", path, "--json"])
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        if cert is None:  # nothing certified, nothing to pump
+            assert main(["pump", path]) == 3
+            return
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(cert))
+        assert main(["pump", path, "--m", "3"]) == 0
+        pumped = capsys.readouterr().out
+        assert main(["pump", path, "--m", "3", "--cert-in", str(cert_file)]) == 0
+        assert capsys.readouterr().out == pumped
 
 
 class TestReplay:

@@ -205,8 +205,8 @@ class TestSystemToSingle:
         out = system_to_single(ins)
         eq = out.equation
         assert eq.lhs == ("X", "a", "#") and eq.rhs == ("a", "X", "#")
-        assert out.mu.target.adjoined_zero is not None
-        assert out.mu["#"] == out.mu.target.adjoined_zero
+        assert out.mu.target.zero_element() is not None
+        assert out.mu["#"] == out.mu.target.zero_element()
 
     def test_two_equations(self):
         ins = make_instance(["Xa=aX", "Xb=bX"])

@@ -114,6 +114,26 @@ class TestSccAnalysis:
         an = scc_invariants(g, comp)
         assert all(p.size == 0 for p in an.per_state.values())
 
+    def test_a_variable_once_in_the_playground_is_no_player(self):
+        # Y occurs once in X Y = a X, so only X, which occurs twice, plays
+        g = build(make_instance("XY=aX"))
+        assert g.scc.components[0] == (g.initial,) and g.scc.has_transition[0]
+        pg = scc_invariants(g, 0).per_state[g.initial]
+        assert pg.size == 4
+        assert pg.players == {"X"}
+
+    def test_leading_class_is_the_least_head_class(self):
+        # over n2, X -> x and Y -> 0 put the heads of X Y = Y X in the
+        # J-classes {x} > {0}; the leading class is the lesser one
+        sg = builtin("n2")
+        ins = make_instance("XY=YX", sg=sg, mapping={"a": "x", "b": "x", "X": "x", "Y": "0"})
+        g = build(ins)
+        st = g.state(g.initial)
+        assert (st.lhs[0], st.rhs[0]) == ("X", "Y")
+        comp = g.scc.comp_of[g.initial]
+        assert g.scc.has_transition[comp]
+        assert scc_invariants(g, comp).leading_J == frozenset({sg.index_of("0")})
+
 
 class TestCycles:
     def test_first_cycle_is_shortest_in_first_component(self):

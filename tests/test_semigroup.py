@@ -240,14 +240,14 @@ class TestStructure:
 
     def test_adjoin_identity(self):
         sg = adjoin_identity(builtin("n2"))
-        e = sg.adjoined_identity
-        assert e is not None
+        e = sg.identity_element()
+        assert e == sg.order - 1
         assert all(sg.mul(e, x) == x == sg.mul(x, e) for x in sg.elements())
 
     def test_adjoin_zero(self):
         sg = adjoin_zero(builtin("z2"))
-        z = sg.adjoined_zero
-        assert z is not None
+        z = sg.zero_element()
+        assert z == sg.order - 1
         assert all(sg.mul(z, x) == z == sg.mul(x, z) for x in sg.elements())
 
     def test_direct_product_orders(self):

@@ -187,14 +187,6 @@ class TestEnumerate:
         with pytest.raises(TypeError):
             enumerate_solutions(build(make_instance("Xa=aX")))
 
-    def test_faithful_mode_agrees(self):
-        # scheduling restriction does not change the language
-        for spec in ("XY=ab", "X=Y", "XaY=YaX"):
-            ins = make_instance(spec)
-            canonical = enumerate_solutions(build(ins), max_word_len=3)
-            faithful = enumerate_solutions(build(ins, faithful=True), max_word_len=3)
-            assert canonical == faithful
-
 
 class TestDot:
     def test_deterministic(self):
@@ -284,53 +276,34 @@ class TestAbelianFilter:
 
     # sha256 of export_dot, computed with every reachable state explored
     # before trimming (no letter-count test)
-    @pytest.mark.parametrize("ins, faithful, digest", [
-        pytest.param(FIVE_VARIABLES, False,
+    @pytest.mark.parametrize("ins, digest", [
+        pytest.param(FIVE_VARIABLES,
                      "394bcb190d096f8d78c633cfa6331e6f2d47bb7b999d0a4799ac6b234a042807",
                      id="five-variables"),
-        pytest.param(FIVE_VARIABLES, True,
-                     "9dc72b5cece331f74235a53183f8bd0a2c7b2489c976911a354daef15b140b25",
-                     id="five-variables-faithful"),
-        pytest.param(long_cycle(20), False,
+        pytest.param(long_cycle(20),
                      "e7a863b96e61ea1b3feb18fe2b21e64af47f517dbb50198525864ef5f54102a9",
                      id="long-cycle-20"),
-        pytest.param(long_cycle(20), True,
-                     "e7a863b96e61ea1b3feb18fe2b21e64af47f517dbb50198525864ef5f54102a9",
-                     id="long-cycle-20-faithful"),
-        pytest.param(make_instance("XabY=YbaX"), False,
+        pytest.param(make_instance("XabY=YbaX"),
                      "86f79865ed7301f3ac8c0dfad33d4630164ff8ff123ad531cbde57c40a12d0da",
                      id="XabY=YbaX"),
-        pytest.param(make_instance("XabY=YbaX"), True,
-                     "86f79865ed7301f3ac8c0dfad33d4630164ff8ff123ad531cbde57c40a12d0da",
-                     id="XabY=YbaX-faithful"),
         pytest.param(make_instance("XaY=YaX", sg=builtin("z2"),
-                                   mapping={"a": "1", "b": "0", "X": "1", "Y": "0"}), False,
+                                   mapping={"a": "1", "b": "0", "X": "1", "Y": "0"}),
                      "8ae345c8cda6db321e6a552337c20ce967beb84344506f05ef14d76cfaa7424a",
                      id="XaY=YaX-z2"),
-        pytest.param(make_instance("XYb=bYX", sg=builtin("rz2"),
-                                   mapping={"a": "a", "b": "b", "X": "b", "Y": "a"}), True,
-                     "260720c4eebee6596ac6fe0985531c21b8f0e92b96c7045adae5367be32b8618",
-                     id="XYb=bYX-rz2-faithful"),
         pytest.param(make_instance("XaY=YbX", sg=builtin("n2"),
-                                   mapping={"a": "x", "b": "x", "X": "0", "Y": "x"}), False,
+                                   mapping={"a": "x", "b": "x", "X": "0", "Y": "x"}),
                      "2c6855c6e47c9a8b5df5bb7fc4f76c2e9d12892686afad2b97da0ce8d0f7272d",
                      id="XaY=YbX-n2-empty"),
-        pytest.param(make_instance("XaY=YaX", variables="XYZ"), False,
+        pytest.param(make_instance("XaY=YaX", variables="XYZ"),
                      "258fc4e1ec0f3a33416e3cf049624bc926e84e73bce77e7b29a9149fbd047dc4",
                      id="XaY=YaX-absent-Z"),
-        pytest.param(make_instance("XaY=YaX", variables="XYZ"), True,
-                     "dda6c2275471fe4163e8d90244d366a190b3f1600fa32d639b9f3fe68d5f8852",
-                     id="XaY=YaX-absent-Z-faithful"),
         # computed with tuple words, before exploration packed them
-        pytest.param(odd_tokens(), False,
+        pytest.param(odd_tokens(),
                      "7b23e7bcaf35303bd5de69fe76a6d8c912b3f4130378305489784f35f5f7a1a3",
                      id="odd-tokens"),
-        pytest.param(odd_tokens(), True,
-                     "4fb4b7cf3b936be60eb6aa63605cd11d2f51cb77f03e5b5b7e3581fa15756b09",
-                     id="odd-tokens-faithful"),
     ])
-    def test_dot_unchanged(self, ins, faithful, digest):
-        dot = export_dot(build(ins, faithful=faithful))
+    def test_dot_unchanged(self, ins, digest):
+        dot = export_dot(build(ins))
         assert hashlib.sha256(dot.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("spec, refuted", [
@@ -389,12 +362,11 @@ class TestImageFilter:
     the automaton."""
 
     # sha256 of the concatenated export_dot of every instance of the sweep,
-    # computed with no image test; both settings give the same graphs here
-    @pytest.mark.parametrize("faithful", [False, True])
-    def test_b2_sweep_dot_unchanged(self, faithful):
+    # computed with no image test
+    def test_b2_sweep_dot_unchanged(self):
         h = hashlib.sha256()
         for ins in sweep_instances(builtin("b2"), 2, 2, 3):
-            h.update(export_dot(build(ins, faithful=faithful)).encode())
+            h.update(export_dot(build(ins)).encode())
         assert h.hexdigest() == "7322ef843227d54180ac370e8d35d78c3eecb1c06dbb0e196d37e7f9167476d2"
 
 
@@ -412,7 +384,7 @@ def test_initial_images_that_differ_leave_no_solution(case, target, data):
     assert not is_solvable(build(ins))
 
 
-def reference_build(ins, faithful=False):
+def reference_build(ins):
     """The solution graph by breadth-first exploration over token tuples,
     with a GraphState and its sorted images built on every visit and the
     trimmed transitions rebuilt from the explored ones: `build` as it was
@@ -476,9 +448,7 @@ def reference_build(ins, faithful=False):
             continue
         occurring = {t for t in st.lhs + st.rhs if t in varset}
         absent = [v for v in sorted(varset, key=var_rank.get) if v not in occurring]
-        if absent and not faithful:
-            absent = absent[:1]
-        for x in absent:
+        for x in absent[:1]:
             for a in sigma:
                 for t in quot.get((mu_of[a], mu[x]), ()):
                     add(sid, intern(st.lhs, st.rhs, varset, {**mu, x: t}, st.is_true), (x, (a, x)))
@@ -614,7 +584,6 @@ class TestPackedExploration:
     """Exploration over packed words gives the graph of the tuple-word
     reference: states, their numbering, transitions in order and SCCs."""
 
-    @pytest.mark.parametrize("faithful", [False, True])
     @pytest.mark.parametrize("ins", [
         pytest.param(FIVE_VARIABLES, id="five-variables"),
         pytest.param(long_cycle(8), id="long-cycle-8"),
@@ -623,28 +592,23 @@ class TestPackedExploration:
         pytest.param(odd_tokens(), id="odd-tokens"),
         pytest.param(dead_cycles(), id="dead-cycles"),
     ])
-    def test_matches_reference(self, ins, faithful):
-        assert_same_graph(build(ins, faithful=faithful), reference_build(ins, faithful=faithful))
+    def test_matches_reference(self, ins):
+        assert_same_graph(build(ins), reference_build(ins))
 
     # sha256 of repr(g.scc), computed with tuple words; the order of the
     # components decides the certificate that pumpable_state picks, and
     # DOT does not show it
-    @pytest.mark.parametrize("faithful", [False, True])
-    def test_five_variables_scc_unchanged(self, faithful):
-        g = build(FIVE_VARIABLES, faithful=faithful)
+    def test_five_variables_scc_unchanged(self):
+        g = build(FIVE_VARIABLES)
         assert hashlib.sha256(repr(g.scc).encode()).hexdigest() == (
             "e807f199848a5f0fd38cb203c80ca4645f519610449696a4055bc2c9c03395c3"
         )
 
-    @pytest.mark.parametrize("faithful, digest", [
-        (False, "1608fdd60a2059bc0bfcd340b4a83640a99e8ddeb8347c2a340e98eca7bf16b6"),
-        (True, "f0c92eb6221a8e6b3362a5b57bd32dec3828538b562f2529a45c19ae83e3b336"),
-    ])
-    def test_b2_sweep_scc_unchanged(self, faithful, digest):
+    def test_b2_sweep_scc_unchanged(self):
         h = hashlib.sha256()
         for ins in sweep_instances(builtin("b2"), 2, 2, 4):
-            h.update(repr(build(ins, faithful=faithful).scc).encode())
-        assert h.hexdigest() == digest
+            h.update(repr(build(ins).scc).encode())
+        assert h.hexdigest() == "1608fdd60a2059bc0bfcd340b4a83640a99e8ddeb8347c2a340e98eca7bf16b6"
 
 
 @settings(max_examples=200, deadline=None)
@@ -658,8 +622,7 @@ def test_packed_build_matches_reference(case, absent, target, data):
     base = make_instance(spec, variables=variables)
     images = {s: data.draw(st.integers(0, sg.order - 1)) for s in base.symbols.all_symbols()}
     ins = Instance(base.equations, ConstraintMorphism.from_dict(base.symbols, sg, images))
-    for faithful in (False, True):
-        assert_same_graph(build(ins, faithful=faithful), reference_build(ins, faithful=faithful))
+    assert_same_graph(build(ins), reference_build(ins))
 
 
 @settings(max_examples=200, deadline=None)
@@ -676,5 +639,4 @@ def test_enumeration_matches_oracle(case, absent, target, data):
     images = {s: data.draw(st.integers(0, sg.order - 1)) for s in base.symbols.all_symbols()}
     ins = Instance(base.equations, ConstraintMorphism.from_dict(base.symbols, sg, images))
     want = list(brute_solutions(ins, 3).solutions)
-    for faithful in (False, True):
-        assert enumerate_solutions(build(ins, faithful=faithful), 3) == want
+    assert enumerate_solutions(build(ins), 3) == want

@@ -1,9 +1,13 @@
 """Rules on the library source itself."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
+
+from weq.cli import make_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weq"
 
@@ -62,3 +66,23 @@ def test_tracer_names_resolve():
             assert callable(getattr(module, fname, None)), f"{modname}.{fname}"
             wrapped.add(f"{layer}.{fname}")
     assert set(spans.COUNTERS) <= wrapped
+
+
+def test_readme_synopsis_matches_parser():
+    """Each `weq` subcommand's synopsis line in the README, with its
+    indented continuation lines, names exactly the parser's options."""
+    text = (SRC.parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    synopsis: dict[str, str] = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("weq "):
+            command = line.split()[1]
+            synopsis[command] = line
+        elif line.startswith(" ") and command:
+            synopsis[command] += line
+    (sub,) = [a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(synopsis) == set(sub.choices)
+    for command, parser in sub.choices.items():
+        options = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        assert set(re.findall(r"--[a-z][a-z-]*", synopsis[command])) == options - {"--help"}, command
