@@ -12,7 +12,7 @@ from weq.semigroup import builtin
 for name, max_len in [("trivial", 5), ("b2", 4)]:
     report = run_hunt(
         builtin(name), n_constants=2, max_vars=2, max_len=max_len,
-        budget=10**6, seed=0, sg_spec=f"builtin:{name}",
+        budget=10**6, seed=0,
     )
     print(f"--- target {name}, |UV| <= {max_len} ---")
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))

@@ -7,6 +7,7 @@ right groups.
 
 from ._text import ParseError
 from .equations import (
+    BudgetExceeded,
     ConstraintMorphism,
     EquationError,
     Instance,
@@ -28,7 +29,7 @@ from .equations import (
     system_to_single,
     unconstrained,
 )
-from .oracle import BudgetExceeded, OracleReport, brute_solutions, max_exp_up_to
+from .oracle import OracleReport, brute_solutions, max_exp_up_to
 from .periodicity import (
     ExpDecision,
     NotDLG,
@@ -69,7 +70,6 @@ from .semigroup import (
     variety_report,
 )
 from .solution_graph import (
-    EmptySide,
     GraphState,
     GraphTransition,
     NotAccepting,

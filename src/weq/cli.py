@@ -20,8 +20,9 @@ import time
 
 from . import hunt as hunt_mod
 from . import oracle
-from ._text import NotText, ParseError, logical_lines, read_text
+from ._text import NotText, ParseError, read_text
 from .equations import (
+    BudgetExceeded,
     EquationError,
     Instance,
     NotQuadratic,
@@ -38,7 +39,6 @@ from .periodicity import (
     pumping_certificate,
 )
 from .semigroup import (
-    BUILTIN_NAMES,
     SemigroupError,
     green,
     omega,
@@ -48,7 +48,6 @@ from .semigroup import (
 )
 from .solution_graph import (
     DEFAULT_MAX_STATES,
-    StateBudgetExceeded,
     build,
     dot_lines,
     enumerate_solutions,
@@ -63,25 +62,12 @@ EXIT_UNKNOWN = 4
 EXIT_UNSUPPORTED = 5
 
 
-def _file_spec(spec: str, base_dir: str) -> str | None:
-    """A semigroup spec read relative to `base_dir` as an absolute `file:`
-    path, which loads from any directory; None for a builtin."""
-    if spec.startswith("builtin:") or spec in BUILTIN_NAMES:
-        return None
-    return "file:" + os.path.join(base_dir, spec.removeprefix("file:"))
-
-
-def _load(path: str) -> tuple[Instance, Instance, str | None]:
-    """The instance in the file reduced to one equation, the instance as
-    written, and for a target loaded from a file its spec as an absolute
-    `file:` path (None for a builtin), so that `format_instance` of the
-    last two reloads the instance from any directory."""
-    text = read_text(path)
-    base_dir = os.path.dirname(os.path.abspath(path))
-    written = parse_instance(text, base_dir=base_dir)
+def _load(path: str) -> tuple[Instance, Instance]:
+    """The instance in the file reduced to one equation, and the instance as
+    written, whose `format_instance` text reloads it from any directory."""
+    written = parse_instance(read_text(path), base_dir=os.path.dirname(os.path.abspath(path)))
     ins = system_to_single(written) if len(written.equations) > 1 else written
-    spec = [toks[1] for _, toks in logical_lines(text, comment=";") if toks[0] == "semigroup"][-1]
-    return ins, written, _file_spec(spec, base_dir)
+    return ins, written
 
 
 def _instance_summary(ins: Instance) -> dict:
@@ -314,24 +300,17 @@ def cmd_semigroup(args) -> int:
     return EXIT_YES
 
 
+def _print_hunt_report(report) -> None:
+    print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+
+
 def cmd_hunt(args) -> int:
     sg = resolve_semigroup(args.semigroup, base_dir=os.getcwd())
-    # a file target by its absolute path, so that findings replay anywhere
-    sg_spec = _file_spec(args.semigroup, os.getcwd()) or args.semigroup
-    try:
-        report = hunt_mod.run_hunt(
-            sg, args.sigma, args.vars, args.max_len,
-            budget=args.budget, seed=args.seed,
-            findings_path=args.out, sg_spec=sg_spec,
-        )
-        code = EXIT_YES
-    except hunt_mod.BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        report = exc.report
-        code = EXIT_USAGE
-    if report is not None:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    return code
+    _print_hunt_report(hunt_mod.run_hunt(
+        sg, args.sigma, args.vars, args.max_len,
+        budget=args.budget, seed=args.seed, findings_path=args.out,
+    ))
+    return EXIT_YES
 
 
 def _int_in(low: int, high: int | None = None):
@@ -426,15 +405,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_YES
-    replay = None  # the instance as written and its semigroup spec
+    written = None  # the instance as written, whose text replays a failure
     try:
         if "path" in args:  # the commands that read an instance file
-            args.instance, *replay = _load(args.path)
+            args.instance, written = _load(args.path)
         return args.func(args)
     except TheoremViolation as exc:  # the verdict is unknown; the text replays it
         print(f"internal guarantee failed: {exc}", file=sys.stderr)
-        if replay is not None:
-            print(format_instance(*replay), end="", file=sys.stderr)
+        if hasattr(exc, "report"):  # a hunt's partial report and failing instance
+            _print_hunt_report(exc.report)
+            written = exc.instance
+        if written is not None:
+            print(format_instance(written), end="", file=sys.stderr)
         return EXIT_UNKNOWN
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -442,8 +424,10 @@ def main(argv=None) -> int:
     except NotQuadratic as exc:
         print(f"unsupported instance: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (oracle.BudgetExceeded, StateBudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        if hasattr(exc, "report"):  # a hunt's partial report
+            _print_hunt_report(exc.report)
         return EXIT_USAGE
     except (EquationError, SemigroupError, NotText, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

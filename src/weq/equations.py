@@ -25,6 +25,11 @@ class EquationError(Exception):
     pass
 
 
+class BudgetExceeded(Exception):
+    """A search stopped at its budget: the oracle's assignments, the automaton's
+    states, or a hunt's instances (then `report` is the partial report)."""
+
+
 class EmptyWord(EquationError):
     pass
 
@@ -621,7 +626,7 @@ def parse_instance(text: str, base_dir: str = ".") -> Instance:
             if tok not in syms.constant_set and tok not in syms.variable_set:
                 raise ParseError(no, f"undeclared symbol {tok!r}")
         eqs.append(WordEquation(lhs, rhs))
-    trivial_default = spec in ("builtin:trivial", "trivial")
+    trivial_default = target.spec == "builtin:trivial"
     image: dict[str, int] = {}
     for sym in syms.all_symbols():
         if sym in mapping:
@@ -641,15 +646,16 @@ def parse_instance(text: str, base_dir: str = ".") -> Instance:
     return Instance(tuple(eqs), mu)
 
 
-def format_instance(ins: Instance, sg_spec: str | None = None) -> str:
+def format_instance(ins: Instance) -> str:
+    """The instance as text that `parse_instance` reads back, naming the
+    target by the spec that loaded it (`file:?` for a derived target)."""
     syms = ins.symbols
     lines = ["constants " + " ".join(syms.constants)]
     if syms.variables:
         lines.append("variables " + " ".join(syms.variables))
     for eq in ins.equations:
         lines.append("equation " + str(eq))
-    label = ins.mu.target.label
-    lines.append("semigroup " + (sg_spec or (f"builtin:{label}" if label in sgmod.BUILTIN_NAMES else "file:?")))
+    lines.append("semigroup " + (ins.mu.target.spec or "file:?"))
     for sym in syms.all_symbols():
         lines.append(f"map {sym} -> {ins.mu.target.names[ins.mu[sym]]}")
     return "\n".join(lines) + "\n"

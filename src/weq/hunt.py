@@ -17,22 +17,15 @@ import json
 import random
 from array import array
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import oracle
-from .equations import ConstraintMorphism, Instance, SymbolTable, WordEquation, format_instance
-from .periodicity import cyclic_components, pumpable_state
+from .equations import (
+    BudgetExceeded, ConstraintMorphism, Instance, SymbolTable, WordEquation, format_instance,
+)
+from .periodicity import TheoremViolation, cyclic_components, pumpable_state
 from .semigroup import FiniteSemigroup
 from .solution_graph import build, has_infinitely_many, is_solvable
-
-
-class BudgetExceeded(Exception):
-    """Sweep stopped early; `report` carries the partial results."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 CONSTANT_POOL = tuple("abcdefgh")
 VARIABLE_POOL = tuple("XYZUVW")
@@ -141,7 +134,6 @@ class HuntReport:
     suspects: int = 0
     discharged: int = 0
     truncated: bool = False
-    findings: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -172,7 +164,7 @@ def classify(ins: Instance) -> tuple[str, dict]:
         e2 = oracle.max_exp_up_to(ins, low + 2)
         detail["max_exp"] = {"low_bound": low, "low": e1, "high_bound": low + 2, "high": e2}
         stagnant = e2 <= e1
-    except oracle.BudgetExceeded:
+    except BudgetExceeded:
         detail["max_exp"] = None
         stagnant = True  # cannot discharge; stay suspicious
     if stagnant:
@@ -188,10 +180,12 @@ def run_hunt(
     budget: int,
     seed: int = 0,
     findings_path: str | None = None,
-    sg_spec: str | None = None,
 ) -> HuntReport:
+    """Classify at most `budget` of the sweep's instances.  An error that stops
+    the sweep carries the report of the instances classified as `report`, and
+    a `TheoremViolation` the instance that raised it as `instance`."""
     report = HuntReport(parameters={
-        "semigroup": sg_spec or sg.label or "custom",
+        "semigroup": sg.spec or sg.label or "custom",
         "constants": n_constants,
         "max_vars": max_vars,
         "max_len": max_len,
@@ -200,30 +194,35 @@ def run_hunt(
     })
     # opened before the sweep starts, so that a bad path fails before any work
     with open(findings_path, "w", encoding="utf-8") if findings_path else nullcontext() as sink:
-        for ins in sweep_instances(sg, n_constants, max_vars, max_len, seed):
-            if report.total >= budget:
-                report.truncated = True
-                raise BudgetExceeded(f"instance budget {budget} exhausted", report)
-            report.total += 1
-            clazz, detail = classify(ins)
-            if clazz == "Unsatisfiable":
-                report.unsatisfiable += 1
-            elif clazz == "FiniteSol":
-                report.finite += 1
-            elif clazz == "InfiniteCertified":
-                report.infinite_certified += 1
-            elif clazz == "Discharged":
-                report.discharged += 1
-            else:
-                report.suspects += 1
-                entry = {
-                    "class": "Suspect",
-                    "instance": format_instance(ins, sg_spec=sg_spec),
-                    "length_constraints": None,
-                    **detail,
-                }
-                report.findings.append(entry)
-                if sink:
-                    sink.write(json.dumps(entry, sort_keys=True) + "\n")
-                    sink.flush()
+        try:
+            for ins in sweep_instances(sg, n_constants, max_vars, max_len, seed):
+                if report.total >= budget:
+                    raise BudgetExceeded(f"instance budget {budget} exhausted")
+                clazz, detail = classify(ins)
+                report.total += 1
+                if clazz == "Unsatisfiable":
+                    report.unsatisfiable += 1
+                elif clazz == "FiniteSol":
+                    report.finite += 1
+                elif clazz == "InfiniteCertified":
+                    report.infinite_certified += 1
+                elif clazz == "Discharged":
+                    report.discharged += 1
+                else:
+                    report.suspects += 1
+                    if sink:
+                        entry = {
+                            "class": "Suspect",
+                            "instance": format_instance(ins),
+                            "length_constraints": None,
+                            **detail,
+                        }
+                        sink.write(json.dumps(entry, sort_keys=True) + "\n")
+                        sink.flush()
+        except (BudgetExceeded, TheoremViolation) as exc:
+            report.truncated = True
+            exc.report = report
+            if isinstance(exc, TheoremViolation):
+                exc.instance = ins
+            raise
     return report

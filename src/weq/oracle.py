@@ -16,14 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .equations import Instance, Solution, exp_solution, packing, require_solution
+from .equations import BudgetExceeded, Instance, Solution, exp_solution, packing, require_solution
 
 DEFAULT_BUDGET = 10_000_000
-
-
-class BudgetExceeded(Exception):
-    def __init__(self, needed, budget):
-        super().__init__(f"enumeration needs ~{needed} assignments, budget is {budget}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +59,9 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
     syms = ins.symbols
     variables = syms.variables
     nvars = len(variables)
-    if len(syms.constants) ** (bound * nvars) > budget:
-        raise BudgetExceeded(len(syms.constants) ** (bound * nvars), budget)
+    needed = len(syms.constants) ** (bound * nvars)
+    if needed > budget:
+        raise BudgetExceeded(f"enumeration needs ~{needed} assignments, budget is {budget}")
 
     char_of, token_of = packing(syms)
 

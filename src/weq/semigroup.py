@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from ._text import ParseError, logical_lines, read_text
@@ -50,6 +50,9 @@ class FiniteSemigroup:
     names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
     label: str = field(default="", compare=False)
+    # the spec that loads the target (`builtin:NAME` or `file:` and an
+    # absolute path), so that instance text names it; empty when derived
+    spec: str = field(default="", compare=False)
 
     @property
     def order(self) -> int:
@@ -471,7 +474,7 @@ def builtin(name: str) -> FiniteSemigroup:
         raise BadIndex(f"unknown builtin semigroup {name!r}") from None
     sg = factory()
     # builtins are trusted but validate once anyway
-    return from_table(sg.names, sg.table, label=sg.label)
+    return replace(from_table(sg.names, sg.table, label=sg.label), spec=f"builtin:{name}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +541,10 @@ def format_semigroup(sg: FiniteSemigroup) -> str:
 
 
 def resolve_semigroup(spec: str, base_dir: str = ".") -> FiniteSemigroup:
-    """Resolve 'builtin:<name>', 'file:<path>', a bare builtin name, or a path."""
+    """Resolve 'builtin:<name>', 'file:<path>', a bare builtin name, or a path
+    relative to `base_dir`.  The target's `spec` is `builtin:<name>`, or
+    `file:` and the path joined to the absolute `base_dir`, which loads it
+    from any directory."""
     if spec.startswith("builtin:"):
         return builtin(spec[len("builtin:"):])
     if spec.startswith("file:"):
@@ -547,6 +553,5 @@ def resolve_semigroup(spec: str, base_dir: str = ".") -> FiniteSemigroup:
         return builtin(spec)
     else:
         path = spec
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    return parse_semigroup(read_text(path))
+    path = os.path.join(os.path.abspath(base_dir), path)
+    return replace(parse_semigroup(read_text(path)), spec="file:" + path)

@@ -95,20 +95,17 @@ from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 from .equations import (
-    PACK_BASE, EquationError, Instance, Solution, Word, packing, require_solution, substitute,
+    PACK_BASE, BudgetExceeded, EquationError, Instance, Solution, Word, packing, require_solution,
+    substitute,
 )
 from .semigroup import FiniteSemigroup
-
-
-class EmptySide(EquationError):
-    pass
 
 
 class NotAccepting(EquationError):
     """The given path is not an accepting run of the automaton."""
 
 
-class StateBudgetExceeded(Exception):
+class StateBudgetExceeded(BudgetExceeded):
     """`build` interned more states, or `enumerate_solutions` more (state,
     patterns) pairs, than the budget allows."""
 
@@ -264,8 +261,6 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
     dead ones included, have been interned.  An instance has one automaton,
     so the state ids a certificate names are the same in every build."""
     eq = ins.equation
-    if not eq.lhs or not eq.rhs:
-        raise EmptySide("both sides must be nonempty")
     ins.require_quadratic()
     syms = ins.symbols
     sg = ins.mu.target

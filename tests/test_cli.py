@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -652,6 +653,41 @@ class TestHunt:
             Path(f"{k}.weq").write_text(json.loads(line)["instance"])
             assert main(["check", f"{k}.weq"]) in (0, 3, 4)
         assert "cannot load semigroup" not in capsys.readouterr().err
+
+    def test_bare_builtin_is_echoed_by_its_spec(self, capsys):
+        assert main(["hunt", "--sigma", "1", "--vars", "1", "--max-len", "2",
+                     "--semigroup", "b2"]) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"]["semigroup"] == "builtin:b2"
+
+    def test_failed_guarantee_keeps_the_report_and_replays(self, capsys, monkeypatch):
+        """A TheoremViolation stops the sweep with exit 4, the report of the
+        instances classified before it on stdout, and on stderr the text of
+        the instance that raised it."""
+        failed = []
+
+        def miss(g):
+            failed.append(g.instance)
+            raise periodicity.TheoremViolation("no pumpable state")
+
+        monkeypatch.setattr(hunt, "pumpable_state", miss)
+        assert main(["hunt", "--semigroup", "builtin:z2", "--max-len", "4"]) == 4
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["truncated"] and report["total"] > 0
+        assert report["total"] == report["unsatisfiable"] + report["finite"]
+        head, *text = captured.err.splitlines(keepends=True)
+        assert head == "internal guarantee failed: no pumpable state\n"
+        assert parse_instance("".join(text)) == failed[0]
+
+    def test_state_budget_keeps_the_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(hunt, "build", functools.partial(hunt.build, max_states=3))
+        assert main(["hunt", "--semigroup", "builtin:z2", "--max-len", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "budget exceeded: exploration reached 4 states, budget is 3\n"
+        report = json.loads(captured.out)
+        assert report["truncated"] and report["total"] > 0
+        assert report["total"] == sum(report[k] for k in (
+            "unsatisfiable", "finite", "infinite_certified", "suspects", "discharged"))
 
     def test_seeded_runs_agree(self, capsys):
         args = ["hunt", "--sigma", "2", "--vars", "1", "--max-len", "3",

@@ -1,6 +1,5 @@
 """The demo scripts run to completion and leave nothing in the directory they
-run from.  Demo 05 (a full hunt sweep, the slowest) is left out; its
-`run_hunt` path is covered by test_hunt.py."""
+run from."""
 
 import os
 import subprocess
@@ -11,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_semigroup_zoo.py", "02_solution_graph.py", "03_pumping_certificates.py",
-         "04_oracle_crosscheck.py", "06_reductions.py"]
+         "04_oracle_crosscheck.py", "05_suspect_hunt.py", "06_reductions.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

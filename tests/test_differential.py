@@ -9,11 +9,14 @@ may be absent from the equation), at most three constants (two with three
 variables) and at most eight tokens, with random images into targets in and
 outside the supported variety: builtins, their identity and zero
 adjunctions, and the 2x2 rectangular band lz2 x rz2.  Token names include
-separators of the text formats and multi-character names.  The text format
-names only builtin targets, so only those take the text round trip."""
+separators of the text formats and multi-character names.  Every instance
+takes the text round trip: a target that is not a builtin is written to a
+`file:` table first and loaded back, so that the text can name it."""
 
 import json
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +31,9 @@ from weq.equations import (
 )
 from weq.oracle import brute_solutions
 from weq.periodicity import certificate_to_json, instantiate, load_certificate, pumping_certificate
-from weq.semigroup import adjoin_identity, adjoin_zero, builtin, direct_product, is_dlg
+from weq.semigroup import (
+    adjoin_identity, adjoin_zero, builtin, direct_product, format_semigroup, is_dlg, resolve_semigroup,
+)
 from weq.solution_graph import build, enumerate_solutions, has_infinitely_many
 
 CONSTANTS = ("a", "#", ",", "->", "bc")
@@ -65,11 +70,24 @@ def instances(draw):
     return Instance((WordEquation(tuple(word[:cut]), tuple(word[cut:])),), mu)
 
 
-@given(instances())
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """Each target that is not a builtin, as loaded from its `file:` table."""
+    tables = tmp_path_factory.mktemp("tables")
+    out = {}
+    for k, sg in enumerate(TARGETS[len(BUILTINS):]):
+        path = tables / f"t{k}.sg"
+        path.write_text(format_semigroup(sg))
+        out[sg] = resolve_semigroup(f"file:{path}")
+    return out
+
+
+@given(ins=instances())
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_valid_instances(ins):
-    if ins.mu.target.label in BUILTINS:
-        assert parse_instance(format_instance(ins)) == ins
+def test_valid_instances(loaded, ins):
+    if ins.mu.target in loaded:
+        ins = replace(ins, mu=replace(ins.mu, target=loaded[ins.mu.target]))
+    assert parse_instance(format_instance(ins)) == ins
     g = build(ins)
     assert enumerate_solutions(g, 3) == list(brute_solutions(ins, 3).solutions)
     cert = pumping_certificate(ins, graph=g)

@@ -405,6 +405,17 @@ semigroup builtin:trivial
         assert again.equations == ins.equations
         assert again.mu.image == ins.mu.image
 
+    def test_file_target_named_like_a_builtin_roundtrips(self, tmp_path):
+        """A table whose header names a builtin is still written as the file
+        that loaded it, not as the builtin of that name."""
+        (tmp_path / "t.sg").write_text("semigroup b2\nelements a 0\ntable\na 0\n0 0\n")
+        ins = parse_instance("constants a\nvariables X\nequation X a = a X\nsemigroup t.sg\n"
+                             "map a -> a\nmap X -> 0\n", base_dir=str(tmp_path))
+        assert ins.mu.target.order == 2
+        text = format_instance(ins)
+        assert f"semigroup file:{tmp_path / 't.sg'}\n" in text
+        assert parse_instance(text) == ins
+
     def test_map_lines(self):
         text = (
             "constants a b\nvariables X\nequation X a = a X\n"

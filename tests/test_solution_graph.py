@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from collections import deque
 from types import SimpleNamespace
 
+import weq
 from conftest import make_instance
 from weq.equations import (
     ConstraintMorphism,
+    EquationError,
     Instance,
     NotQuadratic,
     Solution,
@@ -24,7 +26,6 @@ from weq.oracle import brute_solutions
 from weq.periodicity import instantiate, pumping_certificate
 from weq.semigroup import builtin, from_table
 from weq.solution_graph import (
-    EmptySide,
     GraphState,
     GraphTransition,
     NotAccepting,
@@ -253,6 +254,10 @@ class TestStateBudget:
             build(FIVE_VARIABLES, max_states=7376)
         assert (exc.value.count, exc.value.budget) == (7377, 7376)
 
+    def test_the_exported_budget_error_covers_the_state_budget(self):
+        with pytest.raises(weq.BudgetExceeded):
+            build(FIVE_VARIABLES, max_states=7376)
+
 
 def odd_tokens():
     """XabY=YbaX over tokens with the characters DOT labels use as
@@ -392,7 +397,7 @@ def reference_build(ins):
     states, transitions and each state's transition ids."""
     eq = ins.equation
     if not eq.lhs or not eq.rhs:
-        raise EmptySide("both sides must be nonempty")
+        raise EquationError("both sides must be nonempty")
     ins.require_quadratic()
     syms = ins.symbols
     sg = ins.mu.target
