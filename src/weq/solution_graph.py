@@ -8,7 +8,7 @@ trimmed automaton witnesses infinitude.
 
 Exploration runs on packed words.  `equations.packing`, which the oracle
 uses too, maps token i of the symbol table to one code point, so a side is
-a `str`, a substitution is `str.replace` and letter counting is `str.count`.
+a `str` and a substitution is `str.replace`.
 A state is the key (lhs, rhs, images, is_true), where images holds the
 constraint image of each variable by rank and -1 for a variable that is no
 longer active.  States get ids in the order they are first generated and
@@ -51,14 +51,15 @@ Exploration skips states that letter counting proves unsolvable.  With d_a
 the net count |U|_a - |V|_a of each constant and c_X that of each variable,
 a state is dead when some d_a != 0 while every c_X = 0, when every c_X is
 even and some d_a odd, or when the c_X share a sign that no nonempty
-substitution can reconcile with the d_a (see `_abelian_refuted`).  Such a
+substitution can reconcile with the d_a (see `_counts_refuted`).  Such a
 state is recorded as dead when first generated and gets no transitions and
-no expansion.  The test runs on the initial state and after a substitution
-for a variable with c_X != 0; every other move keeps the counts of its
-source, which passed.  A dead state has only dead successors and every
-predecessor of a live state is live, so the live states are generated in the
-same breadth-first order as without the test, and the trimmed automaton,
-its state numbering included, is unchanged.
+no expansion.  Each state carries its net counts, outside its key: x ->
+alpha x adds c_x to alpha's, x -> alpha also sets c_x to 0, and no other
+move changes them, so the test runs only on the initial state and after a
+substitution for a variable with c_x != 0.  A dead state has only dead
+successors and every predecessor of a live state is live, so the live
+states are generated in the same breadth-first order as without the test,
+and the trimmed automaton, its state numbering included, is unchanged.
 
 Exploration also skips states whose sides have different constraint
 images: with constants at their images under the instance's morphism and
@@ -116,10 +117,10 @@ class StateBudgetExceeded(BudgetExceeded):
 
 
 # the default state budget of `build`.  An interned state, dead ones
-# included, costs about 0.6 KB of RSS while exploring and 0.65 KB at the
-# peak of a finished build (measured at 1.8 to 6 x 10^5 states), so a build
-# stays near 0.7 GB at the cap.  `dot_lines` decodes one state or edge at
-# a time, so `weq graph` peaks where its build does.
+# included, costs about 0.6 KB of RSS both while exploring and at the peak
+# of a finished build (measured at 1.8 x 10^5 states, the count vectors
+# included), so a build stays near 0.6 GB at the cap.  `dot_lines` decodes
+# one state or edge at a time, so `weq graph` peaks where its build does.
 DEFAULT_MAX_STATES = 1_000_000
 
 
@@ -284,63 +285,65 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
             right = table[right][vals[ord(c) - PACK_BASE]]
         return left != right
 
+    # the initial state counts against the budget and is tested before any
+    # exploration structure exists: most instances of a hunt sweep end here
+    lhs = "".join(map(char_of.__getitem__, eq.lhs))
+    rhs = "".join(map(char_of.__getitem__, eq.rhs))
+    images = symbol_imgs[n_const:]
+    if max_states < 1:
+        raise StateBudgetExceeded(1, max_states)
+    diff = [0] * len(alphabet)  # |lhs|_t - |rhs|_t, indexed like the alphabet
+    for c in lhs:
+        diff[ord(c) - PACK_BASE] += 1
+    for c in rhs:
+        diff[ord(c) - PACK_BASE] -= 1
+    if (test_images and images_differ(lhs, rhs, images)) or _counts_refuted(diff, n_const):
+        return _trim(ins, [], [0], [], [], [], token_of)  # no final state
+
     # a state is (lhs, rhs, images, is_true): packed sides and the image of
-    # each variable by rank, -1 once it is no longer active.  States are
-    # expanded in id order, so the moves of state s are the entries
-    # first[s]:first[s + 1] of dsts and labels.
-    keys: list[tuple[str, str, tuple[int, ...], bool]] = []
-    index: dict[tuple[str, str, tuple[int, ...], bool], int] = {}
+    # each variable by rank, -1 once it is no longer active; diffs[s] holds
+    # its net counts.  States are expanded in id order, so the moves of
+    # state s are the entries first[s]:first[s + 1] of dsts and labels.
+    keys: list[tuple[str, str, tuple[int, ...], bool]] = [(lhs, rhs, images, False)]
+    diffs: list[list[int]] = [diff]
+    index: dict[tuple[str, str, tuple[int, ...], bool], int] = {keys[0]: 0}
     first: list[int] = []
     dsts: list[int] = []
     labels: list[str] = []  # "" silent, else variable + replacement
+    quot = _left_quotients(sg)
 
-    def intern(
-        lhs: str, rhs: str, images: tuple[int, ...], true_: bool,
-        cancelled: bool = False, counts: bool = False,
-    ) -> int:
-        """Id of the state, adding it on first sight; DEAD when, on first
-        sight of a non-true state, a head has `cancelled` on the way and the
-        sides' images differ, or `counts` is set and letter counting
-        refutes it."""
+    def move(label, lhs, rhs, images, true_, diff, cancelled, counts) -> None:
+        """Record a move of the state being expanded, interning its target
+        with net counts diff; a new non-true target is DEAD, the move dropped,
+        when a head has `cancelled` and its images differ or `counts` refute it."""
         key = (lhs, rhs, images, true_)
         sid = index.get(key)
         if sid is None:
             if len(index) >= max_states:
                 raise StateBudgetExceeded(len(index) + 1, max_states)
-            if not true_ and (
-                (cancelled and test_images and images_differ(lhs, rhs, images))
-                or (counts and _abelian_refuted(lhs, rhs, var_chars))
-            ):
+            if not true_ and (cancelled and test_images and images_differ(lhs, rhs, images)
+                              or counts and _counts_refuted(diff, n_const)):
                 index[key] = DEAD
-                return DEAD
-            sid = len(keys)
-            index[key] = sid
+                return
+            sid = index[key] = len(keys)
             keys.append(key)
-        return sid
+            diffs.append(diff)
+        elif sid == DEAD:
+            return
+        dsts.append(sid)
+        labels.append(label)
 
-    def add(dst: int, label: str) -> None:
-        """Record a move of the state being expanded."""
-        if dst != DEAD:
-            dsts.append(dst)
-            labels.append(label)
-
-    intern(  # the initial state: id 0, or DEAD with no state explored
-        "".join(map(char_of.__getitem__, eq.lhs)), "".join(map(char_of.__getitem__, eq.rhs)),
-        symbol_imgs[n_const:], False, cancelled=True, counts=True,
-    )
-    quot = _left_quotients(sg) if keys else {}  # needed only to expand states
-
-    # breadth-first: the loop reads the states that intern appends
-    for lhs, rhs, images, is_true in keys:
+    # breadth-first: the loop reads the states that move appends
+    for (lhs, rhs, images, is_true), diff in zip(keys, diffs):
         first.append(len(dsts))
 
         if not is_true and lhs[0] == rhs[0]:
             # silent head cancellation: the unique outgoing transition
             l, r = lhs[1:], rhs[1:]
             if l and r:
-                add(intern(l, r, images, False, cancelled=True), "")
+                move("", l, r, images, False, diff, True, False)
             elif not l and not r:
-                add(intern("", "", images, True), "")
+                move("", "", "", images, True, diff, False, False)
             continue
 
         for k, x in enumerate(var_chars):
@@ -349,12 +352,13 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
                 continue
             # only the first active variable that does not occur; the next
             # has its turn once this one is deleted, so firing for every one
-            # would add paths but no solutions
+            # would add paths but no solutions.  x does not occur: no count changes.
             for a, ma in zip(consts, const_imgs):
                 for t in quot.get((ma, mx), ()):
-                    add(intern(lhs, rhs, images[:k] + (t,) + images[k + 1:], is_true), x + a + x)
+                    kept = images if t == mx else images[:k] + (t,) + images[k + 1:]
+                    move(x + a + x, lhs, rhs, kept, is_true, diff, False, False)
                 if mx == ma:
-                    add(intern(lhs, rhs, images[:k] + (-1,) + images[k + 1:], is_true), x + a)
+                    move(x + a, lhs, rhs, images[:k] + (-1,) + images[k + 1:], is_true, diff, False, False)
             break
         if is_true:
             continue
@@ -366,12 +370,19 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
             if k < 0:  # a constant head
                 continue
             alpha = other[0]
-            mx, ma = images[k], vals[ord(alpha) - PACK_BASE]
+            ia = ord(alpha) - PACK_BASE
+            mx, ma = images[k], vals[ia]
             u, v = this[1:], other[1:]
-            # x -> alpha x and x -> alpha add c_x = |this|_x - |other|_x to
-            # the count difference of alpha; with c_x = 0 the children have
-            # the letter counts of this state, which passed the test
-            counts = u.count(x) + 1 != v.count(x)
+            # x -> alpha x adds c_x to alpha's count, x -> alpha also zeroes
+            # x's; with c_x = 0 both children share this state's, which passed
+            cx = diff[n_const + k]
+            counts = cx != 0
+            diff_kept = diff_gone = diff
+            if counts:
+                diff_kept = diff.copy()
+                diff_kept[ia] += cx
+                diff_gone = diff_kept.copy()
+                diff_gone[n_const + k] = 0
 
             # keeping transition: x -> alpha x, the opposing head cancels
             ax = alpha + x
@@ -380,11 +391,8 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
                 keep_l = x + u.replace(x, ax)
                 pair = (keep_l, keep_r) if not swapped else (keep_r, keep_l)
                 for t in quot.get((ma, mx), ()):
-                    add(
-                        intern(pair[0], pair[1], images[:k] + (t,) + images[k + 1:], False,
-                               cancelled=True, counts=counts),
-                        x + ax,
-                    )
+                    kept = images if t == mx else images[:k] + (t,) + images[k + 1:]
+                    move(x + ax, pair[0], pair[1], kept, False, diff_kept, True, counts)
             # deleting transition: x -> alpha
             if mx == ma:
                 dl, dr = u.replace(x, alpha), v.replace(x, alpha)
@@ -392,9 +400,9 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
                     dl, dr = dr, dl
                 gone = images[:k] + (-1,) + images[k + 1:]
                 if dl and dr:
-                    add(intern(dl, dr, gone, False, cancelled=True, counts=counts), x + alpha)
+                    move(x + alpha, dl, dr, gone, False, diff_gone, True, counts)
                 elif not dl and not dr:
-                    add(intern("", "", gone, True), x + alpha)
+                    move(x + alpha, "", "", gone, True, diff_gone, False, False)
 
     none_active = (-1,) * len(var_chars)
     finals = [
@@ -402,47 +410,39 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
         if images == none_active and (is_true or (len(lhs) == 1 and lhs == rhs and lhs in consts))
     ]
     first.append(len(dsts))
-    del index  # trimming needs only the explored states and their moves
+    del index, diffs  # trimming needs only the explored states and their moves
     return _trim(ins, keys, first, dsts, labels, finals, token_of)
 
 
 DEAD = -1  # index entry of a state refuted by its images or by letter counting
 
 
-def _abelian_refuted(lhs: Word | str, rhs: Word | str, varset: frozenset[str] | str) -> bool:
-    """Whether letter counting alone shows that the equation has no solution
-    in nonempty words; the sides are token tuples, with varset the set of
-    active variables, or packed strings, with varset the packed variables
-    (those that occur are active).  With d_a = |lhs|_a - |rhs|_a for each constant a and
-    c_X = |lhs|_X - |rhs|_X for each variable X, a solution s satisfies
-    d_a + sum_X c_X |s(X)|_a = 0 for every a and |s(X)| >= 1, which fails
-    when some d_a != 0 but every c_X = 0; when every c_X is even but some
-    d_a is odd; when every c_X >= 0 and some d_a > 0 or sum_X c_X > -sum_a
-    d_a (and symmetrically for every c_X <= 0)."""
-    # flags instead of lists and any/all: this runs once per explored state
-    # of every instance, most of which are tiny
-    c_sum = d_sum = 0
+def _counts_refuted(diff: list[int], n_const: int) -> bool:
+    """Letter counting on net counts diff (|lhs|_t - |rhs|_t by packed symbol
+    t, the n_const constants first): with d_a those of constants and c_X of
+    variables, a solution s has d_a + sum_X c_X |s(X)|_a = 0 for every a and
+    |s(X)| >= 1, which fails when some d_a != 0 but every c_X = 0; when every
+    c_X is even but some d_a is odd; when every c_X >= 0 and some d_a > 0 or
+    sum_X c_X > -sum_a d_a (and symmetrically for every c_X <= 0)."""
+    # flags instead of lists and any/all: this runs on every instance, most
+    # of which are tiny, and on every new state whose counts changed
     c_pos = c_neg = c_odd = d_pos = d_neg = d_odd = False
-    for t in set(lhs + rhs):
-        n = lhs.count(t) - rhs.count(t)
-        if not n:
-            continue
-        if t in varset:
-            c_sum += n
-            c_pos, c_neg = c_pos or n > 0, c_neg or n < 0
-            c_odd = c_odd or n & 1
-        else:
-            d_sum += n
+    for n in diff[:n_const]:
+        if n:
             d_pos, d_neg = d_pos or n > 0, d_neg or n < 0
             d_odd = d_odd or n & 1
+    for n in diff[n_const:]:
+        if n:
+            c_pos, c_neg = c_pos or n > 0, c_neg or n < 0
+            c_odd = c_odd or n & 1
     if not (c_pos or c_neg):
         return d_pos or d_neg
     if d_odd and not c_odd:
         return True
-    if not c_neg:
-        return d_pos or c_sum > -d_sum
+    if not c_neg:  # sum_X c_X > -sum_a d_a
+        return d_pos or sum(diff) > 0
     if not c_pos:
-        return d_neg or c_sum < -d_sum
+        return d_neg or sum(diff) < 0
     return False
 
 
@@ -452,7 +452,7 @@ def _trim(ins, keys, first, dsts, labels, finals, token_of) -> SolutionGraph:
     initial state 0, and keep their moves as arrays renumbered the same way.
     A DFS child passes its live flag to its parent as it returns; a state
     whose component has closed gets index n, which no longer lowers `low`."""
-    if not finals:  # nothing is co-reachable, as when the initial state is DEAD
+    if not finals:  # nothing is co-reachable, as when the initial state is refuted
         return SolutionGraph(ins, [], [0], [], [], token_of, None, frozenset(), SccData((), (), ()))
     n = len(keys)
     index_of = [-1] * n

@@ -31,7 +31,7 @@ from weq.solution_graph import (
     NotAccepting,
     SccData,
     StateBudgetExceeded,
-    _abelian_refuted,
+    _counts_refuted,
     _left_quotients,
     build,
     enumerate_solutions,
@@ -244,6 +244,13 @@ def test_hot_path_stays_lazy():
     assert len(g._decoded) < 100
 
 
+VARIABLE_HEADS = parse_instance(
+    "constants a b\nvariables X Y Z W\n"
+    "equation b b b Z Z = W Y X X Y\nsemigroup builtin:z2\n"
+    "map a -> 1\nmap b -> 1\nmap X -> 0\nmap Y -> 0\nmap Z -> 0\nmap W -> 1\n"
+)
+
+
 class TestStateBudget:
     # FIVE_VARIABLES interns 7,377 states, dead ones included, and keeps 4,591
     def test_exact_budget_suffices(self):
@@ -257,6 +264,25 @@ class TestStateBudget:
     def test_the_exported_budget_error_covers_the_state_budget(self):
         with pytest.raises(weq.BudgetExceeded):
             build(FIVE_VARIABLES, max_states=7376)
+
+    # VARIABLE_HEADS interns 169 states and keeps 103.  Over z2 it has
+    # keeping and deleting moves whose opposing head is a variable, and
+    # each wrong update of the count differences tried on it (alpha's entry
+    # left alone, lowered instead of raised or raised at x; x's entry kept
+    # on deletion or zeroed on keeping) changes the number interned
+    def test_variable_heads_exact_budget(self):
+        assert build(VARIABLE_HEADS, max_states=169).state_count == 103
+        with pytest.raises(StateBudgetExceeded) as exc:
+            build(VARIABLE_HEADS, max_states=168)
+        assert (exc.value.count, exc.value.budget) == (169, 168)
+
+    def test_a_refuted_initial_state_counts_against_the_budget(self):
+        ins = make_instance("Xa=bX")
+        assert abelian_refuted(ins.equation.lhs, ins.equation.rhs, {"X"})
+        with pytest.raises(StateBudgetExceeded) as exc:
+            build(ins, max_states=0)
+        assert (exc.value.count, exc.value.budget) == (1, 0)
+        assert not is_solvable(build(ins, max_states=1))
 
 
 def odd_tokens():
@@ -274,6 +300,19 @@ def dead_cycles():
     """XY=YX over n2 with every symbol at 0: of its 13 explored states, two
     have self-loops but reach no final state, and 6 are kept."""
     return make_instance("XY=YX", sg=builtin("n2"), mapping={s: "0" for s in "abXY"})
+
+
+REFUTATION_ROWS = [
+    ("Xa=bX", True),     # counts of a and b differ, X cancels
+    ("XaY=YbX", True),
+    ("XXa=b", True),     # c_X = 2 > 0 and d_a = 1 > 0
+    ("XY=Y", True),      # c_X = 1 > 0 = -(sum of d)
+    ("XX=aaa", True),    # every c even, d_a odd
+    ("XX=YaY", True),
+    ("XabY=YbaX", False),
+    ("XY=aab", False),
+    ("XaX=aYb", False),  # d_b = -1, c_X = 2, c_Y = -1: signs mixed
+]
 
 
 class TestAbelianFilter:
@@ -311,21 +350,11 @@ class TestAbelianFilter:
         dot = export_dot(build(ins))
         assert hashlib.sha256(dot.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("spec, refuted", [
-        ("Xa=bX", True),     # counts of a and b differ, X cancels
-        ("XaY=YbX", True),
-        ("XXa=b", True),     # c_X = 2 > 0 and d_a = 1 > 0
-        ("XY=Y", True),      # c_X = 1 > 0 = -(sum of d)
-        ("XX=aaa", True),    # every c even, d_a odd
-        ("XX=YaY", True),
-        ("XabY=YbaX", False),
-        ("XY=aab", False),
-        ("XaX=aYb", False),  # d_b = -1, c_X = 2, c_Y = -1: signs mixed
-    ])
+    @pytest.mark.parametrize("spec, refuted", REFUTATION_ROWS)
     def test_refutation_rule(self, spec, refuted):
         ins = make_instance(spec)
         eq = ins.equation
-        assert _abelian_refuted(eq.lhs, eq.rhs, frozenset(ins.symbols.variables)) == refuted
+        assert abelian_refuted(eq.lhs, eq.rhs, frozenset(ins.symbols.variables)) == refuted
 
     def test_six_variable_instance_refuted_at_the_start(self):
         ins = parse_instance(
@@ -333,7 +362,7 @@ class TestAbelianFilter:
             "equation X0 X4 X0 X1 b X4 X5 X5 = X2 X2 X3 X1 a X3\nsemigroup builtin:trivial\n"
         )
         eq = ins.equation
-        assert _abelian_refuted(eq.lhs, eq.rhs, frozenset(ins.symbols.variables))
+        assert abelian_refuted(eq.lhs, eq.rhs, frozenset(ins.symbols.variables))
         assert not is_solvable(build(ins))
 
 
@@ -357,9 +386,44 @@ def test_refuted_initial_state_has_no_solution(case):
     spec, variables = case
     ins = make_instance(spec, variables=variables)
     eq = ins.equation
-    if _abelian_refuted(eq.lhs, eq.rhs, frozenset(variables)):
+    if abelian_refuted(eq.lhs, eq.rhs, frozenset(variables)):
         assert brute_solutions(ins, 4).solutions == ()
         assert not is_solvable(build(ins))
+
+
+@st.composite
+def count_differences(draw):
+    """Sides with drawn count differences, zero or of either sign, for up
+    to three constants and four variables: a symbol with difference n
+    occurs n times on the left when n > 0 and -n times on the right when
+    n < 0."""
+    constants = "abc"[:draw(st.integers(0, 3))]
+    variables = "WXYZ"[:draw(st.integers(0, 4))]
+    lhs, rhs = [], []
+    for t in constants + variables:
+        n = draw(st.integers(-3, 3))
+        (lhs if n > 0 else rhs).extend([t] * abs(n))
+    return tuple(lhs), tuple(rhs), constants, variables
+
+
+def refutation_cases():
+    """Sides, constants and variables: the rows of `test_refutation_rule`,
+    drawn quadratic equations and drawn count differences."""
+    def from_spec(case):
+        ins = make_instance(case[0], variables=case[1])
+        syms = ins.symbols
+        return ins.equation.lhs, ins.equation.rhs, syms.constants, syms.variables
+
+    rows = st.sampled_from([(spec, "XY") for spec, _ in REFUTATION_ROWS])
+    return st.one_of(rows.map(from_spec), quadratic_equations().map(from_spec), count_differences())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(refutation_cases())
+def test_carried_differences_refute_as_recounting_does(case):
+    lhs, rhs, constants, variables = case
+    diff = [lhs.count(t) - rhs.count(t) for t in constants + variables]
+    assert _counts_refuted(diff, len(constants)) == abelian_refuted(lhs, rhs, frozenset(variables))
 
 
 class TestImageFilter:
@@ -387,6 +451,37 @@ def test_initial_images_that_differ_leave_no_solution(case, target, data):
     assume(ins.mu.eval(eq.lhs) != ins.mu.eval(eq.rhs))
     assert brute_solutions(ins, 4).solutions == ()
     assert not is_solvable(build(ins))
+
+
+def abelian_refuted(lhs, rhs, varset):
+    """Letter counting by recounting both sides, which `build` did before it
+    carried the count differences from state to state; the sides are token
+    tuples and varset the active variables.  With d_a = |lhs|_a - |rhs|_a
+    for each constant a and c_X = |lhs|_X - |rhs|_X for each variable X,
+    the rule of `_counts_refuted`."""
+    c_sum = d_sum = 0
+    c_pos = c_neg = c_odd = d_pos = d_neg = d_odd = False
+    for t in set(lhs + rhs):
+        n = lhs.count(t) - rhs.count(t)
+        if not n:
+            continue
+        if t in varset:
+            c_sum += n
+            c_pos, c_neg = c_pos or n > 0, c_neg or n < 0
+            c_odd = c_odd or n & 1
+        else:
+            d_sum += n
+            d_pos, d_neg = d_pos or n > 0, d_neg or n < 0
+            d_odd = d_odd or n & 1
+    if not (c_pos or c_neg):
+        return d_pos or d_neg
+    if d_odd and not c_odd:
+        return True
+    if not c_neg:
+        return d_pos or c_sum > -d_sum
+    if not c_pos:
+        return d_neg or c_sum < -d_sum
+    return False
 
 
 def reference_build(ins):
@@ -421,7 +516,7 @@ def reference_build(ins):
         if sid is None:
             if not true_ and (
                 (cancelled and test_images and images_differ(lhs, rhs, mu))
-                or (counts and _abelian_refuted(lhs, rhs, varset))
+                or (counts and abelian_refuted(lhs, rhs, varset))
             ):
                 index[st] = dead
                 return dead
