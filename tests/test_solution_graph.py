@@ -266,10 +266,10 @@ class TestStateBudget:
             build(FIVE_VARIABLES, max_states=7376)
 
     # VARIABLE_HEADS interns 169 states and keeps 103.  Over z2 it has
-    # keeping and deleting moves whose opposing head is a variable, and
-    # each wrong update of the count differences tried on it (alpha's entry
-    # left alone, lowered instead of raised or raised at x; x's entry kept
-    # on deletion or zeroed on keeping) changes the number interned
+    # keeping and deleting moves whose opposing head is a variable, so a
+    # wrong update of the carried counts (alpha's entry left alone, lowered
+    # instead of raised, or x's raised in its place; x's entry kept on
+    # deletion or zeroed on keeping) changes the number interned
     def test_variable_heads_exact_budget(self):
         assert build(VARIABLE_HEADS, max_states=169).state_count == 103
         with pytest.raises(StateBudgetExceeded) as exc:
