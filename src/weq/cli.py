@@ -342,7 +342,7 @@ def make_parser() -> argparse.ArgumentParser:
                             help="give up once the automaton has more than N states, dead ones "
                                  "included, or the enumeration of solve and --crosscheck more than "
                                  "N (state, patterns) pairs (default %(default)s: at most about "
-                                 "0.7 GB RSS for the automaton, 0.5 GB for the enumeration)")
+                                 "0.6 GB RSS for the automaton, 0.5 GB for the enumeration)")
         if crosscheck:
             sp.add_argument("--crosscheck", type=_int_in(1), default=None, metavar="L",
                             help="also compare against the brute-force oracle up to length L")

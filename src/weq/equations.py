@@ -30,6 +30,10 @@ class BudgetExceeded(Exception):
     states, or a hunt's instances (then `report` is the partial report)."""
 
 
+class TheoremViolation(AssertionError):
+    """A guaranteed search came back empty or wrong: an implementation bug."""
+
+
 class EmptyWord(EquationError):
     pass
 
@@ -40,11 +44,6 @@ class NotQuadratic(EquationError):
 
 class WrongConstraintShape(EquationError):
     """The constraint map does not have the required special form."""
-
-
-def as_word(w) -> Word:
-    """Coerce a token iterable (a string is read as 1-char tokens) to a word."""
-    return tuple(w)
 
 
 @dataclass(frozen=True)
@@ -77,9 +76,6 @@ class SymbolTable:
     def all_symbols(self) -> tuple[str, ...]:
         return self.constants + self.variables
 
-    def variable_order(self, var: str) -> int:
-        return self.variables.index(var)
-
 
 @dataclass(frozen=True)
 class WordEquation:
@@ -95,7 +91,7 @@ class WordEquation:
 
 
 def equation(lhs, rhs) -> WordEquation:
-    return WordEquation(as_word(lhs), as_word(rhs))
+    return WordEquation(tuple(lhs), tuple(rhs))
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ class ConstraintMorphism:
         return self._map[sym]
 
     def eval(self, w) -> int:
-        w = as_word(w)
+        w = tuple(w)
         if not w:
             raise EmptyWord("cannot evaluate the empty word in a semigroup")
         m = self._map
@@ -240,7 +236,7 @@ class Solution:
 
     @classmethod
     def from_dict(cls, mapping) -> "Solution":
-        return cls(tuple(sorted((v, as_word(w)) for v, w in mapping.items())))
+        return cls(tuple(sorted((v, tuple(w)) for v, w in mapping.items())))
 
     @cached_property
     def as_dict(self) -> dict[str, Word]:
@@ -293,7 +289,7 @@ def exp_word(w) -> int:
     factor of period p and length r + p, that is p^(r // p + 1); periods
     are tried upward until n // p, the most any longer one allows, cannot
     beat the best found."""
-    w = as_word(w)
+    w = tuple(w)
     n = len(w)
     if n == 0:
         return 0
@@ -321,6 +317,18 @@ def exp_solution(sol: Solution) -> int:
 # constraint languages: the deterministic reachability automaton over S^1
 
 
+def _closure(start: int, successors) -> set[int]:
+    """The states reachable from `start`, itself included, by `successors`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in successors(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def _preimage_cycles(mu: ConstraintMorphism, s: int):
     """The useful states of the S^1 automaton (on a path start -> accept)
     that lie on a cycle inside the useful set, in increasing order, plus
@@ -333,32 +341,15 @@ def _preimage_cycles(mu: ConstraintMorphism, s: int):
     step = {a: mu[a] for a in sigma}
     states = [ONE] + list(sg.elements())
     delta = {t: {a: sg.mul1(t, step[a])for a in sigma} for t in states}
-    reach = {ONE}
-    frontier = deque([ONE])
-    while frontier:
-        t = frontier.popleft()
-        for a in sigma:
-            nxt = delta[t][a]
-            if nxt not in reach:
-                reach.add(nxt)
-                frontier.append(nxt)
-    co = {s}
-    frontier = deque(co)
     rev: dict[int, set[int]] = {t: set() for t in states}
     for t in states:
         for a in sigma:
             rev[delta[t][a]].add(t)
-    while frontier:
-        t = frontier.popleft()
-        for p in rev[t]:
-            if p not in co:
-                co.add(p)
-                frontier.append(p)
-    useful = reach & co
+    useful = _closure(ONE, lambda t: delta[t].values()) & _closure(s, rev.__getitem__)
     # ONE is never a transition target, so never on a cycle
     cyclic = [
         q for q in sorted(useful)
-        if q != ONE and _bfs_word(delta, sigma, useful, [q], q, min_len=1) is not None
+        if q != ONE and _bfs_word(delta, sigma, useful, q, q, nonempty=True) is not None
     ]
     return cyclic, useful, delta
 
@@ -369,28 +360,22 @@ def preimage_infinite(mu: ConstraintMorphism, s: int) -> bool:
     return bool(_preimage_cycles(mu, s)[0])
 
 
-def _bfs_word(delta, sigma, useful, sources, target, min_len: int) -> tuple[Word, int] | None:
-    """Shortest (then constant-order lexicographically least) word of length
-    >= min_len driving some source state to the target inside the useful set.
-    Returns (word, source_used)."""
-    start = [(q, (), q) for q in sources]
-    queue = deque(start)
-    seen = {(q, 0) for q in sources}
+def _bfs_word(delta, sigma, useful, source, target, nonempty: bool) -> Word | None:
+    """The shortest, then constant-order least, word driving `source` to
+    `target` inside the useful set, nonempty when asked; None if none does."""
+    if source == target and not nonempty:
+        return ()
+    queue = deque([(source, ())])
+    seen = set()
     while queue:
-        state, word, src = queue.popleft()
-        if state == target and len(word) >= min_len:
-            return word, src
-        if len(word) > len(useful) + min_len + 1:
-            continue
+        state, word = queue.popleft()
         for a in sigma:
             nxt = delta[state][a]
-            if nxt not in useful:
-                continue
-            key = (nxt, min(len(word) + 1, min_len))
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append((nxt, word + (a,), src))
+            if nxt in useful and nxt not in seen:
+                if nxt == target:
+                    return word + (a,)
+                seen.add(nxt)
+                queue.append((nxt, word + (a,)))
     return None
 
 
@@ -403,9 +388,9 @@ def preimage_pump(mu: ConstraintMorphism, s: int) -> tuple[Word, Word, Word] | N
         return None
     q = cyclic[0]
     sigma = mu.symbols.constants
-    u, _ = _bfs_word(delta, sigma, useful, [ONE], q, min_len=0)
-    y, _ = _bfs_word(delta, sigma, useful, [q], q, min_len=1)
-    w, _ = _bfs_word(delta, sigma, useful, [q], s, min_len=0)
+    u = _bfs_word(delta, sigma, useful, ONE, q, nonempty=False)
+    y = _bfs_word(delta, sigma, useful, q, q, nonempty=True)
+    w = _bfs_word(delta, sigma, useful, q, s, nonempty=False)
     return u, y, w
 
 

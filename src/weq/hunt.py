@@ -17,7 +17,7 @@ import json
 import random
 from array import array
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import oracle
 from .equations import (
@@ -136,16 +136,7 @@ class HuntReport:
     truncated: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "parameters": self.parameters,
-            "total": self.total,
-            "unsatisfiable": self.unsatisfiable,
-            "finite": self.finite,
-            "infinite_certified": self.infinite_certified,
-            "suspects": self.suspects,
-            "discharged": self.discharged,
-            "truncated": self.truncated,
-        }
+        return asdict(self)
 
 
 def classify(ins: Instance) -> tuple[str, dict]:

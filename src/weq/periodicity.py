@@ -18,6 +18,7 @@ from .equations import (
     EquationError,
     Instance,
     Solution,
+    TheoremViolation,
     Word,
     apply_map,
     exp_solution,
@@ -33,47 +34,33 @@ class NotDLG(EquationError):
     """The constraint target is outside the supported variety."""
 
 
-class TheoremViolation(AssertionError):
-    """A guaranteed search came back empty; indicates an implementation bug."""
-
-
 # ---------------------------------------------------------------------------
 # nicely balanced states
 
 
-@dataclass(frozen=True)
-class BalanceWitness:
-    variable: str
-    absent: bool
-    swapped: bool  # the pumpable side is the right-hand side
-    u: Word = ()
-    v: Word = ()
-    v_prime: Word = ()
-
-
-def is_nicely_balanced(g: SolutionGraph, sid: int, var: str) -> BalanceWitness | None:
-    """Whether the state admits pumping on `var`: the constraint language of
-    the variable is infinite and either the variable is absent from the
-    equation, or (up to swapping sides) the equation reads X u = v X v' with
-    the image of v an L-stabilizer of the image of X."""
+def is_nicely_balanced(g: SolutionGraph, sid: int, var: str) -> Word | None:
+    """The word v that pumps the state on `var`, or None when the state
+    does not admit pumping there: the constraint language of the variable is
+    infinite and either the variable is absent from the equation (v is then
+    empty), or (up to swapping sides) the equation reads X u = v X v' with
+    the image of v an L-stabilizer of the image of X.  An empty v means the
+    variable is pumped from its constraint language instead."""
     st = g.state(sid)
     if var not in st.varset:
         raise EquationError(f"variable {var!r} is not active in state {sid}")
     mu_x = dict(st.mu_items)[var]
     if not preimage_infinite(g.instance.mu, mu_x):
         return None
-    body = st.lhs + st.rhs
-    if var not in body:
-        return BalanceWitness(var, absent=True, swapped=False)
-    for swapped, (this, other) in ((False, (st.lhs, st.rhs)), (True, (st.rhs, st.lhs))):
+    if var not in st.lhs + st.rhs:
+        return ()
+    for this, other in ((st.lhs, st.rhs), (st.rhs, st.lhs)):
         if not this or this[0] != var or var in this[1:]:
             continue
         if other.count(var) != 1:
             continue
-        i = other.index(var)
-        v, v_prime = other[:i], other[i + 1:]
+        v = other[:other.index(var)]
         if g.state_eval1(sid, v) in stab_L(g.instance.mu.target, mu_x):
-            return BalanceWitness(var, False, swapped, this[1:], v, v_prime)
+            return v
     return None
 
 
@@ -110,17 +97,17 @@ def simple_cycles(g: SolutionGraph, max_len: int = 20, max_count: int = 10000) -
     return out
 
 
-def find_nicely_balanced_on_cycle(g: SolutionGraph, states) -> tuple[int, str, BalanceWitness] | None:
-    """The first pumpable (state, variable, witness) among the given states,
+def find_nicely_balanced_on_cycle(g: SolutionGraph, states) -> tuple[int, str, Word] | None:
+    """The first pumpable (state, variable, word v) among the given states,
     walked in order with the active variables in declaration order; None on
     a miss."""
-    syms = g.instance.symbols
+    variables = g.instance.symbols.variables
     for sid in states:
-        st = g.state(sid)
-        for var in sorted(st.varset, key=syms.variable_order):
-            wit = is_nicely_balanced(g, sid, var)
-            if wit is not None:
-                return sid, var, wit
+        active = g.state(sid).varset
+        for var in [x for x in variables if x in active]:
+            v = is_nicely_balanced(g, sid, var)
+            if v is not None:
+                return sid, var, v
     return None
 
 
@@ -130,7 +117,7 @@ def cyclic_components(g: SolutionGraph) -> list[tuple[int, ...]]:
     return [c for c, cyclic in zip(g.scc.components, g.scc.has_transition) if cyclic]
 
 
-def pumpable_state(g: SolutionGraph) -> tuple[int, str, BalanceWitness] | None:
+def pumpable_state(g: SolutionGraph) -> tuple[int, str, Word] | None:
     """The first pumpable state of the cyclic components, scanned in
     topological order and by state id; None when the automaton is acyclic or,
     outside the supported variety, when every state misses.  Under supported
@@ -140,7 +127,7 @@ def pumpable_state(g: SolutionGraph) -> tuple[int, str, BalanceWitness] | None:
         hit = find_nicely_balanced_on_cycle(g, comp)
         if hit is not None:
             return hit
-    if comps and is_dlg(g.instance.mu.target):
+    if comps and is_dlg(g.instance.mu.target).holds:
         raise TheoremViolation(f"no pumpable state in any of {len(comps)} cyclic components")
     return None
 
@@ -273,10 +260,10 @@ def pumping_certificate(ins: Instance, graph: SolutionGraph | None = None) -> Pu
     hit = pumpable_state(g)
     if hit is None:
         return None
-    sid, var, wit = hit
+    sid, var, v = hit
     labels = tuple(map(g.label, _shortest_path(g, g.initial, sid)))
     base = _solve_state(g, sid, _first_accepting_path(g, sid))
-    return _certificate(g, sid, var, labels, base, wit.v)
+    return _certificate(g, sid, var, labels, base, v)
 
 
 def instantiate(cert: PumpingCertificate, ins: Instance, m: int) -> Solution:
@@ -366,11 +353,11 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     if sid not in frontier:
         raise EquationError("certificate path prefix does not reach the certified state")
     var = data["variable"]
-    wit = is_nicely_balanced(g, sid, var)
-    if wit is None:
+    word = is_nicely_balanced(g, sid, var)
+    if word is None:
         raise EquationError(f"state {sid} is not pumpable on {var!r}")
-    # the witness decides the case: head-balanced exactly when its v is nonempty
-    case = "head_balanced" if wit.v else "free_variable"
+    # the pumping word decides the case: head-balanced exactly when it is nonempty
+    case = "head_balanced" if word else "free_variable"
     if data["case"] != case:
         raise EquationError(f"certificate case {data['case']!r} is not {case!r}, the case of "
                             f"state {sid} on {var!r}")
@@ -379,7 +366,7 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     if fault is not None:
         raise EquationError(f"certificate base {fault}")
     if case == "free_variable":
-        # the witness above makes the variable's constraint language infinite
+        # the scan above makes the variable's constraint language infinite
         return _certificate(g, sid, var, labels, base, ())
     v_word = tuple(data["v"])
     if not v_word:

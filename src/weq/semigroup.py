@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 from ._text import ParseError, logical_lines, read_text
@@ -256,9 +256,6 @@ class DlgResult:
     holds: bool
     witness: tuple[int, int] | None = None
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 @lru_cache(maxsize=64)
 def is_dlg(sg: FiniteSemigroup) -> DlgResult:
@@ -295,13 +292,8 @@ class VarietyReport:
     dlg_witness: tuple[int, int] | None = None
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "right_group": self.right_group, "group": self.group,
-            "commutative": self.commutative, "semilattice": self.semilattice,
-            "j_trivial": self.j_trivial, "l_trivial": self.l_trivial,
-            "nilpotent": self.nilpotent, "duo": self.duo,
-            "dlg": self.dlg, "drg": self.drg, "do": self.do, "ds": self.ds,
-        }
+        """Every flag, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "dlg_witness"}
 
 
 def _is_nilpotent(sg: FiniteSemigroup) -> bool:

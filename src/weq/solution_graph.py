@@ -96,8 +96,8 @@ from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 from .equations import (
-    PACK_BASE, BudgetExceeded, EquationError, Instance, Solution, Word, packing, require_solution,
-    substitute,
+    PACK_BASE, BudgetExceeded, EquationError, Instance, Solution, TheoremViolation, Word, packing,
+    require_solution, substitute, verify_solution,
 )
 from .semigroup import FiniteSemigroup
 
@@ -575,10 +575,6 @@ def extract_solution(g: SolutionGraph, path) -> Solution:
     if at not in g.finals:
         raise NotAccepting(f"path ends at non-final state {at}")
     patterns = compose(g.instance.symbols.variables, labels)
-    syms = g.instance.symbols
-    for v, w in patterns.items():
-        if not w or any(not syms.is_constant(tok) for tok in w):
-            raise NotAccepting(f"variable {v!r} is not fully resolved by the path")
     sol = Solution.from_dict(patterns)
     require_solution(g.instance, sol)
     return sol
@@ -591,7 +587,8 @@ def enumerate_solutions(
     oracle's order; the module docstring says why the search ends.  The
     patterns stay packed, one `str` per variable, until a final state
     yields them.  Raises StateBudgetExceeded once more than `max_states`
-    (state, patterns) pairs are interned."""
+    (state, patterns) pairs are interned, and TheoremViolation if an
+    accepting path composes to a non-solution."""
     if g.initial is None:
         return []
     syms = g.instance.symbols
@@ -623,7 +620,9 @@ def enumerate_solutions(
     sols = []
     for patterns in found:
         sol = Solution.from_dict({v: tuple(map(token, w)) for v, w in zip(variables, patterns)})
-        require_solution(g.instance, sol)
+        if not verify_solution(g.instance, sol):
+            raise TheoremViolation(f"an accepting path composes to {sol.assignment}, "
+                                   "which does not solve the instance")
         sols.append(sol)
     return sorted(sols, key=lambda s: s.sort_key(syms))
 

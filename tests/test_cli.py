@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from weq import hunt, periodicity
+from weq import hunt, periodicity, solution_graph
 from weq.cli import main
 from weq.equations import format_instance, parse_instance
+from weq.semigroup import builtin, variety_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -517,6 +518,20 @@ class TestSolveOracleGraph:
         assert main(["solve", files["xabby.weq"], "--max-len", "2"]) == 0
         assert main(["solve", files["xa_bx.weq"], "--max-len", "4"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{xabby}", "--max-len", "2"],
+        ["check", "{xabby}", "--crosscheck", "2"],
+    ])
+    def test_failed_enumeration_guarantee_exits_4(self, files, capsys, monkeypatch, argv):
+        """An accepting path that composes to a non-solution is a failed
+        guarantee, not a usage error: exit 4, with the instance text."""
+        monkeypatch.setattr(solution_graph, "verify_solution", lambda ins, sol: False)
+        assert main([arg.format(xabby=files["xabby.weq"]) for arg in argv]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal guarantee failed: an accepting path composes to")
+        assert format_instance(parse_instance(XABBY)) in err  # replays the failure
+        assert "Traceback" not in err
+
     def test_oracle_budget(self, files, capsys):
         assert main(["oracle", files["xabby.weq"], "--max-len", "8", "--budget", "10"]) == 2
         assert "budget" in capsys.readouterr().err
@@ -552,6 +567,18 @@ class TestSolveOracleGraph:
 
 
 class TestSemigroupCmd:
+    def test_report_keys_are_pinned(self):
+        """The report dicts list their dataclass fields, so a new field would
+        reach `weq semigroup --json` and the hunt report; these are the keys."""
+        assert list(variety_report(builtin("b2")).as_dict()) == [
+            "right_group", "group", "commutative", "semilattice", "j_trivial", "l_trivial",
+            "nilpotent", "duo", "dlg", "drg", "do", "ds",
+        ]
+        assert list(hunt.HuntReport(parameters={}).as_dict()) == [
+            "parameters", "total", "unsatisfiable", "finite", "infinite_certified", "suspects",
+            "discharged", "truncated",
+        ]
+
     def test_b2_report_witness_line(self, capsys):
         assert main(["semigroup", "builtin:b2", "--report"]) == 0
         out = capsys.readouterr().out

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance
+from conftest import make_instance, zoo
 from weq._text import ParseError
 from weq.equations import (
     ConstraintMorphism,
@@ -197,6 +198,23 @@ class TestPreimage:
                     k = sg.order + 1
                     grows = count_up_to(mu, s, 2 * k) > count_up_to(mu, s, k)
                     assert preimage_infinite(mu, s) == grows, (name, images, s)
+
+    def test_pump_words_are_pinned(self):
+        # sha256 over every zoo target, one and two constants, every constant
+        # map and every element (8,356 cases): the chosen (u, y, w) is part
+        # of every free-variable certificate, so a change to the search that
+        # picks it must keep each word
+        h = hashlib.sha256()
+        for name, sg in zoo():
+            for constants in (("a",), ("a", "b")):
+                for images in itertools.product(sg.elements(), repeat=len(constants)):
+                    mu = ConstraintMorphism.from_dict(
+                        SymbolTable(constants), sg, dict(zip(constants, images))
+                    )
+                    for s in sg.elements():
+                        case = (name, images, s, preimage_infinite(mu, s), preimage_pump(mu, s))
+                        h.update(repr(case).encode())
+        assert h.hexdigest() == "ca57472729b75a0aa92d51e10e370223e94e2fd23950966bfc49fa6c91bf7c7e"
 
 
 class TestSystemToSingle:

@@ -51,6 +51,35 @@ def test_no_self_recursion():
     assert found == []
 
 
+# public names that only the tests call: they build the zoo and the file tables
+CALLED_FROM_TESTS_ONLY = {"adjoin_identity", "direct_product", "format_semigroup"}
+
+
+def test_public_names_have_callers():
+    """Every public top-level function and class of the library is named
+    outside the tests: in the library (the package's re-exports aside),
+    a demo, or the benchmark, whose tracer names functions by string."""
+    root = SRC.parent.parent
+    outside = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    outside += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    named = set()
+    for path in outside:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    public = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert public - named == CALLED_FROM_TESTS_ONLY
+
+
 def test_tracer_names_resolve():
     """The benchmark's tracer wraps library functions by name and looks
     them up with `getattr`, so a renamed or deleted function breaks
