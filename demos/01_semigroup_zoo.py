@@ -18,7 +18,7 @@ gr = green(b2)
 print("L-classes:", [[b2.names[x] for x in c] for c in gr.classesL])
 print("R-classes:", [[b2.names[x] for x in c] for c in gr.classesR])
 print("regular D-classes:", [
-    [b2.names[x] for x in c] for c, r in zip(gr.classesD, gr.regularD) if r
+    [b2.names[x] for x in c] for c, r in zip(gr.classesJ, gr.regularD) if r
 ])
 
 # L-stabilizers: u with u^omega x = x.  For a in B2 only the identity and ab.

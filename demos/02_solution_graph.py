@@ -7,8 +7,8 @@ import tempfile
 
 from weq import (
     build,
+    dot_lines,
     enumerate_solutions,
-    export_dot,
     has_infinitely_many,
     is_solvable,
     parse_instance,
@@ -31,14 +31,14 @@ print("infinitely many solutions:", has_infinitely_many(g))
 core = g.scc.components[g.scc.comp_of[g.initial]]
 print("core states:")
 for sid in core:
-    print("   ", g.states[sid].equation_str())
+    print("   ", g.state(sid).equation_str())
 
 # Accepting paths compose to solutions; bounded enumeration is exact.
 print("solutions with |words| <= 3:")
 for sol in enumerate_solutions(g, max_word_len=3):
     print("   ", ", ".join(f"{v}={''.join(w)}" for v, w in sol.assignment))
 
-dot = export_dot(g)
+dot = "".join(dot_lines(g))
 path = os.path.join(tempfile.gettempdir(), "solution_graph.dot")
 with open(path, "w", encoding="utf-8") as fh:
     fh.write(dot)

@@ -14,7 +14,6 @@ from weq import (
     builtin,
     certificate_to_json,
     decide_exp_infinite_dlg,
-    exp_solution,
     instantiate,
     parse_instance,
 )
@@ -35,7 +34,7 @@ print("base solution:", {v: "".join(w) for v, w in cert.base})
 for m in range(5):
     sol = instantiate(cert, ins, m)
     words = ", ".join(f"{v}={''.join(w)}" for v, w in sol.assignment)
-    print(f"  m={m}: {words}   exp={exp_solution(sol)}")
+    print(f"  m={m}: {words}   exp={sol.exponent}")
 
 print("\ncertificate as JSON:")
 print(json.dumps(certificate_to_json(cert), indent=2, sort_keys=True))

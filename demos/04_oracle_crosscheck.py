@@ -9,7 +9,6 @@ from weq import (
     enumerate_solutions,
     exp_word,
     has_infinitely_many,
-    max_exp_up_to,
     unconstrained,
 )
 from weq.equations import equation
@@ -32,4 +31,4 @@ for w in ["", "a", "ab", "aabaa", "ababab", "abaabaaba"]:
 # for an infinite instance the observed exponent keeps climbing with the bound
 ins = unconstrained([equation("Xa", "aX")], "ab", ["X"])
 print("max exp of Xa=aX at bounds 2..6:",
-      [max_exp_up_to(ins, b) for b in range(2, 7)])
+      [brute_solutions(ins, b).max_exp_seen for b in range(2, 7)])

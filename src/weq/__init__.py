@@ -18,7 +18,6 @@ from .equations import (
     WrongConstraintShape,
     brandt_two_constant_guesses,
     equation,
-    exp_solution,
     exp_word,
     format_instance,
     parse_instance,
@@ -29,7 +28,7 @@ from .equations import (
     system_to_single,
     unconstrained,
 )
-from .oracle import OracleReport, brute_solutions, max_exp_up_to
+from .oracle import OracleReport, brute_solutions
 from .periodicity import (
     ExpDecision,
     NotDLG,
@@ -75,8 +74,8 @@ from .solution_graph import (
     NotAccepting,
     SolutionGraph,
     build,
+    dot_lines,
     enumerate_solutions,
-    export_dot,
     extract_solution,
     has_infinitely_many,
     is_solvable,

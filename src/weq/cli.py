@@ -26,7 +26,6 @@ from .equations import (
     EquationError,
     Instance,
     NotQuadratic,
-    exp_solution,
     format_instance,
     parse_instance,
     system_to_single,
@@ -41,6 +40,7 @@ from .periodicity import (
 from .semigroup import (
     SemigroupError,
     green,
+    is_dlg,
     omega,
     resolve_semigroup,
     stab_L,
@@ -188,7 +188,7 @@ def cmd_pump(args) -> int:
         rows.append({
             "m": m,
             "assignment": {v: "".join(w) for v, w in sol.assignment},
-            "exp": exp_solution(sol),
+            "exp": sol.exponent,
         })
     if args.json:
         print(json.dumps({
@@ -262,14 +262,14 @@ def cmd_semigroup(args) -> int:
             "R": [[sg.names[x] for x in c] for c in gr.classesR],
             "J": [[sg.names[x] for x in c] for c in gr.classesJ],
             "H": [[sg.names[x] for x in c] for c in gr.classesH],
-            "D": [[sg.names[x] for x in c] for c in gr.classesD],
+            "D": [[sg.names[x] for x in c] for c in gr.classesJ],
             "regular_D": list(gr.regularD),
         },
         "variety": rep.as_dict(),
     }
     witness_line = None
-    if rep.dlg_witness is not None:
-        x, u = rep.dlg_witness
+    if not rep.dlg:
+        x, u = is_dlg(sg).witness
         ox = omega(sg, u).element
         witness_line = (
             f"{sg.names[sg.mul(u, x)]} ~L {sg.names[x]} but "

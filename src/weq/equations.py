@@ -247,9 +247,6 @@ class Solution:
         """Exponent of periodicity: the largest of its words'."""
         return max((exp_word(w) for _, w in self.assignment), default=0)
 
-    def value(self, var: str) -> Word:
-        return self.as_dict[var]
-
     def apply(self, word) -> Word:
         return apply_map(word, self.as_dict)
 
@@ -272,11 +269,6 @@ def verify_solution(ins: Instance, sol: Solution) -> bool:
         if ins.mu.eval(m[v]) != ins.mu[v]:
             return False
     return True
-
-
-def require_solution(ins: Instance, sol: Solution) -> None:
-    if not verify_solution(ins, sol):
-        raise EquationError(f"assignment {sol.assignment} does not solve the instance")
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +299,6 @@ def exp_word(w) -> int:
         best = max(best, longest // p + 1)
         p += 1
     return best
-
-
-def exp_solution(sol: Solution) -> int:
-    return sol.exponent
 
 
 # ---------------------------------------------------------------------------

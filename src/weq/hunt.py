@@ -151,8 +151,8 @@ def classify(ins: Instance) -> tuple[str, dict]:
     low = len(eq.lhs) + len(eq.rhs)
     detail: dict = {"states_checked": sum(len(c) for c in cyclic_components(g))}
     try:
-        e1 = oracle.max_exp_up_to(ins, low)
-        e2 = oracle.max_exp_up_to(ins, low + 2)
+        e1 = oracle.brute_solutions(ins, low).max_exp_seen
+        e2 = oracle.brute_solutions(ins, low + 2).max_exp_seen
         detail["max_exp"] = {"low_bound": low, "low": e1, "high_bound": low + 2, "high": e2}
         stagnant = e2 <= e1
     except BudgetExceeded:

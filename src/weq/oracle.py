@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .equations import BudgetExceeded, Instance, Solution, exp_solution, packing
+from .equations import BudgetExceeded, Instance, Solution, packing
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -131,9 +131,5 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
                     }))
 
     sols.sort(key=lambda s: s.sort_key(syms))
-    max_exp = max((exp_solution(s) for s in sols), default=0)
+    max_exp = max((s.exponent for s in sols), default=0)
     return OracleReport(bound, tuple(sols), max_exp)
-
-
-def max_exp_up_to(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> int:
-    return brute_solutions(ins, bound, budget).max_exp_seen

@@ -21,10 +21,9 @@ from .equations import (
     TheoremViolation,
     Word,
     apply_map,
-    exp_solution,
     preimage_infinite,
     preimage_pump,
-    require_solution,
+    verify_solution,
 )
 from .semigroup import is_dlg, omega, stab_L
 from .solution_graph import SolutionGraph, build, compose
@@ -155,9 +154,6 @@ class PumpingCertificate:
     omega_exponent: int | None = None
     pump: tuple[Word, Word, Word] | None = None
 
-    def base_dict(self) -> dict[str, Word]:
-        return dict(self.base)
-
 
 def _shortest_path(g: SolutionGraph, src: int, dst: int) -> list[int]:
     """The edges of a shortest run from src to dst, breadth-first in edge
@@ -220,7 +216,7 @@ def _base_fault(g: SolutionGraph, sid: int, base: dict[str, Word]) -> str | None
         sol = Solution.from_dict(base)
         if sol.apply(st.lhs) != sol.apply(st.rhs):
             return f"does not solve state {sid}"
-    mu = g.state_mu(sid)
+    mu = dict(st.mu_items)
     for v, w in base.items():
         if g.instance.mu.eval(w) != mu[v]:
             return f"violates the constraint on {v!r}"
@@ -267,27 +263,27 @@ def pumping_certificate(ins: Instance, graph: SolutionGraph | None = None) -> Pu
 
 
 def instantiate(cert: PumpingCertificate, ins: Instance, m: int) -> Solution:
-    """The m-th pumped solution of the original instance; checked to solve it
-    with exponent of periodicity at least m."""
+    """The m-th pumped solution of the original instance; TheoremViolation
+    unless it solves the instance with exponent of periodicity at least m."""
     if m < 0:
         raise ValueError("the pump count must be nonnegative")
-    base = cert.base_dict()
+    local = dict(cert.base)
     if cert.case == "head_balanced":
-        base_v = apply_map(cert.v, base)
+        base_v = apply_map(cert.v, local)
         if not base_v:
             raise EquationError("certificate word v has an empty image; nothing to pump")
-        pumped = base_v * (m * cert.omega_exponent) + base[cert.variable]
+        pumped = base_v * (m * cert.omega_exponent) + local[cert.variable]
     else:
         u, y, w = cert.pump
         reps = m if (u or w) else max(m, 1)
         pumped = u + y * reps + w
-    local = dict(base)
     local[cert.variable] = pumped
     # lift through the path prefix back to the original variables
     patterns = compose(ins.symbols.variables, cert.prefix_labels)
     sol = Solution.from_dict({v: apply_map(w, local) for v, w in patterns.items()})
-    require_solution(ins, sol)
-    if exp_solution(sol) < m:
+    if not verify_solution(ins, sol):
+        raise TheoremViolation(f"pumped solution {sol.assignment} does not solve the instance")
+    if sol.exponent < m:
         raise TheoremViolation(f"pumped solution has exponent below {m}")
     return sol
 
@@ -328,16 +324,25 @@ def certificate_to_json(cert: PumpingCertificate) -> dict:
     }
 
 
+def _json_word(w) -> Word:
+    """A certificate word: a list of tokens, not a string of characters."""
+    if not (isinstance(w, list) and all(isinstance(t, str) for t in w)):
+        raise TypeError(f"certificate word {w!r} is not a list of tokens")
+    return tuple(w)
+
+
 def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = None) -> PumpingCertificate:
     """Rebuild and re-verify a serialized certificate against the instance."""
     g = graph if graph is not None else build(ins)
     sid = data["state"]
+    if type(sid) is not int:  # not a bool, which JSON reads from true and false
+        raise TypeError(f"certificate state {sid!r} is not an integer")
     if not 0 <= sid < g.state_count:
         raise EquationError(f"certificate state {sid} does not exist")
     for lab in data["prefix_path"]:
         if lab is not None and not (isinstance(lab, list) and len(lab) == 2):
             raise TypeError(f"prefix_path entry {lab!r} is neither null nor [variable, [token, ...]]")
-    labels = tuple(None if lab is None else (lab[0], tuple(lab[1])) for lab in data["prefix_path"])
+    labels = tuple(None if lab is None else (lab[0], _json_word(lab[1])) for lab in data["prefix_path"])
     # replay the labels from the initial state; the label sequence must
     # admit a run ending at the certified state
     frontier = {g.initial}
@@ -361,14 +366,14 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     if data["case"] != case:
         raise EquationError(f"certificate case {data['case']!r} is not {case!r}, the case of "
                             f"state {sid} on {var!r}")
-    base = {v: tuple(w) for v, w in data["base"].items()}
+    base = {v: _json_word(w) for v, w in data["base"].items()}
     fault = _base_fault(g, sid, base)
     if fault is not None:
         raise EquationError(f"certificate base {fault}")
     if case == "free_variable":
         # the scan above makes the variable's constraint language infinite
         return _certificate(g, sid, var, labels, base, ())
-    v_word = tuple(data["v"])
+    v_word = _json_word(data["v"])
     if not v_word:
         raise EquationError("certificate word v is empty")
     img = g.state_eval1(sid, v_word)  # the image of v under the base

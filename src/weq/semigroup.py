@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 from ._text import ParseError, logical_lines, read_text
@@ -178,38 +178,31 @@ def _omega_vector(sg: FiniteSemigroup) -> list[int]:
 
 @dataclass(frozen=True)
 class GreenData:
+    """The classes of each relation by least member; D-classes are J-classes."""
+
     classesL: tuple[tuple[int, ...], ...]
     classesR: tuple[tuple[int, ...], ...]
     classesJ: tuple[tuple[int, ...], ...]
     classesH: tuple[tuple[int, ...], ...]
-    classesD: tuple[tuple[int, ...], ...]
     regularD: tuple[bool, ...]
     indexL: tuple[int, ...]
-    indexR: tuple[int, ...]
-    indexJ: tuple[int, ...]
-    indexH: tuple[int, ...]
 
     def same_L(self, x: int, y: int) -> bool:
         return self.indexL[x] == self.indexL[y]
 
 
-def _partition(keys: list) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Classes of elements with equal keys, ordered by least member, and the
-    class index of each element."""
+def _partition(keys: list) -> tuple[tuple[int, ...], ...]:
+    """Classes of elements with equal keys, ordered by least member: each
+    class is first met at its least member."""
     groups: dict[object, list[int]] = {}
     for x, key in enumerate(keys):
         groups.setdefault(key, []).append(x)
-    classes = sorted(groups.values(), key=lambda c: c[0])
-    index = [0] * len(keys)
-    for ci, cls in enumerate(classes):
-        for x in cls:
-            index[x] = ci
-    return tuple(tuple(c) for c in classes), tuple(index)
+    return tuple(map(tuple, groups.values()))
 
 
 @lru_cache(maxsize=64)
 def green(sg: FiniteSemigroup) -> GreenData:
-    """Compute all five Green's relations.  H groups elements by their L- and
+    """Compute Green's relations.  H groups elements by their L- and
     R-classes together; D is the J partition, as in every finite
     semigroup."""
     n = sg.order
@@ -221,15 +214,13 @@ def green(sg: FiniteSemigroup) -> GreenData:
     for y in rng:
         left = Lsets[y]
         Jsets.append(frozenset(left | {T[b][v] for b in left for v in rng}))
-    classesL, indexL = _partition(Lsets)
-    classesR, indexR = _partition(Rsets)
-    classesJ, indexJ = _partition(Jsets)
-    classesH, indexH = _partition(list(zip(Lsets, Rsets)))
+    classesL, classesR, classesJ, classesH = map(_partition, (Lsets, Rsets, Jsets, list(zip(Lsets, Rsets))))
+    indexL = [0] * n
+    for ci, cls in enumerate(classesL):
+        for x in cls:
+            indexL[x] = ci
     regularD = tuple(any(sg.is_idempotent(x) for x in cls) for cls in classesJ)
-    return GreenData(
-        classesL, classesR, classesJ, classesH, classesJ,
-        regularD, indexL, indexR, indexJ, indexH,
-    )
+    return GreenData(classesL, classesR, classesJ, classesH, regularD, tuple(indexL))
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +280,10 @@ class VarietyReport:
     drg: bool
     do: bool
     ds: bool
-    dlg_witness: tuple[int, int] | None = None
 
     def as_dict(self) -> dict[str, bool]:
         """Every flag, in field order."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "dlg_witness"}
+        return asdict(self)
 
 
 def _is_nilpotent(sg: FiniteSemigroup) -> bool:
@@ -332,7 +322,7 @@ def variety_report(sg: FiniteSemigroup) -> VarietyReport:
             break
     ds = True
     do = True
-    for ci, cls in enumerate(gr.classesD):
+    for ci, cls in enumerate(gr.classesJ):
         if not gr.regularD[ci]:
             continue
         members = set(cls)
@@ -343,8 +333,6 @@ def variety_report(sg: FiniteSemigroup) -> VarietyReport:
             do = do and all(sg.is_idempotent(T[a][b]) for a in idems for b in idems)
         else:
             do = False
-    dlg_res = is_dlg(sg)
-    drg_res = is_dlg(opposite(sg))
     return VarietyReport(
         right_group=len(gr.classesR) <= 1,  # finite right-simple = right group
         group=group,
@@ -354,11 +342,10 @@ def variety_report(sg: FiniteSemigroup) -> VarietyReport:
         l_trivial=all(len(c) == 1 for c in gr.classesL),
         nilpotent=_is_nilpotent(sg),
         duo=duo,
-        dlg=dlg_res.holds,
-        drg=drg_res.holds,
+        dlg=is_dlg(sg).holds,
+        drg=is_dlg(opposite(sg)).holds,
         do=do,
         ds=ds,
-        dlg_witness=dlg_res.witness,
     )
 
 

@@ -9,9 +9,9 @@ trimmed automaton witnesses infinitude.
 Exploration runs on packed words.  `equations.packing`, which the oracle
 uses too, maps token i of the symbol table to one code point, so a side is
 a `str` and a substitution is `str.replace`.
-A state is the key (lhs, rhs, images, is_true), where images holds the
-constraint image of each variable by rank and -1 for a variable that is no
-longer active.  States get ids in the order they are first generated and
+A state is the key (lhs, rhs, images), where images holds the constraint
+image of each variable by rank and -1 for a variable that is no longer
+active.  States get ids in the order they are first generated and
 are expanded in that order, breadth-first, recording their moves as integer
 successors with packed labels.  Two keys are equal exactly when the decoded
 states are, and the moves of a state are generated in the order they have
@@ -39,13 +39,15 @@ the final states; the path searches walk `first` and `dst`; enumeration
 composes packed labels.  `g.state(sid)` decodes one `GraphState` (memoized
 per graph) and `g.label(e)` one label, which is all that the pumpable-state
 scan and the certificates need.  `dot_lines` decodes each state and edge as
-it writes its line and keeps none.  `g.states`, `g.transitions` and `g.out`
-decode the whole automaton on first access, for callers that want objects.
+it writes its line and keeps none.  `g.transitions` and `g.out` decode
+every edge on first access, for callers that want objects.
 
-A degenerate state whose equation has been consumed entirely is represented
-by a TRUE marker that keeps its variable set; it is accepting once the
-variable set is empty, and remaining variables are assigned by the
-absent-variable rule.
+A degenerate state whose equation has been consumed entirely is TRUE: both
+its sides are empty, and it keeps its variable set.  It is accepting once
+the variable set is empty, and remaining variables are assigned by the
+absent-variable rule.  No other state has an empty side: the initial sides
+are nonempty, a head cancellation that empties one side only is dropped,
+and a keeping move needs the opposite side nonempty.
 
 Exploration skips states that letter counting proves unsolvable.  With d_a
 the net count |U|_a - |V|_a of each constant and c_X that of each variable,
@@ -97,7 +99,7 @@ from typing import Iterator, NamedTuple
 
 from .equations import (
     PACK_BASE, BudgetExceeded, EquationError, Instance, Solution, TheoremViolation, Word, packing,
-    require_solution, substitute, verify_solution,
+    substitute, verify_solution,
 )
 from .semigroup import FiniteSemigroup
 
@@ -162,7 +164,7 @@ class SolutionGraph:
     maps each packed character back to its token."""
 
     instance: Instance
-    keys: list[tuple[str, str, tuple[int, ...], bool]]
+    keys: list[tuple[str, str, tuple[int, ...]]]
     first: list[int]
     dst: list[int]
     labels: list[str]
@@ -184,12 +186,12 @@ class SolutionGraph:
         """State `sid` decoded to tokens, once per graph."""
         st = self._decoded.get(sid)
         if st is None:
-            lhs, rhs, images, is_true = self.keys[sid]
+            lhs, rhs, images = self.keys[sid]
             token = self.token_of.__getitem__
             mu_items = sorted([(v, e) for v, e in zip(self.instance.symbols.variables, images) if e != -1])
             st = self._decoded[sid] = GraphState(
                 tuple(map(token, lhs)), tuple(map(token, rhs)),
-                frozenset([v for v, _ in mu_items]), tuple(mu_items), is_true,
+                frozenset([v for v, _ in mu_items]), tuple(mu_items), not lhs,
             )
         return st
 
@@ -205,11 +207,6 @@ class SolutionGraph:
         return self.token_of[lab[0]], tuple(map(self.token_of.__getitem__, lab[1:]))
 
     @cached_property
-    def states(self) -> list[GraphState]:
-        """Every state decoded, in id order."""
-        return [self.state(sid) for sid in range(len(self.keys))]
-
-    @cached_property
     def transitions(self) -> list[GraphTransition]:
         """Every edge decoded, in edge order."""
         return [
@@ -222,16 +219,12 @@ class SolutionGraph:
         """The edges of each state."""
         return [list(self.edges(sid)) for sid in range(len(self.keys))]
 
-    def state_mu(self, sid: int) -> dict[str, int]:
-        """Constraint images at a state: original constants plus the state's
-        active-variable images."""
-        mu = {a: self.instance.mu[a] for a in self.instance.symbols.constants}
-        mu.update(self.state(sid).mu_items)
-        return mu
-
     def state_eval1(self, sid: int, word) -> int:
-        """Evaluate a word over the state's symbols in S^1 (empty -> ONE)."""
-        m = self.state_mu(sid)
+        """Evaluate a word over the constants and the state's active
+        variables in S^1 (empty -> ONE), at the instance's and the state's
+        images."""
+        m = {a: self.instance.mu[a] for a in self.instance.symbols.constants}
+        m.update(self.state(sid).mu_items)
         return self.instance.mu.target.fold(m[t] for t in word)
 
     def summary(self) -> dict:
@@ -300,29 +293,29 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
     if (test_images and images_differ(lhs, rhs, images)) or _counts_refuted(diff, n_const):
         return _trim(ins, [], [0], [], [], [], token_of)  # no final state
 
-    # a state is (lhs, rhs, images, is_true): packed sides and the image of
-    # each variable by rank, -1 once it is no longer active; diffs[s] holds
-    # its net counts.  States are expanded in id order, so the moves of
-    # state s are the entries first[s]:first[s + 1] of dsts and labels.
-    keys: list[tuple[str, str, tuple[int, ...], bool]] = [(lhs, rhs, images, False)]
+    # a state is (lhs, rhs, images): packed sides, both empty once TRUE, and
+    # each variable's image by rank, -1 once inactive; diffs[s] holds its net
+    # counts.  States are expanded in id order, so the moves of state s are
+    # the entries first[s]:first[s + 1] of dsts and labels.
+    keys: list[tuple[str, str, tuple[int, ...]]] = [(lhs, rhs, images)]
     diffs: list[list[int]] = [diff]
-    index: dict[tuple[str, str, tuple[int, ...], bool], int] = {keys[0]: 0}
+    index: dict[tuple[str, str, tuple[int, ...]], int] = {keys[0]: 0}
     first: list[int] = []
     dsts: list[int] = []
     labels: list[str] = []  # "" silent, else variable + replacement
     quot = _left_quotients(sg)
 
-    def move(label, lhs, rhs, images, true_, diff, cancelled, counts) -> None:
+    def move(label, lhs, rhs, images, diff, cancelled, counts) -> None:
         """Record a move of the state being expanded, interning its target
-        with net counts diff; a new non-true target is DEAD, the move dropped,
-        when a head has `cancelled` and its images differ or `counts` refute it."""
-        key = (lhs, rhs, images, true_)
+        with net counts diff; a new target is DEAD, the move dropped, when a
+        head has `cancelled` and its images differ or `counts` refute it."""
+        key = (lhs, rhs, images)
         sid = index.get(key)
         if sid is None:
             if len(index) >= max_states:
                 raise StateBudgetExceeded(len(index) + 1, max_states)
-            if not true_ and (cancelled and test_images and images_differ(lhs, rhs, images)
-                              or counts and _counts_refuted(diff, n_const)):
+            if (cancelled and test_images and images_differ(lhs, rhs, images)
+                    or counts and _counts_refuted(diff, n_const)):
                 index[key] = DEAD
                 return
             sid = index[key] = len(keys)
@@ -334,16 +327,16 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
         labels.append(label)
 
     # breadth-first: the loop reads the states that move appends
-    for (lhs, rhs, images, is_true), diff in zip(keys, diffs):
+    for (lhs, rhs, images), diff in zip(keys, diffs):
         first.append(len(dsts))
 
-        if not is_true and lhs[0] == rhs[0]:
+        if lhs and lhs[0] == rhs[0]:
             # silent head cancellation: the unique outgoing transition
             l, r = lhs[1:], rhs[1:]
             if l and r:
-                move("", l, r, images, False, diff, True, False)
+                move("", l, r, images, diff, True, False)
             elif not l and not r:
-                move("", "", "", images, True, diff, False, False)
+                move("", "", "", images, diff, False, False)
             continue
 
         for k, x in enumerate(var_chars):
@@ -356,11 +349,11 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
             for a, ma in zip(consts, const_imgs):
                 for t in quot.get((ma, mx), ()):
                     kept = images if t == mx else images[:k] + (t,) + images[k + 1:]
-                    move(x + a + x, lhs, rhs, kept, is_true, diff, False, False)
+                    move(x + a + x, lhs, rhs, kept, diff, False, False)
                 if mx == ma:
-                    move(x + a, lhs, rhs, images[:k] + (-1,) + images[k + 1:], is_true, diff, False, False)
+                    move(x + a, lhs, rhs, images[:k] + (-1,) + images[k + 1:], diff, False, False)
             break
-        if is_true:
+        if not lhs:  # TRUE
             continue
 
         vals = const_imgs + images
@@ -392,7 +385,7 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
                 pair = (keep_l, keep_r) if not swapped else (keep_r, keep_l)
                 for t in quot.get((ma, mx), ()):
                     kept = images if t == mx else images[:k] + (t,) + images[k + 1:]
-                    move(x + ax, pair[0], pair[1], kept, False, diff_kept, True, counts)
+                    move(x + ax, pair[0], pair[1], kept, diff_kept, True, counts)
             # deleting transition: x -> alpha
             if mx == ma:
                 dl, dr = u.replace(x, alpha), v.replace(x, alpha)
@@ -400,14 +393,14 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
                     dl, dr = dr, dl
                 gone = images[:k] + (-1,) + images[k + 1:]
                 if dl and dr:
-                    move(x + alpha, dl, dr, gone, False, diff_gone, True, counts)
+                    move(x + alpha, dl, dr, gone, diff_gone, True, counts)
                 elif not dl and not dr:
-                    move(x + alpha, "", "", gone, True, diff_gone, False, False)
+                    move(x + alpha, "", "", gone, diff_gone, False, False)
 
     none_active = (-1,) * len(var_chars)
     finals = [
-        sid for sid, (lhs, rhs, images, is_true) in enumerate(keys)
-        if images == none_active and (is_true or (len(lhs) == 1 and lhs == rhs and lhs in consts))
+        sid for sid, (lhs, rhs, images) in enumerate(keys)
+        if images == none_active and (not lhs or (len(lhs) == 1 and lhs == rhs and lhs in consts))
     ]
     first.append(len(dsts))
     del index, diffs  # trimming needs only the explored states and their moves
@@ -560,7 +553,8 @@ def compose(variables, labels) -> dict[str, Word]:
 def extract_solution(g: SolutionGraph, path) -> Solution:
     """Compose the path's labels, first label first, starting from the
     one-symbol word per original variable; checks that the path is an
-    accepting run and that the result solves the instance."""
+    accepting run, and raises TheoremViolation if the result does not solve
+    the instance."""
     if g.initial is None:
         raise NotAccepting("the automaton accepts nothing")
     at = g.initial
@@ -574,9 +568,8 @@ def extract_solution(g: SolutionGraph, path) -> Solution:
         at = g.dst[e]
     if at not in g.finals:
         raise NotAccepting(f"path ends at non-final state {at}")
-    patterns = compose(g.instance.symbols.variables, labels)
-    sol = Solution.from_dict(patterns)
-    require_solution(g.instance, sol)
+    sol = Solution.from_dict(compose(g.instance.symbols.variables, labels))
+    _require_solution(g.instance, sol)
     return sol
 
 
@@ -620,23 +613,24 @@ def enumerate_solutions(
     sols = []
     for patterns in found:
         sol = Solution.from_dict({v: tuple(map(token, w)) for v, w in zip(variables, patterns)})
-        if not verify_solution(g.instance, sol):
-            raise TheoremViolation(f"an accepting path composes to {sol.assignment}, "
-                                   "which does not solve the instance")
+        _require_solution(g.instance, sol)
         sols.append(sol)
     return sorted(sols, key=lambda s: s.sort_key(syms))
 
 
-def export_dot(g: SolutionGraph) -> str:
-    """Deterministic DOT rendering: final states double-circled, silent edges
-    dashed, nodes ordered by state id."""
-    return "".join(dot_lines(g))
+def _require_solution(ins: Instance, sol: Solution) -> None:
+    """TheoremViolation unless `sol`, composed along an accepting path,
+    solves the instance, as the automaton guarantees."""
+    if not verify_solution(ins, sol):
+        raise TheoremViolation(f"an accepting path composes to {sol.assignment}, "
+                               "which does not solve the instance")
 
 
 def dot_lines(g: SolutionGraph) -> Iterator[str]:
-    """The lines of `export_dot(g)`, each with its newline.  Each state and
-    edge is decoded from the arrays as its line is made and is not kept, so
-    writing the lines out holds one line at a time."""
+    """The automaton in DOT, one line at a time, each with its newline:
+    final states double-circled, silent edges dashed, nodes ordered by state
+    id.  Each state and edge is decoded from the arrays as its line is made
+    and is not kept, so writing the lines out holds one line at a time."""
     syms = g.instance.symbols
     variables, names = syms.variables, g.instance.mu.target.names
     token = g.token_of.__getitem__
@@ -652,8 +646,8 @@ def dot_lines(g: SolutionGraph) -> Iterator[str]:
     yield "  rankdir=LR;\n"
     if g.initial is not None:
         yield "  __start [shape=point];\n"
-    for sid, (lhs, rhs, images, is_true) in enumerate(g.keys):
-        eqs = "(true)" if is_true else f"{word_str(lhs)} = {word_str(rhs)}"
+    for sid, (lhs, rhs, images) in enumerate(g.keys):
+        eqs = f"{word_str(lhs)} = {word_str(rhs)}" if lhs else "(true)"
         active = [(v, e) for v, e in zip(variables, images) if e != -1]
         vars_part = ",".join(v for v, _ in active) or "-"
         mu_part = ",".join(f"{v}={names[e]}" for v, e in sorted(active)) or "-"

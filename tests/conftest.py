@@ -50,6 +50,11 @@ def make_instance(eqs, constants="ab", variables=None, sg=None, mapping=None) ->
     return Instance(equations, ConstraintMorphism.from_dict(syms, sg, image))
 
 
+def class_of(classes, x: int) -> tuple[int, ...]:
+    """The class of a partition, as `GreenData` lists them, that holds x."""
+    return next(c for c in classes if x in c)
+
+
 def zoo() -> list[tuple[str, FiniteSemigroup]]:
     """The structural test zoo: base members, opposites, identity/zero
     adjunctions, and pairwise direct products of the members with at most

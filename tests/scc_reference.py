@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from conftest import class_of
 from weq.equations import preimage_infinite
 from weq.semigroup import green, stab_L
 
@@ -29,6 +30,13 @@ def leq_J(sg, x: int, y: int) -> bool:
     return x in _ideals(sg)[1][y]
 
 
+def state_images(g, sid: int) -> dict[str, int]:
+    """The images of the constants and of the state's active variables."""
+    images = {a: g.instance.mu[a] for a in g.instance.symbols.constants}
+    images.update(g.state(sid).mu_items)
+    return images
+
+
 @dataclass(frozen=True)
 class Playground:
     size: int
@@ -43,25 +51,25 @@ class SccInvariants:
     per_state: dict[int, Playground]
 
 
-def _leading_j(g, gr, sid: int) -> int:
+def _leading_j(g, gr, sid: int) -> tuple[int, ...]:
     """The least J-class among the images of the state's variable heads; a
     TRUE state reads the variables of its in-component moves instead."""
-    st, mu, comp_of = g.state(sid), g.state_mu(sid), g.scc.comp_of
+    st, mu, comp_of = g.state(sid), state_images(g, sid), g.scc.comp_of
     if st.is_true:
         heads = [g.label(e)[0] for e in g.edges(sid)
                  if comp_of[g.dst[e]] == comp_of[sid] and g.label(e) is not None]
     else:
         heads = [h for h in (st.lhs[0], st.rhs[0]) if h in g.instance.symbols.variable_set]
     assert heads, f"state {sid}: no variable to read a J-class from"
-    classes = {gr.indexJ[mu[h]] for h in heads}
-    sg, rep = g.instance.mu.target, lambda c: gr.classesJ[c][0]
-    least = [c for c in classes if all(leq_J(sg, rep(c), rep(d)) for d in classes)]
+    classes = {class_of(gr.classesJ, mu[h]) for h in heads}
+    sg = g.instance.mu.target
+    least = [c for c in classes if all(leq_J(sg, c[0], d[0]) for d in classes)]
     assert least, f"state {sid}: head J-classes {sorted(classes)} are incomparable"
     return least[0]
 
 
-def _playground(g, gr, sid: int, lead: int, stab: frozenset[int]) -> Playground:
-    st, mu = g.state(sid), g.state_mu(sid)
+def _playground(g, gr, sid: int, lead: tuple[int, ...], stab: frozenset[int]) -> Playground:
+    st, mu = g.state(sid), state_images(g, sid)
 
     def prefix(word):
         """The word up to its first token whose image leaves the stabilizer."""
@@ -74,7 +82,7 @@ def _playground(g, gr, sid: int, lead: int, stab: frozenset[int]) -> Playground:
     body = pl + pr
     players = frozenset(
         v for v in st.varset
-        if gr.indexJ[mu[v]] == lead and body.count(v) == 2
+        if class_of(gr.classesJ, mu[v]) == lead and body.count(v) == 2
         and preimage_infinite(g.instance.mu, mu[v])
     )
     return Playground(len(body), players, frozenset(v for v in players if pl.count(v) == 1))
@@ -89,9 +97,9 @@ def scc_invariants(g, ci: int) -> SccInvariants:
     leading = {_leading_j(g, gr, sid) for sid in comp}
     assert len(leading) == 1, f"leading J-class differs across states: {sorted(leading)}"
     (lead,) = leading
-    stab = stab_L(g.instance.mu.target, gr.classesJ[lead][0])
+    stab = stab_L(g.instance.mu.target, lead[0])
     per_state = {sid: _playground(g, gr, sid, lead, stab) for sid in comp}
     sizes = {p.size for p in per_state.values()}
     assert len(sizes) == 1, f"playground size differs across states: {sorted(sizes)}"
     assert len({p.players for p in per_state.values()}) == 1, "player sets differ across states"
-    return SccInvariants(frozenset(gr.classesJ[lead]), stab, per_state)
+    return SccInvariants(frozenset(lead), stab, per_state)

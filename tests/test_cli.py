@@ -1,5 +1,6 @@
 import argparse
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from weq import hunt, periodicity, solution_graph
 from weq.cli import main
 from weq.equations import format_instance, parse_instance
-from weq.semigroup import builtin, variety_report
+from weq.semigroup import BUILTIN_NAMES, builtin, variety_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -223,6 +224,17 @@ class TestPump:
         assert format_instance(parse_instance(XABBY)) in err  # replays the failure
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["check", "pump"])
+    def test_pumped_non_solution_exits_4(self, files, capsys, monkeypatch, command):
+        """A certified certificate that pumps to a non-solution is a failed
+        guarantee, not a usage error: exit 4, with the instance text."""
+        monkeypatch.setattr(periodicity, "verify_solution", lambda ins, sol: False)
+        assert main([command, files["xabby.weq"]]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal guarantee failed: pumped solution")
+        assert format_instance(parse_instance(XABBY)) in err  # replays the failure
+        assert "Traceback" not in err
+
     def test_pumps_what_check_certifies_outside_variety(self, files, capsys):
         # lz2 is not DLG; the scan still finds a pumpable state
         assert main(["check", files["lz2.weq"], "--json"]) == 0
@@ -314,6 +326,25 @@ class TestPump:
         cert.write_text(json.dumps(data))
         assert main(["pump", files["xabby.weq"], "--cert-in", str(cert)]) == 2
         assert "malformed certificate" in capsys.readouterr().err
+
+    # each is a certificate of xabby that a reader splitting strings into
+    # characters, or reading true as 1, would accept
+    @pytest.mark.parametrize("changes", [
+        {"base": {"X": "aba", "Y": "a"}},
+        {"v": "Yba"},
+        {"state": 1, "prefix_path": [["X", "YX"]], "v": ["b", "a", "Y"],
+         "base": {"X": ["b", "a", "b"], "Y": ["b", "a", "b"]}},
+        {"state": True, "prefix_path": [["X", ["Y", "X"]]], "v": ["b", "a", "Y"],
+         "base": {"X": ["b", "a", "b"], "Y": ["b", "a", "b"]}},
+    ])
+    def test_words_are_lists_and_the_state_an_integer(self, files, tmp_path, capsys, changes):
+        cert = tmp_path / "cert.json"
+        assert main(["pump", files["xabby.weq"], "--m", "0", "--cert-out", str(cert)]) == 0
+        capsys.readouterr()
+        cert.write_text(json.dumps({**json.loads(cert.read_text()), **changes}))
+        assert main(["pump", files["xabby.weq"], "--cert-in", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "malformed certificate" in captured.err
 
     def test_deeply_nested_certificate_is_malformed(self, files, tmp_path, capsys):
         cert = tmp_path / "cert.json"
@@ -578,6 +609,16 @@ class TestSemigroupCmd:
             "parameters", "total", "unsatisfiable", "finite", "infinite_certified", "suspects",
             "discharged", "truncated",
         ]
+
+    def test_output_is_pinned(self, capsys):
+        """sha256 of what `--json --stabilizers` and `--report --stabilizers`
+        print for every builtin, in that order."""
+        h = hashlib.sha256()
+        for name in BUILTIN_NAMES:
+            for flags in (["--json", "--stabilizers"], ["--report", "--stabilizers"]):
+                assert main(["semigroup", f"builtin:{name}", *flags]) == 0
+                h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == "b704ded8a0fd2e9dd62ddc6872cea0c907e4b1297f4ee46aedeeeec10b358aed"
 
     def test_b2_report_witness_line(self, capsys):
         assert main(["semigroup", "builtin:b2", "--report"]) == 0

@@ -14,7 +14,6 @@ from weq.equations import (
     SymbolTable,
     WrongConstraintShape,
     brandt_two_constant_guesses,
-    exp_solution,
     exp_word,
     format_instance,
     parse_instance,
@@ -132,10 +131,10 @@ class TestExpWord:
 
     def test_exp_solution(self):
         s = Solution.from_dict({"X": tuple("aa"), "Y": tuple("aba")})
-        assert exp_solution(s) == 2
-        assert exp_solution(Solution.from_dict({"X": ("a",)})) == 1
-        assert exp_solution(Solution.from_dict({"X": tuple("aba" * 3), "Y": ("a",)})) == 3
-        assert exp_solution(Solution.from_dict({})) == 0
+        assert s.exponent == 2
+        assert Solution.from_dict({"X": ("a",)}).exponent == 1
+        assert Solution.from_dict({"X": tuple("aba" * 3), "Y": ("a",)}).exponent == 3
+        assert Solution.from_dict({}).exponent == 0
 
 
 class TestPreimage:
@@ -307,10 +306,10 @@ class TestSingularGuesses:
             else:
                 sols = [Solution.from_dict({})]
             for s in sols:
-                nonsingular = all(s.value(v) for v in g.symbols.variables)
+                nonsingular = all(s.as_dict[v] for v in g.symbols.variables)
                 if not nonsingular:
                     continue
-                full = {v: "".join(s.value(v)) for v in g.symbols.variables}
+                full = {v: "".join(s.as_dict[v]) for v in g.symbols.variables}
                 full.update({v: "" for v in erased})
                 covered.add((full["X"], full["Y"]))
         assert covered == monoid
@@ -399,7 +398,7 @@ def compose_guess(original, guess, sub_solution):
         i = eq_g.lhs.index(x1) if x1 in eq_g.lhs else eq_g.rhs.index(x1)
         side = eq_g.lhs if x1 in eq_g.lhs else eq_g.rhs
         c = side[i + 1]
-        out[v] = sub_solution.value(x1) + (c, c) + sub_solution.value(x2)
+        out[v] = sub_solution.as_dict[x1] + (c, c) + sub_solution.as_dict[x2]
     return Solution.from_dict(out)
 
 

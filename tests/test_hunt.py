@@ -7,6 +7,7 @@ import pytest
 
 from weq import hunt
 from weq.equations import ConstraintMorphism, Instance, SymbolTable, WordEquation, format_instance
+from weq.oracle import OracleReport
 from weq.semigroup import builtin
 
 
@@ -157,7 +158,8 @@ class TestClassify:
         ins = make_instance("Xa=aX", sg=builtin("lz2"),
                             mapping={"a": "a", "b": "b", "X": "a"})
         monkeypatch.setattr(hunt, "pumpable_state", lambda g: None)
-        monkeypatch.setattr(hunt.oracle, "max_exp_up_to", lambda *a, **k: 1)
+        monkeypatch.setattr(hunt.oracle, "brute_solutions", 
+                            lambda ins, bound, *a, **k: OracleReport(bound, (), 1))
         clazz, detail = hunt.classify(ins)
         assert clazz == "Suspect"
         assert detail["states_checked"] >= 1

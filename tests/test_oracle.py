@@ -2,12 +2,12 @@ import pytest
 
 from conftest import make_instance
 from weq.equations import Solution, verify_solution
-from weq.oracle import BudgetExceeded, brute_solutions, max_exp_up_to
+from weq.oracle import BudgetExceeded, brute_solutions
 from weq.semigroup import builtin
 
 
 def words(report, var):
-    return ["".join(s.value(var)) for s in report.solutions]
+    return ["".join(s.as_dict[var]) for s in report.solutions]
 
 
 class TestBruteSolutions:
@@ -17,7 +17,7 @@ class TestBruteSolutions:
 
     def test_xabby_contains_expected(self):
         rep = brute_solutions(make_instance("XabY=YbaX"), 3)
-        pairs = {("".join(s.value("X")), "".join(s.value("Y"))) for s in rep.solutions}
+        pairs = {("".join(s.as_dict["X"]), "".join(s.as_dict["Y"])) for s in rep.solutions}
         assert ("aba", "a") in pairs
         assert ("b", "bab") in pairs
 
@@ -68,11 +68,11 @@ class TestBruteSolutions:
 
 class TestMaxExp:
     def test_xa_ax(self):
-        assert max_exp_up_to(make_instance("Xa=aX"), 4) == 4
+        assert brute_solutions(make_instance("Xa=aX"), 4).max_exp_seen == 4
 
     def test_unsat_is_zero(self):
-        assert max_exp_up_to(make_instance("Xa=bX"), 4) == 0
+        assert brute_solutions(make_instance("Xa=bX"), 4).max_exp_seen == 0
 
     def test_xabby_golden(self):
         # frozen from the enumeration itself: (X,Y)=(aa,aaa) realizes exp 3
-        assert max_exp_up_to(make_instance("XabY=YbaX"), 3) == 3
+        assert brute_solutions(make_instance("XabY=YbaX"), 3).max_exp_seen == 3

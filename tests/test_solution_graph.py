@@ -17,6 +17,7 @@ from weq.equations import (
     NotQuadratic,
     Solution,
     SymbolTable,
+    TheoremViolation,
     WordEquation,
     parse_instance,
     substitute,
@@ -34,16 +35,20 @@ from weq.solution_graph import (
     _counts_refuted,
     _left_quotients,
     build,
+    dot_lines,
     enumerate_solutions,
-    export_dot,
     extract_solution,
     has_infinitely_many,
     is_solvable,
 )
 
 
+def decoded_states(g):
+    return [g.state(sid) for sid in range(g.state_count)]
+
+
 def state_strs(g):
-    return {st.equation_str() for st in g.states}
+    return {st.equation_str() for st in decoded_states(g)}
 
 
 def label_str(t):
@@ -51,7 +56,7 @@ def label_str(t):
 
 
 def find_state(g, s):
-    for i, st in enumerate(g.states):
+    for i, st in enumerate(decoded_states(g)):
         if st.equation_str() == s:
             return i
     raise AssertionError(f"no state {s!r}")
@@ -96,8 +101,8 @@ class TestBuild:
             g = build(ins)
             n0 = len(ins.equation.lhs) + len(ins.equation.rhs)
             for t in g.transitions:
-                src = g.states[t.source]
-                dst = g.states[t.target]
+                src = g.state(t.source)
+                dst = g.state(t.target)
                 ls = len(src.lhs) + len(src.rhs)
                 ld = len(dst.lhs) + len(dst.rhs)
                 assert ls <= n0 and ld <= ls
@@ -107,7 +112,7 @@ class TestBuild:
     def test_quadraticity_preserved(self):
         for spec in ("XabY=YbaX", "XY=YX", "XXa=ab"):
             g = build(make_instance(spec))
-            for st in g.states:
+            for st in decoded_states(g):
                 body = st.lhs + st.rhs
                 for v in st.varset:
                     assert body.count(v) <= 2
@@ -147,9 +152,9 @@ class TestExtract:
         exit_ = next(t for t in g.out[sid] if g.transitions[t].label == ("X", ("a",)))
         after = g.transitions[exit_].target
         eps = [t for t in g.out[after] if g.transitions[t].label is None]
-        assert extract_solution(g, [exit_] + eps[:0]).value("X") == ("a",)
+        assert extract_solution(g, [exit_] + eps[:0]).as_dict["X"] == ("a",)
         sol = extract_solution(g, [loop, exit_])
-        assert sol.value("X") == ("a", "a")
+        assert sol.as_dict["X"] == ("a", "a")
 
     def test_rejects_bad_paths(self):
         g = build(make_instance("Xa=aX"))
@@ -161,6 +166,13 @@ class TestExtract:
         )
         with pytest.raises(NotAccepting):
             extract_solution(g, [loop])  # ends at a non-final state
+
+    def test_non_solution_is_a_failed_guarantee(self, monkeypatch):
+        g = build(make_instance("Xa=aX"))
+        exit_ = next(t for t in g.out[g.initial] if g.transitions[t].label == ("X", ("a",)))
+        monkeypatch.setattr(weq.solution_graph, "verify_solution", lambda ins, sol: False)
+        with pytest.raises(TheoremViolation, match="does not solve the instance"):
+            extract_solution(g, [exit_])
 
     def test_fig1_style_path(self):
         ins = make_instance("XabY=YbaX")
@@ -192,11 +204,11 @@ class TestEnumerate:
 class TestDot:
     def test_deterministic(self):
         ins = make_instance("XabY=YbaX")
-        assert export_dot(build(ins)) == export_dot(build(ins))
+        assert "".join(dot_lines(build(ins))) == "".join(dot_lines(build(ins)))
 
     def test_contents(self):
         g = build(make_instance("Xa=aX"))
-        dot = export_dot(g)
+        dot = "".join(dot_lines(g))
         assert "X->aX" in dot
         assert "doublecircle" in dot
         assert "style=dashed" in dot
@@ -204,7 +216,7 @@ class TestDot:
 
     def test_single_state_graph(self):
         g = build(make_instance("a=a", variables=""))
-        dot = export_dot(g)
+        dot = "".join(dot_lines(g))
         assert dot.count("label=") >= 1
 
     def test_names_are_escaped(self):
@@ -214,7 +226,7 @@ class TestDot:
         eq = WordEquation(('X"', "a"), ("a", 'X"'))
         sg = from_table(("\\",), [[0]])
         ins = Instance((eq,), ConstraintMorphism.from_dict(syms, sg, {"a": 0, 'X"': 0}))
-        lines = [line for line in export_dot(build(ins)).splitlines() if "label=" in line]
+        lines = [line for line in "".join(dot_lines(build(ins))).splitlines() if "label=" in line]
         assert len(lines) > 2
         for line in lines:
             assert re.search(r'label="(?:[^"\\]|\\.)*"\];$', line), line
@@ -318,7 +330,7 @@ REFUTATION_ROWS = [
 class TestAbelianFilter:
     """Pruning states refuted by letter counting keeps the automaton."""
 
-    # sha256 of export_dot, computed with every reachable state explored
+    # sha256 of the DOT text, computed with every reachable state explored
     # before trimming (no letter-count test)
     @pytest.mark.parametrize("ins, digest", [
         pytest.param(FIVE_VARIABLES,
@@ -347,7 +359,7 @@ class TestAbelianFilter:
                      id="odd-tokens"),
     ])
     def test_dot_unchanged(self, ins, digest):
-        dot = export_dot(build(ins))
+        dot = "".join(dot_lines(build(ins)))
         assert hashlib.sha256(dot.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("spec, refuted", REFUTATION_ROWS)
@@ -430,12 +442,12 @@ class TestImageFilter:
     """Pruning states whose sides have different constraint images keeps
     the automaton."""
 
-    # sha256 of the concatenated export_dot of every instance of the sweep,
+    # sha256 of the concatenated DOT text of every instance of the sweep,
     # computed with no image test
     def test_b2_sweep_dot_unchanged(self):
         h = hashlib.sha256()
         for ins in sweep_instances(builtin("b2"), 2, 2, 3):
-            h.update(export_dot(build(ins)).encode())
+            h.update("".join(dot_lines(build(ins))).encode())
         assert h.hexdigest() == "7322ef843227d54180ac370e8d35d78c3eecb1c06dbb0e196d37e7f9167476d2"
 
 
@@ -672,7 +684,7 @@ def reference_tarjan(g):
 
 
 def assert_same_graph(g, ref):
-    assert g.states == ref.states
+    assert decoded_states(g) == ref.states
     assert g.transitions == ref.transitions
     assert g.out == ref.out
     assert g.initial == ref.initial
