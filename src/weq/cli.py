@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 affirmative, 3 negative, 2 parse/usage error or exhausted
-budget (an oracle assignment budget, or the `--max-states` budget of the
-automaton), 4 unknown verdict or failed guarantee, 5 unsupported instance.
+budget (an oracle assignment budget, the `--max-states` budget of the
+automaton, or memory), 4 unknown verdict or failed guarantee, 5 unsupported
+instance.
 
 The argument parser is built once per process, on the first `main` call,
 and reused: `parse_args` returns a fresh namespace each time, and the
@@ -60,6 +61,9 @@ EXIT_NO = 3
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 4
 EXIT_UNSUPPORTED = 5
+
+# made at import: once memory has run out, formatting a message may fail too
+OUT_OF_MEMORY = b"budget exceeded: out of memory\n"
 
 
 def _load(path: str) -> tuple[Instance, Instance]:
@@ -431,6 +435,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (EquationError, SemigroupError, NotText, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # what the failed run allocated is freed with its frames
+        os.write(2, OUT_OF_MEMORY)
         return EXIT_USAGE
 
 

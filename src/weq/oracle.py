@@ -1,14 +1,15 @@
 """Brute-force ground truth: exhaustive solution enumeration up to a length
 bound, and the exhaustive exponent-of-periodicity maximum.
 
-Internally words are packed into strings of one character per token
-(`equations.packing`, shared with `solution_graph.build`) so the hot
-comparison loop runs on native string operations; results are converted
-back to token tuples.  Candidates are pre-filtered per variable by the
-constraint image and by forced first/last letters, and assignments are
-enumerated per length profile so length-infeasible combinations are skipped
-wholesale.  All filters are necessary conditions of the defining checks, so
-the result equals the unfiltered enumeration.
+Each side of each equation is one string of one character per token
+(`equations.packing`, shared with `solution_graph.build`), and an
+assignment is one `str.translate` table on the variables' code points;
+results are converted back to token tuples.  Candidates are pre-filtered
+per variable by the constraint image and by forced first/last letters, and
+assignments are enumerated per length profile, skipping the profiles under
+which some equation's sides differ in length.  All filters are necessary
+conditions of the defining checks, so the result equals the unfiltered
+enumeration.  The largest exponent is computed when first read.
 
 The results are not re-verified with `verify_solution`: each kept
 assignment holds nonempty constant words that meet their images, and both
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .equations import BudgetExceeded, Instance, Solution, packing
 
@@ -30,7 +32,11 @@ DEFAULT_BUDGET = 10_000_000
 class OracleReport:
     bound: int
     solutions: tuple[Solution, ...]
-    max_exp_seen: int
+
+    @cached_property
+    def max_exp_seen(self) -> int:
+        """The largest exponent of periodicity among the solutions, or 0."""
+        return max((s.exponent for s in self.solutions), default=0)
 
 
 def _edge_constraints(ins: Instance):
@@ -91,45 +97,27 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
             if ln < bound:
                 level = [(w + c, mul[img][a]) for w, img in level for c, a in steps]
 
-        consts_l = [
-            ([char_of[t] for t in eq.lhs], [char_of[t] for t in eq.rhs])
+        sides = [
+            ("".join(char_of[t] for t in eq.lhs), "".join(char_of[t] for t in eq.rhs))
             for eq in ins.equations
         ]
-        # per-equation length profile: constant part + per-variable occurrence counts
-        profiles = []
-        for eq in ins.equations:
-            cl = sum(1 for t in eq.lhs if syms.is_constant(t))
-            cr = sum(1 for t in eq.rhs if syms.is_constant(t))
-            ol = [eq.lhs.count(v) for v in variables]
-            orr = [eq.rhs.count(v) for v in variables]
-            profiles.append((cl, cr, ol, orr))
-
-        def feasible(lens) -> bool:
-            for cl, cr, ol, orr in profiles:
-                dl = cl + sum(o * ln for o, ln in zip(ol, lens))
-                dr = cr + sum(o * ln for o, ln in zip(orr, lens))
-                if dl != dr:
-                    return False
-            return True
-
-        def assemble(parts, env) -> str:
-            return "".join(env.get(c, c) for c in parts)
-
+        codes = [ord(char_of[v]) for v in variables]
+        # a length profile balances an equation when len(lhs) - len(rhs)
+        # plus the sum over X of (|lhs|_X - |rhs|_X)(len_X - 1) is zero
+        balances = [
+            (len(l) - len(r), [l.count(char_of[v]) - r.count(char_of[v]) for v in variables])
+            for l, r in sides
+        ]
         # nvars == 0 yields one empty profile, checking the ground equations
         for lens in itertools.product(range(1, bound + 1), repeat=nvars):
-            if not feasible(lens):
+            if any(d + sum(k * (ln - 1) for k, ln in zip(ks, lens)) for d, ks in balances):
                 continue
-            groups = [by_len[v][ln] for v, ln in zip(variables, lens)]
-            if not all(groups):
-                continue
-            for combo in itertools.product(*groups):
-                env = {char_of[v]: w for v, w in zip(variables, combo)}
-                if all(assemble(l, env) == assemble(r, env) for l, r in consts_l):
+            for combo in itertools.product(*(by_len[v][ln] for v, ln in zip(variables, lens))):
+                table = dict(zip(codes, combo))
+                if all(l.translate(table) == r.translate(table) for l, r in sides):
                     sols.append(Solution.from_dict({
-                        v: tuple(token_of[c] for c in env[char_of[v]])
-                        for v in variables
+                        v: tuple(token_of[c] for c in w) for v, w in zip(variables, combo)
                     }))
 
     sols.sort(key=lambda s: s.sort_key(syms))
-    max_exp = max((s.exponent for s in sols), default=0)
-    return OracleReport(bound, tuple(sols), max_exp)
+    return OracleReport(bound, tuple(sols))

@@ -361,28 +361,20 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
     word = is_nicely_balanced(g, sid, var)
     if word is None:
         raise EquationError(f"state {sid} is not pumpable on {var!r}")
-    # the pumping word decides the case: head-balanced exactly when it is nonempty
-    case = "head_balanced" if word else "free_variable"
-    if data["case"] != case:
-        raise EquationError(f"certificate case {data['case']!r} is not {case!r}, the case of "
-                            f"state {sid} on {var!r}")
     base = {v: _json_word(w) for v, w in data["base"].items()}
     fault = _base_fault(g, sid, base)
     if fault is not None:
         raise EquationError(f"certificate base {fault}")
-    if case == "free_variable":
-        # the scan above makes the variable's constraint language infinite
-        return _certificate(g, sid, var, labels, base, ())
-    v_word = _json_word(data["v"])
-    if not v_word:
-        raise EquationError("certificate word v is empty")
-    img = g.state_eval1(sid, v_word)  # the image of v under the base
-    if img not in stab_L(ins.mu.target, dict(g.state(sid).mu_items)[var]):
-        raise EquationError("certificate word does not stabilize the variable image")
-    cert = _certificate(g, sid, var, labels, base, v_word)
+    # the file must hold the certificate derived at the replayed state: the
+    # scan's word decides its case and v, and v its omega
+    cert = _certificate(g, sid, var, labels, base, word)
+    if data["case"] != cert.case:
+        raise EquationError(f"certificate case {data['case']!r} is not {cert.case!r}, the case of "
+                            f"state {sid} on {var!r}")
+    if (None if data["v"] is None else _json_word(data["v"])) != cert.v:
+        raise EquationError(f"certificate word v {data['v']!r} is not {cert.v!r}, the word "
+                            f"that pumps state {sid} on {var!r}")
     if data["omega"] != cert.omega_exponent:
-        raise EquationError(
-            f"certificate omega {data['omega']!r} is not {cert.omega_exponent}, the idempotent "
-            "exponent of the image of v"
-        )
+        raise EquationError(f"certificate omega {data['omega']!r} is not "
+                            f"{cert.omega_exponent!r}, the omega of state {sid} on {var!r}")
     return cert

@@ -318,6 +318,23 @@ class TestPump:
         captured = capsys.readouterr()
         assert captured.out == "" and "certificate" in captured.err
 
+    # a v or omega other than the derived certificate's: at the scan's word
+    # a wrong v pumped a non-solution, and a free-variable one was dropped
+    @pytest.mark.parametrize("name,changes", [
+        ("xabby.weq", {"v": ["a"]}),
+        ("absent_z.weq", {"v": ["a"], "omega": 7}),
+        ("absent_z.weq", {"omega": 7}),
+    ])
+    def test_certificate_fields_must_be_derived(self, files, tmp_path, capsys, name, changes):
+        cert = tmp_path / "cert.json"
+        assert main(["pump", files[name], "--m", "0", "--cert-out", str(cert)]) == 0
+        capsys.readouterr()
+        cert.write_text(json.dumps({**json.loads(cert.read_text()), **changes}))
+        assert main(["pump", files[name], "--m", "2", "--cert-in", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "certificate" in captured.err
+        assert "internal guarantee failed" not in captured.err
+
     def test_string_labels_are_malformed(self, files, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         assert main(["pump", files["xabby.weq"], "--m", "1", "--cert-out", str(cert)]) == 0
@@ -780,3 +797,22 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
+
+    def test_out_of_memory_exits_2(self, tmp_path):
+        import resource
+
+        path = tmp_path / "large.weq"
+        path.write_text("constants a b\nvariables X0 X1 X2 X3 X4 X5\n"
+                        "equation X5 X4 X2 a X0 X2 X3 X3 X5 a X4 = X1 X1 X0\n"
+                        "semigroup builtin:trivial\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+        def limit():  # runs in the child only: 120 MB of address space
+            resource.setrlimit(resource.RLIMIT_AS, (120 << 20, 120 << 20))
+
+        proc = subprocess.run([sys.executable, "-m", "weq", "check", str(path)], env=env,
+                              capture_output=True, text=True, timeout=120, preexec_fn=limit)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr == "budget exceeded: out of memory\n"

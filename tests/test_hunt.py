@@ -2,12 +2,12 @@ import hashlib
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from weq import hunt
 from weq.equations import ConstraintMorphism, Instance, SymbolTable, WordEquation, format_instance
-from weq.oracle import OracleReport
 from weq.semigroup import builtin
 
 
@@ -159,7 +159,7 @@ class TestClassify:
                             mapping={"a": "a", "b": "b", "X": "a"})
         monkeypatch.setattr(hunt, "pumpable_state", lambda g: None)
         monkeypatch.setattr(hunt.oracle, "brute_solutions", 
-                            lambda ins, bound, *a, **k: OracleReport(bound, (), 1))
+                            lambda ins, bound, *a, **k: SimpleNamespace(max_exp_seen=1))
         clazz, detail = hunt.classify(ins)
         assert clazz == "Suspect"
         assert detail["states_checked"] >= 1

@@ -1,7 +1,10 @@
+import hashlib
+import itertools
+
 import pytest
 
-from conftest import make_instance
-from weq.equations import Solution, verify_solution
+from conftest import battery_instances, make_instance
+from weq.equations import Solution, parse_instance, verify_solution
 from weq.oracle import BudgetExceeded, brute_solutions
 from weq.semigroup import builtin
 
@@ -76,3 +79,31 @@ class TestMaxExp:
     def test_xabby_golden(self):
         # frozen from the enumeration itself: (X,Y)=(aa,aaa) realizes exp 3
         assert brute_solutions(make_instance("XabY=YbaX"), 3).max_exp_seen == 3
+
+
+MULTI_CHARACTER_TOKENS = """\
+constants a1 bb
+variables Xl Y2
+equation Xl a1 bb Y2 = Y2 bb a1 Xl
+semigroup builtin:trivial
+"""
+
+
+def test_reports_pinned(battery_equations):
+    """sha256 of every report's solutions, in order, and its largest
+    exponent over every 50th battery instance at bounds 1 to 5, a system,
+    a ground instance, a declared but absent variable and tokens of several
+    characters, as the enumeration over token lists gave them."""
+    cases = list(itertools.islice(battery_instances(battery_equations), 0, None, 50))
+    cases += [
+        make_instance(["XaY=YaX", "Xb=bX"]),
+        make_instance("abba=abba"),
+        make_instance("Xab=baX", variables="XZ"),
+        parse_instance(MULTI_CHARACTER_TOKENS),
+    ]
+    h = hashlib.sha256()
+    for ins in cases:
+        for bound in range(1, 6):
+            rep = brute_solutions(ins, bound)
+            h.update(repr((rep.solutions, rep.max_exp_seen)).encode())
+    assert h.hexdigest() == "bb41fd7d1cc16a28c43f6e9fe915ce67aef880e862b470a243b736019d62fb61"
