@@ -330,7 +330,7 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="weq",

@@ -4,12 +4,18 @@ bound, and the exhaustive exponent-of-periodicity maximum.
 Each side of each equation is one string of one character per token
 (`equations.packing`, shared with `solution_graph.build`), and an
 assignment is one `str.translate` table on the variables' code points;
-results are converted back to token tuples.  Candidates are pre-filtered
-per variable by the constraint image and by forced first/last letters, and
-assignments are enumerated per length profile, skipping the profiles under
-which some equation's sides differ in length.  All filters are necessary
-conditions of the defining checks, so the result equals the unfiltered
-enumeration.  The largest exponent is computed when first read.
+results are converted back to token tuples.  Before any word is made, an
+instance is dropped when some equation's sides fold to different
+constraint images, or when forced first/last letters contradict.  The
+length profiles under which every equation's sides have equal length
+depend only on the equations' balance vectors and the bound, so they are
+computed once per such key and cached, unless there are more than 1,024 to
+test.  The candidate words are generated once per call, grouped by
+constraint image and length; each variable takes the group of its image,
+filtered by its forced first/last letters.  No variable means no words.
+All filters are necessary conditions of the defining checks, so the result
+equals the unfiltered enumeration.  The largest exponent is computed when
+first read.
 
 The results are not re-verified with `verify_solution`: each kept
 assignment holds nonempty constant words that meet their images, and both
@@ -20,8 +26,10 @@ construction.  The tests check the results with it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .equations import BudgetExceeded, Instance, Solution, packing
 
@@ -61,63 +69,118 @@ def _edge_constraints(ins: Instance):
     return first, last
 
 
+def _exceeds(base: int, exp: int, budget: int) -> bool:
+    """Whether base ** exp > budget, multiplying only while the product
+    stays within the budget."""
+    acc = 1
+    for _ in range(exp if base > 1 else 0):
+        acc *= base
+        if acc > budget:
+            return True
+    return acc > budget
+
+
+def _power_text(base: int, exp: int) -> str:
+    """base ** exp in decimal while it has at most 4,300 digits (Python's
+    default limit for converting an int to str), else written as a power."""
+    if exp * math.log10(base) < 4400:  # a power this small is quick to build
+        n = base ** exp
+        if n < 10 ** 4300:
+            return str(n)
+    return f"{base}**{exp}"
+
+
+def _balanced_profiles(balances: tuple[tuple[int, tuple[int, ...]], ...], nvars: int, bound: int):
+    """Yield the length profiles (one length in 1..bound per variable)
+    that balance every equation.  A profile balances an equation (d, ks)
+    when d plus the sum over X of ks[X] * (len_X - 1) is zero, where d is
+    len(lhs) - len(rhs) and ks[X] is |lhs|_X - |rhs|_X."""
+    # nvars == 0 yields one empty profile, checking the ground equations
+    for lens in itertools.product(range(1, bound + 1), repeat=nvars):
+        if not any(d + sum(k * (ln - 1) for k, ln in zip(ks, lens)) for d, ks in balances):
+            yield lens
+
+
+# a key's profiles are cached when it has at most this many to test, so the
+# cache holds at most 512 * 1024 profiles; one constant allows the budget
+_MAX_CACHED_PROFILES = 1024
+
+
+@lru_cache(maxsize=512)
+def _cached_profiles(balances: tuple[tuple[int, tuple[int, ...]], ...], nvars: int,
+                     bound: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_balanced_profiles(balances, nvars, bound))
+
+
 def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> OracleReport:
     """Enumerate every assignment of nonempty constant words of length <=
-    bound, in (variable order, word length, word) order, keeping those that
-    satisfy the equations and the constraints."""
+    bound, keeping those that satisfy the equations and the constraints,
+    in (variable order, word length, word) order."""
     if bound < 1:
         raise ValueError("length bound must be at least 1")
     syms = ins.symbols
     variables = syms.variables
     nvars = len(variables)
-    needed = len(syms.constants) ** (bound * nvars)
-    if needed > budget:
-        raise BudgetExceeded(f"enumeration needs ~{needed} assignments, budget is {budget}")
+    k = len(syms.constants)
+    # k ** (bound * nvars) words, but bound ** nvars length profiles when k is 1
+    base, exp = (k, bound * nvars) if k > 1 else (bound, nvars)
+    if _exceeds(base, exp, budget):
+        raise BudgetExceeded(f"enumeration needs ~{_power_text(base, exp)} assignments, budget is {budget}")
 
-    char_of, token_of = packing(syms)
-
+    mu = ins.mu
     edges = _edge_constraints(ins)
-    sols: list[Solution] = []
-    if edges is not None:
-        first, last = edges
-        # candidate words per variable and length, in lexicographic token order
-        mul = ins.mu.target.table
-        steps = [(char_of[a], ins.mu[a]) for a in syms.constants]
-        by_len: dict[str, list[list[str]]] = {v: [[] for _ in range(bound + 1)] for v in variables}
+    if edges is None or any(mu.eval(eq.lhs) != mu.eval(eq.rhs) for eq in ins.equations):
+        return OracleReport(bound, ())
+    char_of, token_of = packing(syms)
+    sides = [
+        ("".join(char_of[t] for t in eq.lhs), "".join(char_of[t] for t in eq.rhs))
+        for eq in ins.equations
+    ]
+    balances = tuple(
+        (len(l) - len(r), tuple(l.count(char_of[v]) - r.count(char_of[v]) for v in variables))
+        for l, r in sides
+    )
+    if bound ** nvars <= _MAX_CACHED_PROFILES:
+        profiles = _cached_profiles(balances, nvars, bound)
+        if not profiles:
+            return OracleReport(bound, ())
+    else:
+        profiles = _balanced_profiles(balances, nvars, bound)
+
+    # the words of each needed image per length, in lexicographic token order
+    mul = mu.target.table
+    groups: dict[int, list[list[str]]] = {mu[v]: [[] for _ in range(bound + 1)] for v in variables}
+    if groups:
+        steps = [(char_of[a], mu[a]) for a in syms.constants]
         level = steps
         for ln in range(1, bound + 1):
             for w, img in level:
-                for v in variables:
-                    if img != ins.mu[v]:
-                        continue
-                    fc = char_of[first[v]] if v in first else None
-                    lc = char_of[last[v]] if v in last else None
-                    if (fc is None or w[0] == fc) and (lc is None or w[-1] == lc):
-                        by_len[v][ln].append(w)
+                if img in groups:
+                    groups[img][ln].append(w)
             if ln < bound:
                 level = [(w + c, mul[img][a]) for w, img in level for c, a in steps]
+    first, last = edges
+    candidates = []
+    for v in variables:
+        words = groups[mu[v]]
+        fc = char_of[first[v]] if v in first else ""
+        lc = char_of[last[v]] if v in last else ""
+        if fc or lc:
+            words = [[w for w in ws if w.startswith(fc) and w.endswith(lc)] for ws in words]
+        candidates.append(words)
 
-        sides = [
-            ("".join(char_of[t] for t in eq.lhs), "".join(char_of[t] for t in eq.rhs))
-            for eq in ins.equations
-        ]
-        codes = [ord(char_of[v]) for v in variables]
-        # a length profile balances an equation when len(lhs) - len(rhs)
-        # plus the sum over X of (|lhs|_X - |rhs|_X)(len_X - 1) is zero
-        balances = [
-            (len(l) - len(r), [l.count(char_of[v]) - r.count(char_of[v]) for v in variables])
-            for l, r in sides
-        ]
-        # nvars == 0 yields one empty profile, checking the ground equations
-        for lens in itertools.product(range(1, bound + 1), repeat=nvars):
-            if any(d + sum(k * (ln - 1) for k, ln in zip(ks, lens)) for d, ks in balances):
-                continue
-            for combo in itertools.product(*(by_len[v][ln] for v, ln in zip(variables, lens))):
-                table = dict(zip(codes, combo))
-                if all(l.translate(table) == r.translate(table) for l, r in sides):
-                    sols.append(Solution.from_dict({
-                        v: tuple(token_of[c] for c in w) for v, w in zip(variables, combo)
-                    }))
-
-    sols.sort(key=lambda s: s.sort_key(syms))
-    return OracleReport(bound, tuple(sols))
+    codes = [ord(char_of[v]) for v in variables]
+    keyed = []
+    for lens in profiles:
+        for combo in itertools.product(*(c[ln] for c, ln in zip(candidates, lens))):
+            table = dict(zip(codes, combo))
+            for l, r in sides:
+                if l.translate(table) != r.translate(table):
+                    break
+            else:
+                words = [tuple(token_of[c] for c in w) for w in combo]
+                # the key is Solution.sort_key, built without its as_dict
+                keyed.append((tuple((len(w), w) for w in words),
+                              Solution.from_dict(dict(zip(variables, words)))))
+    keyed.sort(key=itemgetter(0))
+    return OracleReport(bound, tuple(s for _, s in keyed))

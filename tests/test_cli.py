@@ -495,6 +495,47 @@ class TestStateBudget:
         )
 
 
+class TestOracleBudget:
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--max-len", "8000"],
+        ["check", "--crosscheck", "8000"],
+    ], ids=["oracle", "crosscheck"])
+    def test_count_past_the_digit_limit_exits_2(self, files, capsys, argv):
+        """2 ** 16000 has more digits than Python converts to str."""
+        assert main([argv[0], files["xabby.weq"]] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == "budget exceeded: enumeration needs ~2**16000 assignments, budget is 10000000\n"
+
+    def test_one_constant_counts_length_profiles(self, tmp_path, capsys):
+        """With one constant there is one word per length, but 300 ** 3
+        length profiles."""
+        path = tmp_path / "xyz.weq"
+        path.write_text("constants a\nvariables X Y Z\nequation X Y Z = Z Y X\nsemigroup builtin:trivial\n")
+        assert main(["oracle", str(path), "--max-len", "300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "budget exceeded: enumeration needs ~27000000 assignments, budget is 10000000\n"
+
+    def test_ground_instance_generates_no_words(self, tmp_path):
+        """Eight constants have 8 ** 12 words of length 12; a ground
+        instance needs none of them."""
+        import resource
+
+        path = tmp_path / "ground.weq"
+        path.write_text("constants a b c d e f g h\nequation a b = a b\nsemigroup builtin:trivial\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+        def limit():  # runs in the child only: 120 MB of address space
+            resource.setrlimit(resource.RLIMIT_AS, (120 << 20, 120 << 20))
+
+        proc = subprocess.run([sys.executable, "-m", "weq", "oracle", str(path), "--max-len", "12"],
+                              env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "(empty assignment)\n1 solution(s) up to length 12; max exp 0\n"
+
+
 class TestOneAutomaton:
     """An instance has one automaton, so the state ids a certificate names
     mean the same to every command."""

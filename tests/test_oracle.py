@@ -1,10 +1,13 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from conftest import battery_instances, make_instance
-from weq.equations import Solution, parse_instance, verify_solution
+import oracle_reference
+from conftest import battery_instances, make_instance, zoo
+from weq import oracle
+from weq.equations import ConstraintMorphism, Instance, Solution, parse_instance, verify_solution
 from weq.oracle import BudgetExceeded, brute_solutions
 from weq.semigroup import builtin
 
@@ -107,3 +110,88 @@ def test_reports_pinned(battery_equations):
             rep = brute_solutions(ins, bound)
             h.update(repr((rep.solutions, rep.max_exp_seen)).encode())
     assert h.hexdigest() == "bb41fd7d1cc16a28c43f6e9fe915ce67aef880e862b470a243b736019d62fb61"
+
+
+def zoo_instances(seed=22):
+    """Per zoo target, each spec with random images of the constants; each
+    variable's image is that of a random word over the constants, so the
+    image test passes for some of them."""
+    rng = random.Random(seed)
+    specs = ("XabY=YbaX", "XaY=YaX", "Xab=baX", "XY=YX")
+    for _, sg in zoo():
+        for spec in specs:
+            probe = make_instance(spec)
+            syms = probe.symbols
+            images = {a: rng.randrange(sg.order) for a in syms.constants}
+            for v in syms.variables:
+                word = [rng.choice(syms.constants) for _ in range(rng.randint(1, 3))]
+                acc = images[word[0]]
+                for a in word[1:]:
+                    acc = sg.table[acc][images[a]]
+                images[v] = acc
+            yield Instance(probe.equations, ConstraintMorphism.from_dict(syms, sg, images))
+
+
+def differential_cases(battery_equations):
+    cases = list(zoo_instances())
+    cases += [
+        make_instance(["XaY=YaX", "Xb=bX"]),
+        make_instance(["XY=YX", "Xa=aX"]),
+        make_instance("Xab=baX", variables="XZ"),
+        make_instance("XabY=YbaX", constants="ba"),
+        make_instance(["XbY=YbX", "aXb=aXb"], constants="ba"),
+        parse_instance(MULTI_CHARACTER_TOKENS),
+    ]
+    cases += itertools.islice(battery_instances(battery_equations), 0, None, 20)
+    return cases
+
+
+def test_equals_the_reference(battery_equations):
+    """The oracle gives the reference enumeration's solutions, in its
+    order, at bounds 1 to 5."""
+    for ins in differential_cases(battery_equations):
+        for bound in range(1, 6):
+            got = brute_solutions(ins, bound).solutions
+            assert got == oracle_reference.brute_solutions(ins, bound).solutions, (ins, bound)
+
+
+def test_cached_profiles_are_not_changed_by_a_call():
+    """Two calls share one cached profile key; the first has forced first
+    and last letters, the second none."""
+    oracle._cached_profiles.cache_clear()
+    forced, free = make_instance("Xab=baX"), make_instance("aXb=aXb")
+    for ins in (forced, free, forced):
+        assert brute_solutions(ins, 4) == oracle_reference.brute_solutions(ins, 4)
+    info = oracle._cached_profiles.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_many_profiles_are_streamed():
+    """One constant allows as many length profiles as the budget; past
+    1,024 to test, they are made per call and not cached."""
+    oracle._cached_profiles.cache_clear()
+    ins = make_instance("XYZ=ZYX", constants="a")
+    rep = brute_solutions(ins, 11)
+    assert rep == oracle_reference.brute_solutions(ins, 11)
+    assert len(rep.solutions) == 11 ** 3
+    assert oracle._cached_profiles.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("bound, budget", [(8, 100), (8, 0), (14284, 10), (3, 7)])
+def test_budget_message_is_the_reference_one(bound, budget):
+    """Where the reference prints its count (up to 4,300 digits), the
+    message is the same."""
+    ins = make_instance("Xa=aX")
+    with pytest.raises(BudgetExceeded) as want:
+        oracle_reference.brute_solutions(ins, bound, budget=budget)
+    with pytest.raises(BudgetExceeded) as got:
+        brute_solutions(ins, bound, budget=budget)
+    assert str(got.value) == str(want.value)
+
+
+def test_budget_needs_no_giant_integer():
+    with pytest.raises(BudgetExceeded, match=r"needs ~2\*\*14286 assignments, budget is 10$"):
+        brute_solutions(make_instance("Xa=aX"), 14286, budget=10)
+    with pytest.raises(BudgetExceeded, match=r"needs ~3\*\*20000000 assignments"):
+        brute_solutions(make_instance("XY=YX", constants="abc"), 10**7)
+

@@ -27,6 +27,29 @@ def test_no_assert_statements():
     assert found == []
 
 
+# keyed by the builtin names, of which there are nine
+UNBOUNDED_CACHES = {"semigroup.builtin"}
+
+
+def test_caches_are_bounded():
+    """Every `lru_cache` of the library has a finite `maxsize` (128 when
+    none is given), so a long-running caller holds a bounded number of
+    results; `functools.cache` is `lru_cache(maxsize=None)`."""
+    unbounded = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in fn.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                name = ast.unparse(call.func if call else dec).rsplit(".", 1)[-1]
+                sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"] if call else []
+                finite = all(isinstance(s, ast.Constant) and isinstance(s.value, int) for s in sizes)
+                if name == "cache" or name == "lru_cache" and not finite:
+                    unbounded.add(f"{path.stem}.{fn.name}")
+    assert unbounded == UNBOUNDED_CACHES
+
+
 def called_name(call: ast.Call) -> str | None:
     """The name a call invokes as a plain name or on self or cls."""
     f = call.func
