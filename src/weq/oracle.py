@@ -13,6 +13,11 @@ computed once per such key and cached, unless there are more than 1,024 to
 test.  The candidate words are generated once per call, grouped by
 constraint image and length; each variable takes the group of its image,
 filtered by its forced first/last letters.  No variable means no words.
+A variable left with no candidate at any length ends the call with no
+solution, before the profiles of a large key space are streamed: over one
+constant they number bound ** nvars, millions at bound 150 for three
+variables.  A small key space is looked up first, because its cached
+profiles end most calls before any word is made.
 All filters are necessary conditions of the defining checks, so the result
 equals the unfiltered enumeration.  The largest exponent is computed when
 first read.
@@ -140,12 +145,11 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
         (len(l) - len(r), tuple(l.count(char_of[v]) - r.count(char_of[v]) for v in variables))
         for l, r in sides
     )
-    if bound ** nvars <= _MAX_CACHED_PROFILES:
+    cached = bound ** nvars <= _MAX_CACHED_PROFILES
+    if cached:  # most calls whose profiles all fail end here, before any word is made
         profiles = _cached_profiles(balances, nvars, bound)
         if not profiles:
             return OracleReport(bound, ())
-    else:
-        profiles = _balanced_profiles(balances, nvars, bound)
 
     # the words of each needed image per length, in lexicographic token order
     mul = mu.target.table
@@ -167,7 +171,11 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
         lc = char_of[last[v]] if v in last else ""
         if fc or lc:
             words = [[w for w in ws if w.startswith(fc) and w.endswith(lc)] for ws in words]
+        if not any(words):  # no word of any length for v fills a profile
+            return OracleReport(bound, ())
         candidates.append(words)
+    if not cached:  # streamed only when every variable has a word
+        profiles = _balanced_profiles(balances, nvars, bound)
 
     codes = [ord(char_of[v]) for v in variables]
     keyed = []

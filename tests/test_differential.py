@@ -2,7 +2,9 @@
 enumeration against the brute-force oracle, the instance text format and
 the certificate JSON as round trips, pumped solutions as certified, and,
 over targets in the supported variety, a certificate exactly when there
-are infinitely many solutions.
+are infinitely many solutions.  A second property compares `build` with
+the reference exploration on constant blocks of 20 to 40 letters and on
+two-equation systems encoded by `system_to_single`.
 
 Instances are quadratic, with at most three variables (a declared variable
 may be absent from the equation), at most three constants (two with three
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_reference import assert_same_graph, reference_build
 from weq.equations import (
     ConstraintMorphism,
     Instance,
@@ -27,6 +30,7 @@ from weq.equations import (
     WordEquation,
     format_instance,
     parse_instance,
+    system_to_single,
 )
 from weq.oracle import brute_solutions
 from weq.periodicity import certificate_to_json, instantiate, load_certificate, pumping_certificate
@@ -98,3 +102,73 @@ def test_valid_instances(loaded, ins):
     assert load_certificate(ins, data, graph=g) == cert
     for m in range(3):
         assert instantiate(cert, ins, m).exponent >= m
+
+
+def drawn_morphism(draw, syms, sg):
+    """Random images of the constants; each variable takes the image of a
+    drawn word of one to three constants, so that a side's image can match
+    the other's."""
+    images = {a: draw(st.sampled_from(sg.elements())) for a in syms.constants}
+    for v in syms.variables:
+        word = draw(st.lists(st.sampled_from(syms.constants), min_size=1, max_size=3))
+        images[v] = sg.fold(images[a] for a in word)
+    return ConstraintMorphism.from_dict(syms, sg, images)
+
+
+@st.composite
+def constant_blocks(draw):
+    """One equation whose sides each hold a block of 20 to 40 constants,
+    a^i b^j on the left and the same letters or a permutation of them on
+    the right, and one or two variables that occur once on each side, so
+    that letter counting refutes none of them: `X a^k b = a^k b X` and its
+    relatives."""
+    variables = "XY"[:draw(st.integers(1, 2))]
+    n = draw(st.integers(20, 40))
+    block = "a" * draw(st.integers(0, n))
+    block += "b" * (n - len(block))
+    other = block if draw(st.booleans()) else "".join(draw(st.permutations(block)))
+    lhs, rhs = ("".join(draw(st.permutations([word, *variables]))) for word in (block, other))
+    syms = SymbolTable(("a", "b"), tuple(variables))
+    mu = drawn_morphism(draw, syms, draw(st.sampled_from(TARGETS)))
+    return Instance((WordEquation(tuple(lhs), tuple(rhs)),), mu), None
+
+
+@st.composite
+def two_equation_systems(draw):
+    """Two equations over constants a, b and variables X, Y, each variable
+    at most twice in the whole system, with the encoding `system_to_single`
+    makes of them.  An equation is a drawn word cut in two, or a drawn word
+    against a permutation of itself, which letter counting cannot refute."""
+    equations, uses = [], {"X": 0, "Y": 0}
+    for _ in range(2):
+        mirrored = draw(st.booleans())
+        word = []
+        for tok in draw(st.lists(st.sampled_from("abXY"), min_size=1, max_size=4)):
+            if tok in uses:
+                if uses[tok] + 1 + mirrored > 2:
+                    continue
+                uses[tok] += 1 + mirrored
+            word.append(tok)
+        if mirrored:
+            word = word or ["a"]
+            lhs, rhs = word, draw(st.permutations(word))
+        else:
+            word += ["a"] * (2 - len(word))
+            cut = draw(st.integers(1, len(word) - 1))
+            lhs, rhs = word[:cut], word[cut:]
+        equations.append(WordEquation(tuple(lhs), tuple(rhs)))
+    syms = SymbolTable(("a", "b"), tuple(v for v in "XY" if uses[v]))
+    system = Instance(tuple(equations), drawn_morphism(draw, syms, draw(st.sampled_from(TARGETS))))
+    return system_to_single(system), system
+
+
+@given(case=st.one_of(constant_blocks(), two_equation_systems()))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_long_blocks_and_encoded_systems(case):
+    """`build` gives the reference's automaton, which prunes no dead tails,
+    and an encoded system has the system's solutions."""
+    ins, system = case
+    g = build(ins)
+    assert_same_graph(g, reference_build(ins))
+    if system is not None:
+        assert enumerate_solutions(g, 3) == list(brute_solutions(system, 3).solutions)

@@ -177,6 +177,19 @@ def test_many_profiles_are_streamed():
     assert oracle._cached_profiles.cache_info().currsize == 0
 
 
+def test_a_variable_without_words_tests_no_profile(monkeypatch):
+    """No word over the one constant (image 0 in z2) has X's image 1, so
+    there is no solution, and none of the 3,375,000 length profiles at
+    bound 150 is made."""
+    def refuse(*args):
+        raise AssertionError("a length profile was made")
+
+    monkeypatch.setattr(oracle, "_balanced_profiles", refuse)
+    ins = parse_instance("constants a\nvariables X Y Z\nequation X Y Z = Z Y X\nsemigroup builtin:z2\n"
+                         "map a -> 0\nmap X -> 1\nmap Y -> 1\nmap Z -> 0\n")
+    assert brute_solutions(ins, 150).solutions == ()
+
+
 @pytest.mark.parametrize("bound, budget", [(8, 100), (8, 0), (14284, 10), (3, 7)])
 def test_budget_message_is_the_reference_one(bound, budget):
     """Where the reference prints its count (up to 4,300 digits), the

@@ -5,14 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from collections import deque
-from types import SimpleNamespace
-
 import weq
 from conftest import make_instance
+from graph_reference import abelian_refuted, assert_same_graph, reference_build
 from weq.equations import (
     ConstraintMorphism,
-    EquationError,
     Instance,
     NotQuadratic,
     Solution,
@@ -20,20 +17,15 @@ from weq.equations import (
     TheoremViolation,
     WordEquation,
     parse_instance,
-    substitute,
 )
 from weq.hunt import sweep_instances
 from weq.oracle import brute_solutions
 from weq.periodicity import instantiate, pumping_certificate
 from weq.semigroup import builtin, from_table
 from weq.solution_graph import (
-    GraphState,
-    GraphTransition,
     NotAccepting,
-    SccData,
     StateBudgetExceeded,
     _counts_refuted,
-    _left_quotients,
     build,
     dot_lines,
     enumerate_solutions,
@@ -297,6 +289,32 @@ class TestStateBudget:
         assert not is_solvable(build(ins, max_states=1))
 
 
+class TestDeadTails:
+    """Sides that end in different constants have no solution: a build
+    that starts with them ends at once, and a deletion that leaves them is
+    dropped without being interned."""
+
+    # X a^k b = a^k b X interns 2k + 3 states and keeps them all; without
+    # the rule each deletion X -> a leaves sides ending in b and a that are
+    # cancelled head by head, 20,503 interned states at k = 200
+    def test_long_cycle_interns_what_it_keeps(self):
+        assert build(long_cycle(200), max_states=1000).state_count == 403
+        with pytest.raises(StateBudgetExceeded) as exc:
+            build(long_cycle(200), max_states=402)
+        assert exc.value.count == 403
+
+    def test_initial_tails_refute(self):
+        assert not is_solvable(build(make_instance("Xab=Xba"), max_states=1))
+
+
+# over n2 (a -> x, b -> 0, X, Y -> 0) deletions leave sides ending in b
+# and a that neither letter counting nor the images refute
+DEAD_TAILS_N2 = parse_instance(
+    "constants a b\nvariables X Y\nequation X Y a a a a b = a a a a b Y X\nsemigroup builtin:n2\n"
+    "map a -> x\nmap b -> 0\nmap X -> 0\nmap Y -> 0\n"
+)
+
+
 def odd_tokens():
     """XabY=YbaX over tokens with the characters DOT labels use as
     separators and names of several characters, one a prefix of another;
@@ -465,233 +483,6 @@ def test_initial_images_that_differ_leave_no_solution(case, target, data):
     assert not is_solvable(build(ins))
 
 
-def abelian_refuted(lhs, rhs, varset):
-    """Letter counting by recounting both sides, which `build` did before it
-    carried the count differences from state to state; the sides are token
-    tuples and varset the active variables.  With d_a = |lhs|_a - |rhs|_a
-    for each constant a and c_X = |lhs|_X - |rhs|_X for each variable X,
-    the rule of `_counts_refuted`."""
-    c_sum = d_sum = 0
-    c_pos = c_neg = c_odd = d_pos = d_neg = d_odd = False
-    for t in set(lhs + rhs):
-        n = lhs.count(t) - rhs.count(t)
-        if not n:
-            continue
-        if t in varset:
-            c_sum += n
-            c_pos, c_neg = c_pos or n > 0, c_neg or n < 0
-            c_odd = c_odd or n & 1
-        else:
-            d_sum += n
-            d_pos, d_neg = d_pos or n > 0, d_neg or n < 0
-            d_odd = d_odd or n & 1
-    if not (c_pos or c_neg):
-        return d_pos or d_neg
-    if d_odd and not c_odd:
-        return True
-    if not c_neg:
-        return d_pos or c_sum > -d_sum
-    if not c_pos:
-        return d_neg or c_sum < -d_sum
-    return False
-
-
-def reference_build(ins):
-    """The solution graph by breadth-first exploration over token tuples,
-    with a GraphState and its sorted images built on every visit and the
-    trimmed transitions rebuilt from the explored ones: `build` as it was
-    before exploration packed words into strings.  Returns plain lists of
-    states, transitions and each state's transition ids."""
-    eq = ins.equation
-    if not eq.lhs or not eq.rhs:
-        raise EquationError("both sides must be nonempty")
-    ins.require_quadratic()
-    syms = ins.symbols
-    sg = ins.mu.target
-    sigma = syms.constants
-    var_rank = {v: i for i, v in enumerate(syms.variables)}
-    quot = _left_quotients(sg)
-    const_mu = {a: ins.mu[a] for a in sigma}
-    test_images = sg.order > 1
-    dead = -1
-
-    def images_differ(lhs, rhs, mu):
-        m = {**const_mu, **mu}
-        return sg.fold(m[t] for t in lhs) != sg.fold(m[t] for t in rhs)
-
-    states, index, out, transitions = [], {}, [], []
-    queue = deque()
-
-    def intern(lhs, rhs, varset, mu, true_, cancelled=False, counts=False):
-        st = GraphState(lhs, rhs, varset, tuple(sorted((v, mu[v]) for v in varset)), true_)
-        sid = index.get(st)
-        if sid is None:
-            if not true_ and (
-                (cancelled and test_images and images_differ(lhs, rhs, mu))
-                or (counts and abelian_refuted(lhs, rhs, varset))
-            ):
-                index[st] = dead
-                return dead
-            sid = index[st] = len(states)
-            states.append(st)
-            out.append([])
-            queue.append(sid)
-        return sid
-
-    def add(src, dst, label):
-        if dst != dead:
-            out[src].append(len(transitions))
-            transitions.append(GraphTransition(src, dst, label))
-
-    initial = intern(eq.lhs, eq.rhs, frozenset(syms.variables),
-                     {v: ins.mu[v] for v in syms.variables}, False, cancelled=True, counts=True)
-    while queue:
-        sid = queue.popleft()
-        st = states[sid]
-        varset = st.varset
-        mu = dict(st.mu_items)
-        mu_of = {**const_mu, **mu}
-        if not st.is_true and st.lhs[0] == st.rhs[0]:
-            l, r = st.lhs[1:], st.rhs[1:]
-            if l and r:
-                add(sid, intern(l, r, varset, mu, False, cancelled=True), None)
-            elif not l and not r:
-                add(sid, intern((), (), varset, mu, True), None)
-            continue
-        occurring = {t for t in st.lhs + st.rhs if t in varset}
-        absent = [v for v in sorted(varset, key=var_rank.get) if v not in occurring]
-        for x in absent[:1]:
-            for a in sigma:
-                for t in quot.get((mu_of[a], mu[x]), ()):
-                    add(sid, intern(st.lhs, st.rhs, varset, {**mu, x: t}, st.is_true), (x, (a, x)))
-                if mu[x] == mu_of[a]:
-                    add(sid, intern(st.lhs, st.rhs, varset - {x}, mu, st.is_true), (x, (a,)))
-        if st.is_true:
-            continue
-        for this, other, swapped in ((st.lhs, st.rhs, False), (st.rhs, st.lhs, True)):
-            x = this[0]
-            if x not in varset:
-                continue
-            alpha = other[0]
-            u, v = this[1:], other[1:]
-            counts = u.count(x) + 1 != v.count(x)
-            keep_l = (x,) + substitute(u, x, (alpha, x))
-            keep_r = substitute(v, x, (alpha, x))
-            if keep_r:
-                pair = (keep_l, keep_r) if not swapped else (keep_r, keep_l)
-                for t in quot.get((mu_of[alpha], mu[x]), ()):
-                    add(sid, intern(pair[0], pair[1], varset, {**mu, x: t}, False,
-                                    cancelled=True, counts=counts), (x, (alpha, x)))
-            if mu[x] == mu_of[alpha]:
-                dl, dr = substitute(u, x, (alpha,)), substitute(v, x, (alpha,))
-                if swapped:
-                    dl, dr = dr, dl
-                if dl and dr:
-                    add(sid, intern(dl, dr, varset - {x}, mu, False, cancelled=True, counts=counts),
-                        (x, (alpha,)))
-                elif not dl and not dr:
-                    add(sid, intern((), (), varset - {x}, mu, True), (x, (alpha,)))
-
-    finals = frozenset(
-        sid for sid, st in enumerate(states)
-        if not st.varset and (
-            st.is_true
-            or (len(st.lhs) == 1 == len(st.rhs) and st.lhs == st.rhs and syms.is_constant(st.lhs[0]))
-        )
-    )
-    co = set(finals)
-    rev = [[] for _ in states]
-    for t in transitions:
-        rev[t.target].append(t.source)
-    frontier = deque(co)
-    while frontier:
-        for p in rev[frontier.popleft()]:
-            if p not in co:
-                co.add(p)
-                frontier.append(p)
-    if initial not in co:
-        return SimpleNamespace(states=[], transitions=[], out=[], initial=None,
-                               finals=frozenset(), scc=SccData((), (), ()))
-    keep = sorted(co)
-    remap = {old: new for new, old in enumerate(keep)}
-    new_out = [[] for _ in keep]
-    new_transitions = []
-    for old in keep:
-        for tid in out[old]:
-            t = transitions[tid]
-            if t.target in co:
-                new_out[remap[old]].append(len(new_transitions))
-                new_transitions.append(GraphTransition(remap[t.source], remap[t.target], t.label))
-    g = SimpleNamespace(
-        states=[states[old] for old in keep], transitions=new_transitions, out=new_out,
-        initial=remap[initial], finals=frozenset(remap[f] for f in finals if f in co),
-    )
-    g.scc = reference_tarjan(g)
-    return g
-
-
-def reference_tarjan(g):
-    """Tarjan's algorithm over the transition objects, components in
-    topological order."""
-    n = len(g.states)
-    index_of, low, on_stack = [-1] * n, [0] * n, [False] * n
-    stack, comps = [], []
-    counter = 0
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, iter(g.out[root]))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            for tid in it:
-                w = g.transitions[tid].target
-                if index_of[w] == -1:
-                    index_of[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(g.out[w])))
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index_of[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(tuple(sorted(comp)))
-    comps.reverse()
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for s in comp:
-            comp_of[s] = ci
-    has_tr = [False] * len(comps)
-    for t in g.transitions:
-        if comp_of[t.source] == comp_of[t.target]:
-            has_tr[comp_of[t.source]] = True
-    return SccData(tuple(comps), tuple(comp_of), tuple(has_tr))
-
-
-def assert_same_graph(g, ref):
-    assert decoded_states(g) == ref.states
-    assert g.transitions == ref.transitions
-    assert g.out == ref.out
-    assert g.initial == ref.initial
-    assert g.finals == ref.finals
-    assert g.scc == ref.scc
-
-
 class TestPackedExploration:
     """Exploration over packed words gives the graph of the tuple-word
     reference: states, their numbering, transitions in order and SCCs."""
@@ -701,6 +492,8 @@ class TestPackedExploration:
         pytest.param(long_cycle(8), id="long-cycle-8"),
         pytest.param(long_cycle(20), id="long-cycle-20"),
         pytest.param(long_cycle(32), id="long-cycle-32"),
+        pytest.param(long_cycle(100), id="long-cycle-100"),
+        pytest.param(DEAD_TAILS_N2, id="dead-tails-n2"),
         pytest.param(odd_tokens(), id="odd-tokens"),
         pytest.param(dead_cycles(), id="dead-cycles"),
     ])
