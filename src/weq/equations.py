@@ -13,6 +13,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from . import semigroup as sgmod
 from ._text import NotText, ParseError, logical_lines
@@ -206,6 +207,27 @@ def packing(symbols: SymbolTable) -> tuple[dict[str, str], dict[str, str]]:
     return char_of, {c: t for t, c in char_of.items()}
 
 
+def packed_solutions(variables, token_of: dict[str, str], found) -> list[Solution]:
+    """The solutions spelled by `found`, tuples of packed words in the
+    order of `variables`, sorted by the length and then the tokens of each
+    variable's word, variables in that order.  Each distinct word is
+    decoded once; a `Solution` holds its pairs in variable-name order, as
+    `Solution.from_dict` makes them."""
+    if not found:
+        return []
+    by_name = sorted(range(len(variables)), key=variables.__getitem__)
+    names = [variables[i] for i in by_name]
+    # (length, tokens) of each distinct word: one term of the sort key
+    term = {w: (len(w), tuple(map(token_of.__getitem__, w)))
+            for w in {w for words in found for w in words}}.__getitem__
+    keyed = []
+    for words in found:
+        key = tuple(map(term, words))
+        keyed.append((key, Solution(tuple(zip(names, [key[i][1] for i in by_name])))))
+    keyed.sort(key=itemgetter(0))
+    return [s for _, s in keyed]
+
+
 def substitute(word: Word, var: str, repl: Word) -> Word:
     """Replace every occurrence of one variable by a word."""
     if var not in word:
@@ -249,10 +271,6 @@ class Solution:
 
     def apply(self, word) -> Word:
         return apply_map(word, self.as_dict)
-
-    def sort_key(self, symbols: SymbolTable):
-        m = self.as_dict
-        return tuple((len(m[v]), m[v]) for v in symbols.variables if v in m)
 
 
 def verify_solution(ins: Instance, sol: Solution) -> bool:

@@ -3,16 +3,19 @@ bound, and the exhaustive exponent-of-periodicity maximum.
 
 Each side of each equation is one string of one character per token
 (`equations.packing`, shared with `solution_graph.build`), and an
-assignment is one `str.translate` table on the variables' code points;
-results are converted back to token tuples.  Before any word is made, an
-instance is dropped when some equation's sides fold to different
-constraint images, or when forced first/last letters contradict.  The
-length profiles under which every equation's sides have equal length
-depend only on the equations' balance vectors and the bound, so they are
-computed once per such key and cached, unless there are more than 1,024 to
-test.  The candidate words are generated once per call, grouped by
-constraint image and length; each variable takes the group of its image,
-filtered by its forced first/last letters.  No variable means no words.
+assignment is one `str.translate` table on the variables' code points.
+The kept assignments stay packed until `equations.packed_solutions`,
+which the enumeration of `solution_graph` shares, decodes each distinct
+word once and sorts the solutions, so their order is defined there.
+Before any word is made, an instance is dropped when some equation's
+sides fold to different constraint images, or when forced first/last
+letters contradict.  The length profiles under which every equation's
+sides have equal length depend only on the equations' balance vectors and
+the bound, so they are computed once per such key and cached, unless
+there are more than 1,024 to test.  The candidate words are generated
+once per call, grouped by constraint image and length; each variable
+takes the group of its image, filtered by its forced first/last letters.
+No variable means no words.
 A variable left with no candidate at any length ends the call with no
 solution, before the profiles of a large key space are streamed: over one
 constant they number bound ** nvars, millions at bound 150 for three
@@ -34,9 +37,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 
-from .equations import BudgetExceeded, Instance, Solution, packing
+from .equations import BudgetExceeded, Instance, Solution, packed_solutions, packing
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -178,7 +180,7 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
         profiles = _balanced_profiles(balances, nvars, bound)
 
     codes = [ord(char_of[v]) for v in variables]
-    keyed = []
+    found = []
     for lens in profiles:
         for combo in itertools.product(*(c[ln] for c, ln in zip(candidates, lens))):
             table = dict(zip(codes, combo))
@@ -186,9 +188,5 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
                 if l.translate(table) != r.translate(table):
                     break
             else:
-                words = [tuple(token_of[c] for c in w) for w in combo]
-                # the key is Solution.sort_key, built without its as_dict
-                keyed.append((tuple((len(w), w) for w in words),
-                              Solution.from_dict(dict(zip(variables, words)))))
-    keyed.sort(key=itemgetter(0))
-    return OracleReport(bound, tuple(s for _, s in keyed))
+                found.append(combo)
+    return OracleReport(bound, tuple(packed_solutions(variables, token_of, found)))

@@ -104,7 +104,12 @@ keeping move x -> alpha x lengthens a word.  A path within B thus has at
 most B*k + n0/2 moves, for k variables and n0 tokens in the equation.  The
 number of pairs can still grow exponentially in B (X Y = Y X doubles it
 with each step of B), so the pairs the search interns count against the
-same `max_states` budget as the states of `build`.
+same `max_states` budget as the states of `build`.  The patterns met at
+final states are checked against the automaton's guarantee while still
+packed (`first_non_solution`: nonempty constant words, equal sides under
+one `str.translate` table, each word folding to its variable's image, each
+distinct word folded once), then decoded and sorted by
+`equations.packed_solutions`, the step the oracle ends with too.
 """
 
 from __future__ import annotations
@@ -114,8 +119,8 @@ from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 from .equations import (
-    PACK_BASE, BudgetExceeded, EquationError, Instance, Solution, TheoremViolation, Word, packing,
-    substitute, verify_solution,
+    PACK_BASE, BudgetExceeded, EquationError, Instance, Solution, TheoremViolation, Word,
+    packed_solutions, packing, substitute, verify_solution,
 )
 from .semigroup import FiniteSemigroup
 
@@ -544,7 +549,10 @@ def _trim(ins, keys, first, dsts, labels, finals, token_of) -> SolutionGraph:
         kept_first.append(len(kept_dst))
         keys, first, dsts, labels = [keys[old] for old in keep], kept_first, kept_dst, kept_labels
     comps.reverse()  # topological order
-    components = tuple(tuple(sorted(map(new_id.__getitem__, comp))) for comp in comps)
+    components = tuple(
+        (new_id[comp[0]],) if len(comp) == 1 else tuple(sorted(map(new_id.__getitem__, comp)))
+        for comp in comps
+    )
     comp_of = [0] * len(keep)
     for ci, comp in enumerate(components):
         for s in comp:
@@ -593,7 +601,8 @@ def extract_solution(g: SolutionGraph, path) -> Solution:
     if at not in g.finals:
         raise NotAccepting(f"path ends at non-final state {at}")
     sol = Solution.from_dict(compose(g.instance.symbols.variables, labels))
-    _require_solution(g.instance, sol)
+    if not verify_solution(g.instance, sol):
+        raise _failed_guarantee(sol)
     return sol
 
 
@@ -602,24 +611,24 @@ def enumerate_solutions(
 ) -> list[Solution]:
     """Every solution whose words all have length <= max_word_len, in the
     oracle's order; the module docstring says why the search ends.  The
-    patterns stay packed, one `str` per variable, until a final state
-    yields them.  Raises StateBudgetExceeded once more than `max_states`
-    (state, patterns) pairs are interned, and TheoremViolation if an
-    accepting path composes to a non-solution."""
+    patterns stay packed, one `str` per variable, until the solutions found
+    are checked and decoded at the end.  Raises StateBudgetExceeded once
+    more than `max_states` (state, patterns) pairs are interned, and
+    TheoremViolation if an accepting path composes to a non-solution."""
     if g.initial is None:
         return []
     syms = g.instance.symbols
     variables = syms.variables
-    dst, labels, finals = g.dst, g.labels, g.finals
+    first, dst, labels, finals = g.first, g.dst, g.labels, g.finals
     found: set[tuple[str, ...]] = set()
-    init = (g.initial, tuple(packing(syms)[0][v] for v in variables))
+    init = (g.initial, tuple(map(packing(syms)[0].__getitem__, variables)))
     seen = {init}
     stack = [init]
     while stack:
         sid, patterns = stack.pop()
         if sid in finals:
             found.add(patterns)
-        for e in g.edges(sid):
+        for e in range(first[sid], first[sid + 1]):
             lab = labels[e]
             nxt = patterns
             if lab:
@@ -633,21 +642,52 @@ def enumerate_solutions(
                     raise StateBudgetExceeded(len(seen) + 1, max_states, "(state, patterns) pairs")
                 seen.add(key)
                 stack.append(key)
-    token = g.token_of.__getitem__
-    sols = []
-    for patterns in found:
-        sol = Solution.from_dict({v: tuple(map(token, w)) for v, w in zip(variables, patterns)})
-        _require_solution(g.instance, sol)
-        sols.append(sol)
-    return sorted(sols, key=lambda s: s.sort_key(syms))
+    if not found:
+        return []
+    bad = first_non_solution(g.instance, found)
+    if bad is not None:
+        raise _failed_guarantee(packed_solutions(variables, g.token_of, [bad])[0])
+    return packed_solutions(variables, g.token_of, found)
 
 
-def _require_solution(ins: Instance, sol: Solution) -> None:
-    """TheoremViolation unless `sol`, composed along an accepting path,
-    solves the instance, as the automaton guarantees."""
-    if not verify_solution(ins, sol):
-        raise TheoremViolation(f"an accepting path composes to {sol.assignment}, "
-                               "which does not solve the instance")
+def first_non_solution(ins: Instance, found) -> tuple[str, ...] | None:
+    """The first of `found`, tuples of packed words in the order of the
+    instance's variables, that does not solve the instance, or None.  The
+    conditions are `verify_solution`'s: every word is nonempty and holds
+    only constants, which pack first, and folds to its variable's image;
+    both sides of every equation are equal under one `str.translate`
+    table.  Each distinct word is checked and folded once."""
+    syms = ins.symbols
+    char_of = packing(syms)[0]
+    top = chr(PACK_BASE + len(syms.constants))  # the first variable's character
+    image = {char_of[s]: e for s, e in ins.mu.image}
+    mul = ins.mu.target.table
+    folds = {}  # the image of each distinct nonempty word of constants
+    for w in {w for words in found for w in words}:
+        if w and max(w) < top:
+            f = image[w[0]]
+            for c in w[1:]:
+                f = mul[f][image[c]]
+            folds[w] = f
+    wanted = [image[char_of[v]] for v in syms.variables]
+    codes = [ord(char_of[v]) for v in syms.variables]
+    sides = [("".join(map(char_of.__getitem__, eq.lhs)), "".join(map(char_of.__getitem__, eq.rhs)))
+             for eq in ins.equations]
+    for words in found:
+        if list(map(folds.get, words)) != wanted:  # None for any other word
+            return words
+        table = dict(zip(codes, words))
+        for l, r in sides:
+            if l.translate(table) != r.translate(table):
+                return words
+    return None
+
+
+def _failed_guarantee(sol: Solution) -> TheoremViolation:
+    """The error for `sol`, composed along an accepting path, when it does
+    not solve the instance, against the automaton's guarantee."""
+    return TheoremViolation(f"an accepting path composes to {sol.assignment}, "
+                            "which does not solve the instance")
 
 
 def dot_lines(g: SolutionGraph) -> Iterator[str]:

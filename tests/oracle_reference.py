@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from weq.equations import BudgetExceeded, Instance, Solution, packing
+from weq.equations import BudgetExceeded, Instance, Solution, SymbolTable, packing
 from weq.oracle import DEFAULT_BUDGET, OracleReport
 
 
@@ -32,6 +32,13 @@ def _edge_constraints(ins: Instance):
                 if side.setdefault(a, b) != b:
                     return None
     return first, last
+
+
+def sort_key(sol: Solution, symbols: SymbolTable) -> tuple:
+    """The oracle's order: the length and then the tokens of each
+    variable's word, variables in declaration order."""
+    m = sol.as_dict
+    return tuple((len(m[v]), m[v]) for v in symbols.variables)
 
 
 def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> OracleReport:
@@ -92,5 +99,5 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
                         v: tuple(token_of[c] for c in w) for v, w in zip(variables, combo)
                     }))
 
-    sols.sort(key=lambda s: s.sort_key(syms))
+    sols.sort(key=lambda s: sort_key(s, syms))
     return OracleReport(bound, tuple(sols))

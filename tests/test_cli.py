@@ -614,7 +614,7 @@ class TestSolveOracleGraph:
     def test_failed_enumeration_guarantee_exits_4(self, files, capsys, monkeypatch, argv):
         """An accepting path that composes to a non-solution is a failed
         guarantee, not a usage error: exit 4, with the instance text."""
-        monkeypatch.setattr(solution_graph, "verify_solution", lambda ins, sol: False)
+        monkeypatch.setattr(solution_graph, "first_non_solution", lambda ins, found: next(iter(found), None))
         assert main([arg.format(xabby=files["xabby.weq"]) for arg in argv]) == 4
         err = capsys.readouterr().err
         assert err.startswith("internal guarantee failed: an accepting path composes to")

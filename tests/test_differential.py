@@ -4,7 +4,9 @@ the certificate JSON as round trips, pumped solutions as certified, and,
 over targets in the supported variety, a certificate exactly when there
 are infinitely many solutions.  A second property compares `build` with
 the reference exploration on constant blocks of 20 to 40 letters and on
-two-equation systems encoded by `system_to_single`.
+two-equation systems encoded by `system_to_single`.  A third feeds packed
+assignments, real solutions and each kind of fault, to the enumeration's
+packed check and to `verify_solution`, over the zoo's targets.
 
 Instances are quadratic, with at most three variables (a declared variable
 may be absent from the equation), at most three constants (two with three
@@ -15,6 +17,7 @@ separators of the text formats and multi-character names.  Every instance
 takes the text round trip: a target that is not a builtin is written to a
 `file:` table first and loaded back, so that the text can name it."""
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -22,22 +25,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import zoo
 from graph_reference import assert_same_graph, reference_build
 from weq.equations import (
     ConstraintMorphism,
     Instance,
+    Solution,
     SymbolTable,
     WordEquation,
     format_instance,
+    packing,
     parse_instance,
     system_to_single,
+    verify_solution,
 )
 from weq.oracle import brute_solutions
 from weq.periodicity import certificate_to_json, instantiate, load_certificate, pumping_certificate
 from weq.semigroup import (
     adjoin_identity, adjoin_zero, builtin, direct_product, format_semigroup, is_dlg, resolve_semigroup,
 )
-from weq.solution_graph import build, enumerate_solutions, has_infinitely_many
+from weq.solution_graph import build, enumerate_solutions, first_non_solution, has_infinitely_many
 
 CONSTANTS = ("a", "#", ",", "->", "bc")
 VARIABLES = ("X", "Yy", "Z_2")
@@ -172,3 +179,71 @@ def test_long_blocks_and_encoded_systems(case):
     assert_same_graph(g, reference_build(ins))
     if system is not None:
         assert enumerate_solutions(g, 3) == list(brute_solutions(system, 3).solutions)
+
+
+ZOO = [sg for _, sg in zoo()]
+
+
+@st.composite
+def packed_assignments(draw):
+    """An instance into a zoo target, with one or two variables (one may be
+    absent from the equation), and tuples of packed words, one per
+    variable, in a drawn order: the solutions within length 3; the
+    solutions of the unconstrained equation, whose words may miss their
+    images; drawn words that meet the images, whose sides mostly differ;
+    and drawn members of these with one word emptied or holding a
+    variable."""
+    variables = tuple(draw(st.lists(st.sampled_from(VARIABLES), min_size=1, max_size=2, unique=True)))
+    constants = tuple(draw(st.lists(st.sampled_from(CONSTANTS), min_size=1, max_size=2, unique=True)))
+    word = []
+    for tok in draw(st.lists(st.sampled_from(constants + variables), min_size=2, max_size=6)):
+        if tok in constants or word.count(tok) < 2:
+            word.append(tok)
+    word += [constants[0]] * (2 - len(word))
+    cut = draw(st.integers(1, len(word) - 1))
+    syms = SymbolTable(constants, variables)
+    ins = Instance((WordEquation(tuple(word[:cut]), tuple(word[cut:])),),
+                   drawn_morphism(draw, syms, draw(st.sampled_from(ZOO))))
+    char_of = packing(syms)[0]
+
+    def packed(sol):
+        return tuple("".join(map(char_of.__getitem__, sol.as_dict[v])) for v in variables)
+
+    free = replace(ins, mu=ConstraintMorphism.trivial(syms))
+    cases = [packed(s) for s in brute_solutions(ins, 3).solutions + brute_solutions(free, 3).solutions]
+    by_image: dict[int, list[str]] = {}
+    for n in range(1, 4):
+        for w in itertools.product(constants, repeat=n):
+            by_image.setdefault(ins.mu.eval(w), []).append("".join(map(char_of.__getitem__, w)))
+    for _ in range(3):
+        cases.append(tuple(draw(st.sampled_from(by_image[ins.mu[v]])) for v in variables))
+    for _ in range(6):
+        words = list(draw(st.sampled_from(cases)))
+        i = draw(st.integers(0, len(words) - 1))
+        w = words[i]
+        if draw(st.booleans()):
+            words[i] = ""
+        else:
+            j = draw(st.integers(0, len(w)))
+            words[i] = w[:j] + char_of[draw(st.sampled_from(variables))] + w[j:]
+        cases.append(tuple(words))
+    return ins, draw(st.permutations(cases))
+
+
+@given(case=packed_assignments())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_packed_check_agrees_with_verify_solution(case):
+    """`first_non_solution`, which checks the enumeration's results on
+    packed words, gives `verify_solution`'s verdict on each assignment, and
+    over all of them names the first that `verify_solution` rejects."""
+    ins, cases = case
+    token_of = packing(ins.symbols)[1]
+    verdicts = [
+        verify_solution(ins, Solution.from_dict({
+            v: tuple(map(token_of.__getitem__, w)) for v, w in zip(ins.symbols.variables, words)
+        }))
+        for words in cases
+    ]
+    for words, ok in zip(cases, verdicts):
+        assert (first_non_solution(ins, [words]) is None) == ok, words
+    assert first_non_solution(ins, cases) == next((w for w, ok in zip(cases, verdicts) if not ok), None)
