@@ -28,7 +28,7 @@ print("satisfiable:", is_solvable(g))
 print("infinitely many solutions:", has_infinitely_many(g))
 
 # The mutually reachable core: both variables still occur in these states.
-core = g.scc.components[g.scc.comp_of[g.initial]]
+core = next(comp for comp in g.scc.components if g.initial in comp)
 print("core states:")
 for sid in core:
     print("   ", g.state(sid).equation_str())

@@ -30,7 +30,6 @@ from .equations import (
 )
 from .oracle import OracleReport, brute_solutions
 from .periodicity import (
-    ExpDecision,
     NotDLG,
     PumpingCertificate,
     TheoremViolation,

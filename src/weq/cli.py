@@ -243,14 +243,14 @@ def cmd_oracle(args) -> int:
     if args.json:
         print(json.dumps({
             "instance": _instance_summary(ins),
-            "bound": rep.bound,
+            "bound": args.max_len,
             "max_exp_seen": rep.max_exp_seen,
             "solutions": [{v: "".join(w) for v, w in s.assignment} for s in rep.solutions],
         }, indent=2, sort_keys=True))
     else:
         for s in rep.solutions:
             print(", ".join(f"{v}={''.join(w)}" for v, w in s.assignment) or "(empty assignment)")
-        print(f"{len(rep.solutions)} solution(s) up to length {rep.bound}; max exp {rep.max_exp_seen}")
+        print(f"{len(rep.solutions)} solution(s) up to length {args.max_len}; max exp {rep.max_exp_seen}")
     return EXIT_YES if rep.solutions else EXIT_NO
 
 

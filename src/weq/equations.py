@@ -228,19 +228,6 @@ def packed_solutions(variables, token_of: dict[str, str], found) -> list[Solutio
     return [s for _, s in keyed]
 
 
-def substitute(word: Word, var: str, repl: Word) -> Word:
-    """Replace every occurrence of one variable by a word."""
-    if var not in word:
-        return word
-    out: list[str] = []
-    for tok in word:
-        if tok == var:
-            out.extend(repl)
-        else:
-            out.append(tok)
-    return tuple(out)
-
-
 def apply_map(word: Word, mapping) -> Word:
     """Replace every token of the word by its image under the mapping, if it
     has one."""

@@ -45,7 +45,6 @@ DEFAULT_BUDGET = 10_000_000
 
 @dataclass(frozen=True)
 class OracleReport:
-    bound: int
     solutions: tuple[Solution, ...]
 
     @cached_property
@@ -137,7 +136,7 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
     mu = ins.mu
     edges = _edge_constraints(ins)
     if edges is None or any(mu.eval(eq.lhs) != mu.eval(eq.rhs) for eq in ins.equations):
-        return OracleReport(bound, ())
+        return OracleReport(())
     char_of, token_of = packing(syms)
     sides = [
         ("".join(char_of[t] for t in eq.lhs), "".join(char_of[t] for t in eq.rhs))
@@ -151,7 +150,7 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
     if cached:  # most calls whose profiles all fail end here, before any word is made
         profiles = _cached_profiles(balances, nvars, bound)
         if not profiles:
-            return OracleReport(bound, ())
+            return OracleReport(())
 
     # the words of each needed image per length, in lexicographic token order
     mul = mu.target.table
@@ -174,7 +173,7 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
         if fc or lc:
             words = [[w for w in ws if w.startswith(fc) and w.endswith(lc)] for ws in words]
         if not any(words):  # no word of any length for v fills a profile
-            return OracleReport(bound, ())
+            return OracleReport(())
         candidates.append(words)
     if not cached:  # streamed only when every variable has a word
         profiles = _balanced_profiles(balances, nvars, bound)
@@ -189,4 +188,4 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
                     break
             else:
                 found.append(combo)
-    return OracleReport(bound, tuple(packed_solutions(variables, token_of, found)))
+    return OracleReport(tuple(packed_solutions(variables, token_of, found)))

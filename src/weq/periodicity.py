@@ -26,7 +26,7 @@ from .equations import (
     verify_solution,
 )
 from .semigroup import is_dlg, omega, stab_L
-from .solution_graph import SolutionGraph, build, compose
+from .solution_graph import GraphState, SolutionGraph, build, compose
 
 
 class NotDLG(EquationError):
@@ -37,18 +37,15 @@ class NotDLG(EquationError):
 # nicely balanced states
 
 
-def is_nicely_balanced(g: SolutionGraph, sid: int, var: str) -> Word | None:
-    """The word v that pumps the state on `var`, or None when the state
-    does not admit pumping there: the constraint language of the variable is
-    infinite and either the variable is absent from the equation (v is then
-    empty), or (up to swapping sides) the equation reads X u = v X v' with
-    the image of v an L-stabilizer of the image of X.  An empty v means the
-    variable is pumped from its constraint language instead."""
-    st = g.state(sid)
-    if var not in st.varset:
-        raise EquationError(f"variable {var!r} is not active in state {sid}")
+def is_nicely_balanced(ins: Instance, st: GraphState, var: str) -> Word | None:
+    """The word v that pumps the state `st` on its active variable `var`, or
+    None when the state does not admit pumping there: the constraint language
+    of the variable is infinite and either the variable is absent from the
+    equation (v is then empty), or (up to swapping sides) the equation reads
+    X u = v X v' with the image of v an L-stabilizer of the image of X.  An
+    empty v means the variable is pumped from its constraint language instead."""
     mu_x = dict(st.mu_items)[var]
-    if not preimage_infinite(g.instance.mu, mu_x):
+    if not preimage_infinite(ins.mu, mu_x):
         return None
     if var not in st.lhs + st.rhs:
         return ()
@@ -58,9 +55,17 @@ def is_nicely_balanced(g: SolutionGraph, sid: int, var: str) -> Word | None:
         if other.count(var) != 1:
             continue
         v = other[:other.index(var)]
-        if g.state_eval1(sid, v) in stab_L(g.instance.mu.target, mu_x):
+        if _eval1(ins, st, v) in stab_L(ins.mu.target, mu_x):
             return v
     return None
+
+
+def _eval1(ins: Instance, st: GraphState, word: Word) -> int:
+    """Evaluate a word over the constants and the state's active variables
+    in S^1 (empty -> ONE), at the instance's and the state's images."""
+    m = {a: ins.mu[a] for a in ins.symbols.constants}
+    m.update(st.mu_items)
+    return ins.mu.target.fold(m[t] for t in word)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +105,11 @@ def find_nicely_balanced_on_cycle(g: SolutionGraph, states) -> tuple[int, str, W
     """The first pumpable (state, variable, word v) among the given states,
     walked in order with the active variables in declaration order; None on
     a miss."""
-    variables = g.instance.symbols.variables
+    ins = g.instance
     for sid in states:
-        active = g.state(sid).varset
-        for var in [x for x in variables if x in active]:
-            v = is_nicely_balanced(g, sid, var)
+        st = g.state(sid)
+        for var in [x for x in ins.symbols.variables if x in st.varset]:
+            v = is_nicely_balanced(ins, st, var)
             if v is not None:
                 return sid, var, v
     return None
@@ -200,15 +205,14 @@ def _first_accepting_path(g: SolutionGraph, start: int) -> list[int]:
     raise EquationError("trimmed state has no accepting continuation")  # pragma: no cover
 
 
-def _base_fault(g: SolutionGraph, sid: int, base: dict[str, Word]) -> str | None:
-    """What keeps `base` from solving state `sid` under the state's
-    constraints, or None.  A base assigns each of the state's variables a
-    nonempty word of constants that meets its image; unless the state is
-    TRUE, it also solves the state's equation."""
-    st = g.state(sid)
+def _base_fault(ins: Instance, st: GraphState, sid: int, base: dict[str, Word]) -> str | None:
+    """What keeps `base` from solving state `sid`, decoded as `st`, under
+    the state's constraints, or None.  A base assigns each of the state's
+    variables a nonempty word of constants that meets its image; unless the
+    state is TRUE, it also solves the state's equation."""
     if set(base) != st.varset:
         return "does not cover the state's variables"
-    syms = g.instance.symbols
+    syms = ins.symbols
     for v, w in base.items():
         if not w or not all(syms.is_constant(t) for t in w):
             return f"leaves {v!r} as {w!r}"
@@ -218,32 +222,33 @@ def _base_fault(g: SolutionGraph, sid: int, base: dict[str, Word]) -> str | None
             return f"does not solve state {sid}"
     mu = dict(st.mu_items)
     for v, w in base.items():
-        if g.instance.mu.eval(w) != mu[v]:
+        if ins.mu.eval(w) != mu[v]:
             return f"violates the constraint on {v!r}"
     return None
 
 
-def _solve_state(g: SolutionGraph, sid: int, path: list[int]) -> dict[str, Word]:
+def _solve_state(g: SolutionGraph, st: GraphState, sid: int, path: list[int]) -> dict[str, Word]:
     """Base solution of a state's own equation from an accepting path."""
-    patterns = compose(g.state(sid).varset, map(g.label, path))
-    fault = _base_fault(g, sid, patterns)
+    patterns = compose(st.varset, map(g.label, path))
+    fault = _base_fault(g.instance, st, sid, patterns)
     if fault is not None:
         raise TheoremViolation(f"accepting path from state {sid} {fault}")
     return patterns
 
 
 def _certificate(
-    g: SolutionGraph, sid: int, var: str, labels, base: dict[str, Word], v: Word
+    ins: Instance, st: GraphState, sid: int, var: str, labels, base: dict[str, Word], v: Word
 ) -> PumpingCertificate:
-    """The certificate pumping `var` at state `sid`, reached by `labels` and
-    solved by `base`: head-balanced when `v` is nonempty, with omega the
-    idempotent exponent of the image of v; otherwise free-variable, pumped
-    from the constraint language of the variable, which must be infinite."""
+    """The certificate pumping `var` at state `sid`, decoded as `st`,
+    reached by `labels` and solved by `base`: head-balanced when `v` is
+    nonempty, with omega the idempotent exponent of the image of v;
+    otherwise free-variable, pumped from the constraint language of the
+    variable, which must be infinite."""
     fields = dict(state=sid, variable=var, prefix_labels=labels, base=tuple(sorted(base.items())))
     if v:
-        om = omega(g.instance.mu.target, g.state_eval1(sid, v))
+        om = omega(ins.mu.target, _eval1(ins, st, v))
         return PumpingCertificate(case="head_balanced", v=v, omega_exponent=om.exponent, **fields)
-    pump = preimage_pump(g.instance.mu, dict(g.state(sid).mu_items)[var])
+    pump = preimage_pump(ins.mu, dict(st.mu_items)[var])
     return PumpingCertificate(case="free_variable", pump=pump, **fields)
 
 
@@ -257,9 +262,10 @@ def pumping_certificate(ins: Instance, graph: SolutionGraph | None = None) -> Pu
     if hit is None:
         return None
     sid, var, v = hit
+    st = g.state(sid)
     labels = tuple(map(g.label, _shortest_path(g, g.initial, sid)))
-    base = _solve_state(g, sid, _first_accepting_path(g, sid))
-    return _certificate(g, sid, var, labels, base, v)
+    base = _solve_state(g, st, sid, _first_accepting_path(g, sid))
+    return _certificate(ins, st, sid, var, labels, base, v)
 
 
 def instantiate(cert: PumpingCertificate, ins: Instance, m: int) -> Solution:
@@ -288,21 +294,14 @@ def instantiate(cert: PumpingCertificate, ins: Instance, m: int) -> Solution:
     return sol
 
 
-@dataclass(frozen=True)
-class ExpDecision:
-    infinite: bool
-    certificate: PumpingCertificate | None = None
-
-
-def decide_exp_infinite_dlg(ins: Instance, graph: SolutionGraph | None = None) -> ExpDecision:
-    """For constraint targets in the supported variety: finitely many
-    solutions, or a certificate of unbounded exponent of periodicity (the two
-    cases are exhaustive there)."""
+def decide_exp_infinite_dlg(ins: Instance, graph: SolutionGraph | None = None) -> PumpingCertificate | None:
+    """For constraint targets in the supported variety: None for finitely
+    many solutions, else a certificate of unbounded exponent of periodicity
+    (the two cases are exhaustive there)."""
     ins.require_quadratic()
     if not is_dlg(ins.mu.target).holds:
         raise NotDLG("constraint target has a regular D-class that is not a right group")
-    cert = pumping_certificate(ins, graph=graph)
-    return ExpDecision(cert is not None, cert)
+    return pumping_certificate(ins, graph=graph)
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +356,20 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
             raise EquationError("certificate path prefix does not run in the automaton")
     if sid not in frontier:
         raise EquationError("certificate path prefix does not reach the certified state")
+    st = g.state(sid)
     var = data["variable"]
-    word = is_nicely_balanced(g, sid, var)
+    if var not in st.varset:
+        raise EquationError(f"variable {var!r} is not active in state {sid}")
+    word = is_nicely_balanced(ins, st, var)
     if word is None:
         raise EquationError(f"state {sid} is not pumpable on {var!r}")
     base = {v: _json_word(w) for v, w in data["base"].items()}
-    fault = _base_fault(g, sid, base)
+    fault = _base_fault(ins, st, sid, base)
     if fault is not None:
         raise EquationError(f"certificate base {fault}")
     # the file must hold the certificate derived at the replayed state: the
     # scan's word decides its case and v, and v its omega
-    cert = _certificate(g, sid, var, labels, base, word)
+    cert = _certificate(ins, st, sid, var, labels, base, word)
     if data["case"] != cert.case:
         raise EquationError(f"certificate case {data['case']!r} is not {cert.case!r}, the case of "
                             f"state {sid} on {var!r}")

@@ -36,11 +36,12 @@ while it is built: the packed key of each kept state, out-offsets `first`
 and integer targets `dst` per edge, the packed label of each edge, and the
 map from packed characters back to tokens.  The verdicts read the SCCs and
 the final states; the path searches walk `first` and `dst`; enumeration
-composes packed labels.  `g.state(sid)` decodes one `GraphState` (memoized
-per graph) and `g.label(e)` one label, which is all that the pumpable-state
-scan and the certificates need.  `dot_lines` decodes each state and edge as
-it writes its line and keeps none.  `g.transitions` and `g.out` decode
-every edge on first access, for callers that want objects.
+composes packed labels.  `g.state(sid)` decodes one `GraphState` and
+`g.label(e)` one label, which is all that the pumpable-state scan and the
+certificates need; they decode each state they read once and pass it on.
+`dot_lines` decodes each state and edge as it writes its line and keeps
+none.  `g.transitions` and `g.out` decode every edge on first access, for
+callers that want objects.
 
 A degenerate state whose equation has been consumed entirely is TRUE: both
 its sides are empty, and it keeps its variable set.  It is accepting once
@@ -114,13 +115,13 @@ distinct word folded once), then decoded and sorted by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 from .equations import (
     PACK_BASE, BudgetExceeded, EquationError, Instance, Solution, TheoremViolation, Word,
-    packed_solutions, packing, substitute, verify_solution,
+    apply_map, packed_solutions, packing, verify_solution,
 )
 from .semigroup import FiniteSemigroup
 
@@ -172,7 +173,6 @@ class GraphTransition(NamedTuple):
 @dataclass
 class SccData:
     components: tuple[tuple[int, ...], ...]  # topological order
-    comp_of: tuple[int, ...]
     has_transition: tuple[bool, ...]
 
 
@@ -193,7 +193,6 @@ class SolutionGraph:
     initial: int | None
     finals: frozenset[int]
     scc: SccData
-    _decoded: dict[int, GraphState] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def state_count(self) -> int:
@@ -204,17 +203,14 @@ class SolutionGraph:
         return len(self.dst)
 
     def state(self, sid: int) -> GraphState:
-        """State `sid` decoded to tokens, once per graph."""
-        st = self._decoded.get(sid)
-        if st is None:
-            lhs, rhs, images = self.keys[sid]
-            token = self.token_of.__getitem__
-            mu_items = sorted([(v, e) for v, e in zip(self.instance.symbols.variables, images) if e != -1])
-            st = self._decoded[sid] = GraphState(
-                tuple(map(token, lhs)), tuple(map(token, rhs)),
-                frozenset([v for v, _ in mu_items]), tuple(mu_items), not lhs,
-            )
-        return st
+        """State `sid` decoded to tokens."""
+        lhs, rhs, images = self.keys[sid]
+        token = self.token_of.__getitem__
+        mu_items = sorted([(v, e) for v, e in zip(self.instance.symbols.variables, images) if e != -1])
+        return GraphState(
+            tuple(map(token, lhs)), tuple(map(token, rhs)),
+            frozenset([v for v, _ in mu_items]), tuple(mu_items), not lhs,
+        )
 
     def edges(self, sid: int) -> range:
         """The ids of the edges out of state `sid`, in the order of its moves."""
@@ -239,14 +235,6 @@ class SolutionGraph:
     def out(self) -> list[list[int]]:
         """The edges of each state."""
         return [list(self.edges(sid)) for sid in range(len(self.keys))]
-
-    def state_eval1(self, sid: int, word) -> int:
-        """Evaluate a word over the constants and the state's active
-        variables in S^1 (empty -> ONE), at the instance's and the state's
-        images."""
-        m = {a: self.instance.mu[a] for a in self.instance.symbols.constants}
-        m.update(self.state(sid).mu_items)
-        return self.instance.mu.target.fold(m[t] for t in word)
 
     def summary(self) -> dict:
         return {
@@ -475,7 +463,7 @@ def _trim(ins, keys, first, dsts, labels, finals, token_of) -> SolutionGraph:
     A DFS child passes its live flag to its parent as it returns; a state
     whose component has closed gets index n, which no longer lowers `low`."""
     if not finals:  # nothing is co-reachable, as when the initial state is refuted
-        return SolutionGraph(ins, [], [0], [], [], token_of, None, frozenset(), SccData((), (), ()))
+        return SolutionGraph(ins, [], [0], [], [], token_of, None, frozenset(), SccData((), ()))
     n = len(keys)
     index_of = [-1] * n
     low = [0] * n
@@ -553,11 +541,7 @@ def _trim(ins, keys, first, dsts, labels, finals, token_of) -> SolutionGraph:
         (new_id[comp[0]],) if len(comp) == 1 else tuple(sorted(map(new_id.__getitem__, comp)))
         for comp in comps
     )
-    comp_of = [0] * len(keep)
-    for ci, comp in enumerate(components):
-        for s in comp:
-            comp_of[s] = ci
-    scc = SccData(components, tuple(comp_of), tuple(reversed(cyclic)))
+    scc = SccData(components, tuple(reversed(cyclic)))
     finals_new = frozenset(new_id[f] for f in finals)
     return SolutionGraph(ins, keys, first, dsts, labels, token_of, 0, finals_new, scc)
 
@@ -576,9 +560,9 @@ def compose(variables, labels) -> dict[str, Word]:
     patterns = {v: (v,) for v in variables}
     for label in labels:
         if label is not None:
-            var, repl = label
+            step = {label[0]: label[1]}  # the variable to its replacement
             for v, w in patterns.items():
-                patterns[v] = substitute(w, var, repl)
+                patterns[v] = apply_map(w, step)
     return patterns
 
 

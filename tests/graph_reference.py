@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from types import SimpleNamespace
 
-from weq.equations import EquationError, substitute
+from weq.equations import EquationError, apply_map
 from weq.solution_graph import GraphState, GraphTransition, SccData, _left_quotients
 
 
@@ -123,15 +123,15 @@ def reference_build(ins):
             alpha = other[0]
             u, v = this[1:], other[1:]
             counts = u.count(x) + 1 != v.count(x)
-            keep_l = (x,) + substitute(u, x, (alpha, x))
-            keep_r = substitute(v, x, (alpha, x))
+            keep_l = (x,) + apply_map(u, {x: (alpha, x)})
+            keep_r = apply_map(v, {x: (alpha, x)})
             if keep_r:
                 pair = (keep_l, keep_r) if not swapped else (keep_r, keep_l)
                 for t in quot.get((mu_of[alpha], mu[x]), ()):
                     add(sid, intern(pair[0], pair[1], varset, {**mu, x: t}, False,
                                     cancelled=True, counts=counts), (x, (alpha, x)))
             if mu[x] == mu_of[alpha]:
-                dl, dr = substitute(u, x, (alpha,)), substitute(v, x, (alpha,))
+                dl, dr = apply_map(u, {x: (alpha,)}), apply_map(v, {x: (alpha,)})
                 if swapped:
                     dl, dr = dr, dl
                 if dl and dr:
@@ -159,7 +159,7 @@ def reference_build(ins):
                 frontier.append(p)
     if initial not in co:
         return SimpleNamespace(states=[], transitions=[], out=[], initial=None,
-                               finals=frozenset(), scc=SccData((), (), ()))
+                               finals=frozenset(), scc=SccData((), ()))
     keep = sorted(co)
     remap = {old: new for new, old in enumerate(keep)}
     new_out = [[] for _ in keep]
@@ -228,7 +228,7 @@ def reference_tarjan(g):
     for t in g.transitions:
         if comp_of[t.source] == comp_of[t.target]:
             has_tr[comp_of[t.source]] = True
-    return SccData(tuple(comps), tuple(comp_of), tuple(has_tr))
+    return SccData(tuple(comps), tuple(has_tr))
 
 
 def assert_same_graph(g, ref):

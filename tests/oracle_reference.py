@@ -100,4 +100,4 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
                     }))
 
     sols.sort(key=lambda s: sort_key(s, syms))
-    return OracleReport(bound, tuple(sols))
+    return OracleReport(tuple(sols))

@@ -30,6 +30,15 @@ def leq_J(sg, x: int, y: int) -> bool:
     return x in _ideals(sg)[1][y]
 
 
+def comp_of(scc) -> list[int]:
+    """The index of each state's component, derived from `scc.components`."""
+    out = [0] * sum(map(len, scc.components))
+    for ci, comp in enumerate(scc.components):
+        for s in comp:
+            out[s] = ci
+    return out
+
+
 def state_images(g, sid: int) -> dict[str, int]:
     """The images of the constants and of the state's active variables."""
     images = {a: g.instance.mu[a] for a in g.instance.symbols.constants}
@@ -51,13 +60,14 @@ class SccInvariants:
     per_state: dict[int, Playground]
 
 
-def _leading_j(g, gr, sid: int) -> tuple[int, ...]:
+def _leading_j(g, gr, sid: int, comp: frozenset[int]) -> tuple[int, ...]:
     """The least J-class among the images of the state's variable heads; a
-    TRUE state reads the variables of its in-component moves instead."""
-    st, mu, comp_of = g.state(sid), state_images(g, sid), g.scc.comp_of
+    TRUE state reads the variables of its moves within `comp`, its
+    component, instead."""
+    st, mu = g.state(sid), state_images(g, sid)
     if st.is_true:
         heads = [g.label(e)[0] for e in g.edges(sid)
-                 if comp_of[g.dst[e]] == comp_of[sid] and g.label(e) is not None]
+                 if g.dst[e] in comp and g.label(e) is not None]
     else:
         heads = [h for h in (st.lhs[0], st.rhs[0]) if h in g.instance.symbols.variable_set]
     assert heads, f"state {sid}: no variable to read a J-class from"
@@ -94,7 +104,7 @@ def scc_invariants(g, ci: int) -> SccInvariants:
     assert g.scc.has_transition[ci], f"component {ci} is acyclic"
     comp = g.scc.components[ci]
     gr = green(g.instance.mu.target)
-    leading = {_leading_j(g, gr, sid) for sid in comp}
+    leading = {_leading_j(g, gr, sid, frozenset(comp)) for sid in comp}
     assert len(leading) == 1, f"leading J-class differs across states: {sorted(leading)}"
     (lead,) = leading
     stab = stab_L(g.instance.mu.target, lead[0])

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from conftest import battery_instances, class_of, make_instance, zoo
-from scc_reference import leq_R, scc_invariants, state_images
+from scc_reference import comp_of, leq_R, scc_invariants, state_images
 from weq.equations import (
     ConstraintMorphism,
     Instance,
@@ -71,7 +71,7 @@ def test_criterion_1_running_example_graph():
         g = build(ins)
         present = {g.state(i).equation_str(): i for i in range(g.state_count)}
         assert FIG1_EQUATIONS <= set(present)
-        comps = {g.scc.comp_of[present[s]] for s in FIG1_EQUATIONS}
+        comps = {comp_of(g.scc)[present[s]] for s in FIG1_EQUATIONS}
         assert len(comps) == 1  # pairwise mutually reachable
         assert has_infinitely_many(g)
 
@@ -79,9 +79,9 @@ def test_criterion_1_running_example_graph():
 def test_criterion_2_pumping_certificate():
     with Criterion(2, "pumping certificate and instantiation", 1.0):
         ins = make_instance("XabY=YbaX")
-        dec = decide_exp_infinite_dlg(ins)
-        assert dec.infinite and dec.certificate is not None
-        sols = [instantiate(dec.certificate, ins, m) for m in range(7)]
+        cert = decide_exp_infinite_dlg(ins)
+        assert cert is not None
+        sols = [instantiate(cert, ins, m) for m in range(7)]
         assert len(set(sols)) == 7
         for m, sol in enumerate(sols):
             assert verify_solution(ins, sol)
@@ -270,9 +270,10 @@ def test_criterion_6_scc_invariants(battery_results):
                 if not has_tr:
                     continue
                 analyses[ci] = scc_invariants(g, ci)  # asserts the invariants
+            component = comp_of(g.scc)
             for t in g.transitions:
-                ci = g.scc.comp_of[t.source]
-                if ci != g.scc.comp_of[t.target]:
+                ci = component[t.source]
+                if ci != component[t.target]:
                     continue
                 checked_transitions += 1
                 # transition shape

@@ -4,9 +4,9 @@ import json
 import pytest
 
 from conftest import battery_instances, make_instance, quadratic_equation_battery
-from scc_reference import leq_J, scc_invariants
+from scc_reference import comp_of, leq_J, scc_invariants
 from weq import periodicity
-from weq.equations import EquationError, Solution, packing, parse_instance, verify_solution
+from weq.equations import EquationError, Solution, parse_instance, verify_solution
 from weq.periodicity import (
     NotDLG,
     TheoremViolation,
@@ -21,64 +21,58 @@ from weq.periodicity import (
     simple_cycles,
 )
 from weq.semigroup import ONE, builtin, green, is_dlg
-from weq.solution_graph import SccData, SolutionGraph, build
+from weq.solution_graph import GraphState, build
 
 
-def synthetic_state_graph(ins, lhs, rhs, varset):
-    """A single hand-built state for direct shape checks."""
-    char_of, token_of = packing(ins.symbols)
-    key = (
-        "".join(map(char_of.get, lhs)), "".join(map(char_of.get, rhs)),
-        tuple(ins.mu[v] if v in varset else -1 for v in ins.symbols.variables),
-    )
-    return SolutionGraph(
-        ins, [key], [0, 0], [], [], token_of, 0, frozenset(),
-        SccData(((0,),), (0,), (False,)),
-    )
+def synthetic_state(ins, lhs, rhs, varset):
+    """A single hand-built state for direct shape checks, its active
+    variables at their images under the instance's morphism."""
+    mu_items = tuple(sorted((v, ins.mu[v]) for v in varset))
+    return GraphState(tuple(lhs), tuple(rhs), frozenset(varset), mu_items, not lhs)
 
 
 class TestNicelyBalanced:
     def test_running_example(self):
         g = build(make_instance("XabY=YbaX"))
-        assert is_nicely_balanced(g, g.initial, "X") == tuple("Yba")
+        assert is_nicely_balanced(g.instance, g.state(g.initial), "X") == tuple("Yba")
 
     def test_single_occurrence_fails(self):
         g = build(make_instance("XY=Yab"))
-        assert is_nicely_balanced(g, g.initial, "X") is None
+        assert is_nicely_balanced(g.instance, g.state(g.initial), "X") is None
 
     def test_b2_stabilizer_blocks(self):
         # lhs = Xa, rhs = bXa with the image of X equal to a: the prefix b
         # does not stabilize a
         ins = make_instance("Xa=bXa", sg=builtin("b2"),
                             mapping={"a": "a", "b": "b", "X": "a"})
-        g = synthetic_state_graph(ins, "Xa", "bXa", {"X"})
-        assert is_nicely_balanced(g, 0, "X") is None
+        st = synthetic_state(ins, "Xa", "bXa", {"X"})
+        assert is_nicely_balanced(ins, st, "X") is None
 
     def test_trivial_constraints_same_shape_passes(self):
         ins = make_instance("Xa=bXa")
-        g = synthetic_state_graph(ins, "Xa", "bXa", {"X"})
-        assert is_nicely_balanced(g, 0, "X") == ("b",)
+        st = synthetic_state(ins, "Xa", "bXa", {"X"})
+        assert is_nicely_balanced(ins, st, "X") == ("b",)
 
     def test_absent_variable(self):
         ins = make_instance("aa=aa", variables="Z")
-        g = synthetic_state_graph(ins, "aa", "aa", {"Z"})
-        assert is_nicely_balanced(g, 0, "Z") == ()
+        st = synthetic_state(ins, "aa", "aa", {"Z"})
+        assert is_nicely_balanced(ins, st, "Z") == ()
 
     def test_finite_language_blocks_absent(self):
         ins = make_instance("aa=aa", constants="a", variables="Z",
                             sg=builtin("n2"), mapping={"a": "x", "Z": "x"})
-        g = synthetic_state_graph(ins, "aa", "aa", {"Z"})
-        assert is_nicely_balanced(g, 0, "Z") is None
+        st = synthetic_state(ins, "aa", "aa", {"Z"})
+        assert is_nicely_balanced(ins, st, "Z") is None
 
     def test_empty_v_witness(self):
         ins = make_instance("Xa=Xba")
-        g = synthetic_state_graph(ins, "Xa", "Xba", {"X"})
-        assert is_nicely_balanced(g, 0, "X") == ()
+        st = synthetic_state(ins, "Xa", "Xba", {"X"})
+        assert is_nicely_balanced(ins, st, "X") == ()
 
     def test_swapped_side(self):
         g = build(make_instance("XabY=YbaX"))
         # Y heads the right-hand side, so v is the left-hand side's prefix
-        assert is_nicely_balanced(g, g.initial, "Y") == tuple("Xab")
+        assert is_nicely_balanced(g.instance, g.state(g.initial), "Y") == tuple("Xab")
 
 
 class TestSccAnalysis:
@@ -126,7 +120,7 @@ class TestSccAnalysis:
         g = build(ins)
         st = g.state(g.initial)
         assert (st.lhs[0], st.rhs[0]) == ("X", "Y")
-        comp = g.scc.comp_of[g.initial]
+        comp = comp_of(g.scc)[g.initial]
         assert g.scc.has_transition[comp]
         assert scc_invariants(g, comp).leading_J == frozenset({sg.index_of("0")})
 
@@ -229,10 +223,10 @@ class TestCertificates:
         # more; at k = 600 the accepting path from the pumpable state is
         # longer than the interpreter's default recursion limit
         ins = make_instance("X" + "a" * k + "b=" + "a" * k + "bX")
-        dec = decide_exp_infinite_dlg(ins)
-        assert dec.infinite and dec.certificate is not None
+        cert = decide_exp_infinite_dlg(ins)
+        assert cert is not None
         for m in range(3):
-            sol = instantiate(dec.certificate, ins, m)
+            sol = instantiate(cert, ins, m)
             assert verify_solution(ins, sol)
             assert sol.exponent >= m
 
@@ -259,19 +253,18 @@ class TestSolveState:
         # an explicit exception, so the check survives python -O
         g = build(make_instance("XabY=YbaX"))
         with pytest.raises(TheoremViolation, match="leaves"):
-            periodicity._solve_state(g, g.initial, [])
+            periodicity._solve_state(g, g.state(g.initial), g.initial, [])
 
 
 class TestDecide:
     def test_running_example_infinite(self):
-        dec = decide_exp_infinite_dlg(make_instance("XabY=YbaX"))
-        assert dec.infinite and dec.certificate is not None
+        assert decide_exp_infinite_dlg(make_instance("XabY=YbaX")) is not None
 
     def test_finite_cases(self):
         ins = make_instance("Xa=aX", constants="a", sg=builtin("n2"),
                             mapping={"a": "x", "X": "x"})
-        assert not decide_exp_infinite_dlg(ins).infinite
-        assert not decide_exp_infinite_dlg(make_instance("Xa=bX")).infinite
+        assert decide_exp_infinite_dlg(ins) is None
+        assert decide_exp_infinite_dlg(make_instance("Xa=bX")) is None
 
     def test_rejects_non_dlg(self):
         ins = make_instance("XaY=YaX", sg=builtin("b2"),
@@ -286,8 +279,8 @@ class TestDecide:
         for spec in specs:
             ins = make_instance(spec)
             g = build(ins)
-            dec = decide_exp_infinite_dlg(ins, graph=g)
-            assert dec.infinite == has_infinitely_many(g), spec
+            cert = decide_exp_infinite_dlg(ins, graph=g)
+            assert (cert is not None) == has_infinitely_many(g), spec
 
 
 class TestUnconstrainedAlwaysCertified:
@@ -387,6 +380,11 @@ class TestNonDlgRobustness:
             find_nicely_balanced_on_cycle(g, cycle)
 
 
+# tokens that hold a comma and an arrow; the certificate's prefix path has
+# three labels
+COMMA_ARROW_TOKENS = "constants a,b ->\nvariables X Y\nequation X = a,b -> Y\nsemigroup builtin:trivial\n"
+
+
 class TestCertificateJson:
     def test_battery_roundtrip(self):
         loaded = 0
@@ -412,9 +410,7 @@ class TestCertificateJson:
 
     def test_tokens_with_comma_and_arrow_roundtrip(self):
         # labels are JSON lists, so tokens may contain the old separators
-        ins = parse_instance(
-            "constants a,b ->\nvariables X Y\nequation X = a,b -> Y\nsemigroup builtin:trivial\n"
-        )
+        ins = parse_instance(COMMA_ARROW_TOKENS)
         g = build(ins)
         cert = pumping_certificate(ins, graph=g)
         data = json.loads(json.dumps(certificate_to_json(cert)))
@@ -422,6 +418,16 @@ class TestCertificateJson:
         loaded = load_certificate(ins, data, graph=g)
         for m in range(4):
             assert instantiate(loaded, ins, m) == instantiate(cert, ins, m)
+
+    @pytest.mark.parametrize("ins", [
+        pytest.param(make_instance("XabY=YbaX"), id="head-balanced"),
+        pytest.param(make_instance("aa=aa", variables="Z"), id="free-variable"),
+        pytest.param(parse_instance(COMMA_ARROW_TOKENS), id="prefix-path"),
+    ])
+    def test_load_without_a_graph_builds_one(self, ins):
+        g = build(ins)
+        data = certificate_to_json(pumping_certificate(ins, graph=g))
+        assert load_certificate(ins, data) == load_certificate(ins, data, graph=g)
 
     def test_tampered_base_rejected(self):
         ins = make_instance("XabY=YbaX")

@@ -1,5 +1,6 @@
 import pytest
 
+import families
 from conftest import class_of
 from weq.semigroup import (
     ONE,
@@ -291,3 +292,34 @@ f f
         path.write_text(self.GOOD)
         assert resolve_semigroup(f"file:{path}").order == 2
         assert resolve_semigroup(str(path)).order == 2
+
+
+class TestNamedFamilies:
+    """Groups, commutative and J-trivial semigroups lie in DLG and DRG."""
+
+    def test_orders(self):
+        assert [sg.order for sg in families.groups()] == list(range(1, 13)) + [6, 8, 10, 12]
+        *monogenic, subsets = families.commutative()
+        assert [sg.order for sg in monogenic] == [i + p - 1 for i in range(1, 5) for p in range(1, 5)]
+        assert subsets.order == 8
+        assert [sg.order for sg in families.j_trivial()] == [5, 14, 42]
+        assert len(families.families()) == 36
+
+    def test_shapes(self):
+        for sg in families.groups():
+            assert len(green(sg).classesH) == 1, sg.label  # one H-class: a group
+        for sg in families.commutative():
+            assert all(sg.mul(x, y) == sg.mul(y, x) for x in sg.elements() for y in sg.elements())
+        for sg in families.j_trivial():
+            assert len(green(sg).classesJ) == sg.order, sg.label
+
+    @pytest.mark.parametrize("sg", families.families(), ids=lambda sg: sg.label)
+    def test_in_both_varieties(self, sg):
+        assert is_dlg(sg).holds
+        assert is_dlg(opposite(sg)).holds
+
+    @pytest.mark.parametrize("sg", [builtin("b2"), direct_product(builtin("lz2"), builtin("rz2"))],
+                             ids=["b2", "lz2xrz2"])
+    def test_controls_in_neither(self, sg):
+        assert not is_dlg(sg).holds
+        assert not is_dlg(opposite(sg)).holds

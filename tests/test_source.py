@@ -79,28 +79,46 @@ CALLED_FROM_TESTS_ONLY = {"adjoin_identity", "direct_product", "format_semigroup
 
 
 def test_public_names_have_callers():
-    """Every public top-level function and class of the library is named
+    """Every public top-level function and class of the library, and every
+    public method, property and field of its public classes, is named
     outside the tests: in the library (the package's re-exports aside),
-    a demo, or the benchmark, whose tracer names functions by string."""
+    a demo, or the benchmark, whose tracer names functions by string.  A
+    member counts as named only as an attribute or a keyword argument, so
+    neither a field's own declaration nor a JSON key of the same name
+    counts."""
     root = SRC.parent.parent
     outside = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     outside += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
-    named = set()
+    named, named_member = set(), set()
     for path in outside:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+                named_member.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                named_member.add(node.arg)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 named.add(node.value)
-    public = {
-        node.name
-        for path in SRC.glob("*.py")
-        for node in ast.parse(path.read_text(), filename=str(path)).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    public, members = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            public.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        name = item.name
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                    else:
+                        continue
+                    if not name.startswith("_"):
+                        members.add(f"{node.name}.{name}")
     assert public - named == CALLED_FROM_TESTS_ONLY
+    assert {m for m in members if m.split(".")[1] not in named_member} == set()
 
 
 def test_tracer_names_resolve():
