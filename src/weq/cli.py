@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as json_str  # json.dumps(str), in C
 
 from . import hunt as hunt_mod
 from . import oracle
@@ -186,24 +187,26 @@ def cmd_pump(args) -> int:
         with open(args.cert_out, "w", encoding="utf-8") as fh:
             json.dump(certificate_to_json(cert), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    rows = []
+    # each row is written before the next is made; the JSON is laid out as
+    # json.dumps(..., indent=2, sort_keys=True) lays out the whole document
+    write = sys.stdout.write
     for m in range(args.m + 1):
         sol = instantiate(cert, ins, m)
-        rows.append({
-            "m": m,
-            "assignment": {v: "".join(w) for v, w in sol.assignment},
-            "exp": sol.exponent,
-        })
+        words = sorted((v, "".join(w)) for v, w in sol.assignment)
+        if not args.json:
+            write(f"m={m}: {', '.join(f'{v}={w}' for v, w in words)}  (exp {sol.exponent})\n")
+            continue
+        if m == 0:  # "solutions" sorts last, so the head ends with '"solutions": ['
+            write(json.dumps({
+                "instance": _instance_summary(ins),
+                "certificate": certificate_to_json(cert),
+                "solutions": [],
+            }, indent=2, sort_keys=True)[:-len("]\n}")])
+        pairs = ",\n".join(f"        {json_str(v)}: {json_str(w)}" for v, w in words)
+        write(f'{"," if m else ""}\n    {{\n      "assignment": {{\n{pairs}\n      }},\n'
+              f'      "exp": {sol.exponent},\n      "m": {m}\n    }}')
     if args.json:
-        print(json.dumps({
-            "instance": _instance_summary(ins),
-            "certificate": certificate_to_json(cert),
-            "solutions": rows,
-        }, indent=2, sort_keys=True))
-    else:
-        for row in rows:
-            parts = ", ".join(f"{v}={w}" for v, w in sorted(row["assignment"].items()))
-            print(f"m={row['m']}: {parts}  (exp {row['exp']})")
+        write("\n  ]\n}\n")
     return EXIT_YES
 
 

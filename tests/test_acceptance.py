@@ -4,6 +4,7 @@ with its runtime (run with `pytest -s` to see them live)."""
 import hashlib
 import itertools
 import json
+import sys
 import time
 
 import pytest
@@ -31,7 +32,13 @@ from weq.periodicity import (
     simple_cycles,
 )
 from weq.semigroup import builtin, green, is_dlg, omega, opposite, stab_L, variety_report
-from weq.solution_graph import build, enumerate_solutions, has_infinitely_many, is_solvable
+from weq.solution_graph import (
+    SolutionGraph,
+    build,
+    enumerate_solutions,
+    has_infinitely_many,
+    is_solvable,
+)
 
 
 class Criterion:
@@ -95,10 +102,12 @@ def test_criterion_2_pumping_certificate():
 @pytest.fixture(scope="session")
 def battery_results(battery_equations):
     """One pass over every battery instance: criterion 3's checks, plus the
-    data criteria 6 reuses (which instances have a cyclic trimmed graph).
-    Every state of every graph is also checked to be no longer than the
-    instance and quadratic, as the transition schema guarantees."""
+    data criterion 6 and the finite-set check reuse (which instances have a
+    cyclic trimmed graph, and the satisfiable acyclic ones with their
+    graphs). Every state of every graph is also checked to be no longer than
+    the instance and quadratic, as the transition schema guarantees."""
     cyclic: list[Instance] = []
+    finite: list[tuple[Instance, SolutionGraph]] = []
     count = 0
     t0 = time.monotonic()
     for ins in battery_instances(battery_equations):
@@ -117,12 +126,13 @@ def battery_results(battery_equations):
         if has_infinitely_many(g):
             cyclic.append(ins)
         elif is_solvable(g):
+            finite.append((ins, g))
             c6 = len(brute_solutions(ins, 6).solutions)
             c8 = len(brute_solutions(ins, 8).solutions)
             assert c6 == c8, f"finite verdict but growing counts on {ins.equations[0]}"
         else:
             assert not brute_solutions(ins, 6).solutions
-    return {"count": count, "cyclic": cyclic, "elapsed": time.monotonic() - t0}
+    return {"count": count, "cyclic": cyclic, "finite": finite, "elapsed": time.monotonic() - t0}
 
 
 def test_criterion_3_oracle_equivalence(battery_results):
@@ -130,6 +140,30 @@ def test_criterion_3_oracle_equivalence(battery_results):
         c.start -= battery_results["elapsed"]  # work done in the fixture
         assert battery_results["count"] > 50000
         assert battery_results["cyclic"]
+
+
+def test_finite_solution_sets_are_complete(battery_results):
+    """A satisfiable instance whose trimmed automaton is acyclic has finitely
+    many accepting paths, so enumerating with an unlimited word length gives
+    its whole solution set. With L* the length of its longest solution word,
+    the oracle at L* + 2 finds exactly that set: nothing is missing, and no
+    longer solution exists below that bound. Bound 4, criterion 3's, misses
+    the 448 instances with a solution word of length 5."""
+    start = time.monotonic()
+    longest_five = 0
+    for ins, g in battery_results["finite"]:
+        complete = enumerate_solutions(g, max_word_len=sys.maxsize)
+        assert complete, f"no solution of satisfiable {ins.equations[0]} {ins.mu.image}"
+        longest = max((len(w) for sol in complete for _, w in sol.assignment), default=0)
+        longest_five += longest == 5
+        bound = longest + 2
+        assert enumerate_solutions(g, max_word_len=bound) == complete
+        assert list(brute_solutions(ins, bound).solutions) == complete, (
+            f"incomplete finite solution set of {ins.equations[0]} {ins.mu.image}"
+        )
+    assert len(battery_results["finite"]) == 2688
+    assert longest_five == 448
+    assert time.monotonic() - start < 3.0
 
 
 def test_battery_certificates_unchanged(battery_results):

@@ -1,10 +1,12 @@
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,15 @@ map Z -> x
 map W -> x
 """
 
+# tokens whose JSON strings need escapes: a non-ASCII letter, a quote and a
+# backslash, in constants and in variable names
+ESCAPES = """\
+constants é "q\\
+variables X" Yé
+equation X" é "q\\ Yé = Yé "q\\ é X"
+semigroup builtin:trivial
+"""
+
 DEMO_INSTANCES = sorted(str(p) for p in (ROOT / "demos" / "instances").glob("*.weq"))
 
 SYSTEM = """\
@@ -102,6 +113,7 @@ def files(tmp_path):
         ("xabby.weq", XABBY), ("xa_bx.weq", XA_BX),
         ("b2.weq", B2_CONSTRAINED), ("lz2.weq", LZ2_CONSTRAINED), ("n2.weq", N2_FINITE),
         ("system.weq", SYSTEM), ("absent_z.weq", ABSENT_Z), ("n2_absent.weq", N2_ABSENT),
+        ("escapes.weq", ESCAPES),
     ]:
         p = tmp_path / name
         p.write_text(text)
@@ -224,16 +236,66 @@ class TestPump:
         assert format_instance(parse_instance(XABBY)) in err  # replays the failure
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["check", "pump"])
-    def test_pumped_non_solution_exits_4(self, files, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("command,flags", [
+        ("check", []), ("pump", []), ("check", ["--json"]), ("pump", ["--json"]),
+    ], ids=["check", "pump", "check-json", "pump-json"])
+    def test_pumped_non_solution_exits_4(self, files, capsys, monkeypatch, command, flags):
         """A certified certificate that pumps to a non-solution is a failed
-        guarantee, not a usage error: exit 4, with the instance text."""
+        guarantee, not a usage error: exit 4, with the instance text. Row 0
+        fails, so nothing reaches stdout, not even the JSON head."""
         monkeypatch.setattr(periodicity, "verify_solution", lambda ins, sol: False)
-        assert main([command, files["xabby.weq"]]) == 4
-        err = capsys.readouterr().err
+        assert main([command, files["xabby.weq"], *flags]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert err.startswith("internal guarantee failed: pumped solution")
         assert format_instance(parse_instance(XABBY)) in err  # replays the failure
         assert "Traceback" not in err
+
+    def test_rows_before_a_failed_row_are_written(self, files, capsys, monkeypatch):
+        """Each row is written as it is made: when row 2 fails its check, rows
+        0 and 1 are already on stdout, and the run exits 4 with the instance
+        text on stderr."""
+        calls = []
+        verify = periodicity.verify_solution
+
+        def fail_third(ins, sol):  # instantiate checks row m on call m + 1
+            calls.append(sol)
+            return len(calls) != 3 and verify(ins, sol)
+
+        monkeypatch.setattr(periodicity, "verify_solution", fail_third)
+        assert main(["pump", files["xabby.weq"], "--m", "5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "m=0: X=aba, Y=a  (exp 1)\nm=1: X=abaaba, Y=a  (exp 2)\n"
+        assert captured.err.startswith("internal guarantee failed: pumped solution")
+        assert format_instance(parse_instance(XABBY)) in captured.err
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_memory_is_one_row(self, files, flags):
+        """The peak traced allocation of `pump --m 800` stays below 1 MB, as
+        rows are written as they are made; all 801 rows held at once take
+        about 1.5 MB as text and 4.2 MB as JSON."""
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["pump", files["xabby.weq"], "--m", "800", *flags]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20, f"peak traced allocation {peak} bytes"
+
+    def test_output_is_pinned(self, files, capsys):
+        """sha256 of the exit code and stdout of `pump`, text and --json, at
+        --m 0, 1, 3 and 30 on every instance of the `files` fixture."""
+        h = hashlib.sha256()
+        for name in ("xabby.weq", "xa_bx.weq", "b2.weq", "lz2.weq", "n2.weq", "system.weq",
+                     "absent_z.weq", "n2_absent.weq", "escapes.weq"):
+            for m in ("0", "1", "3", "30"):
+                for flags in ([], ["--json"]):
+                    code = main(["pump", files[name], "--m", m, *flags])
+                    h.update(f"{name} {m} {flags} exit {code}\n".encode())
+                    h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == "333d04d5aedd044c5b5c56680d5bf84df12267e2ccde8b420daa5d87c10d6a44"
 
     def test_pumps_what_check_certifies_outside_variety(self, files, capsys):
         # lz2 is not DLG; the scan still finds a pumpable state
