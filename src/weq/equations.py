@@ -13,7 +13,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 
 from . import semigroup as sgmod
 from ._text import NotText, ParseError, logical_lines
@@ -207,25 +206,40 @@ def packing(symbols: SymbolTable) -> tuple[dict[str, str], dict[str, str]]:
     return char_of, {c: t for t, c in char_of.items()}
 
 
-def packed_solutions(variables, token_of: dict[str, str], found) -> list[Solution]:
+@lru_cache(maxsize=1024)
+def _name_ranks(symbols: SymbolTable) -> dict[int, str]:
+    """A `str.translate` table from the packed character of each token to
+    the character whose code point is the token's rank in name order, so
+    two translated words compare as their tuples of token names do."""
+    char_of = packing(symbols)[0]
+    return {ord(char_of[t]): chr(rank) for rank, t in enumerate(sorted(char_of))}
+
+
+def packed_solutions(symbols: SymbolTable, found) -> list[Solution]:
     """The solutions spelled by `found`, tuples of packed words in the
-    order of `variables`, sorted by the length and then the tokens of each
-    variable's word, variables in that order.  Each distinct word is
-    decoded once; a `Solution` holds its pairs in variable-name order, as
-    `Solution.from_dict` makes them."""
+    order of the symbols' variables, sorted by the length and then the
+    tokens of each variable's word, variables in that order.  Each distinct
+    word is handled once: its order term is its length and the word under
+    `_name_ranks`, and the distinct words are sorted once by term, so a
+    solution's sort key is the tuple of its words' places in that order.
+    Each word is decoded once too, and its pair (variable, decoded word) is
+    made once per variable that takes it; a `Solution` holds its pairs in
+    variable-name order, as `Solution.from_dict` makes them."""
     if not found:
         return []
+    variables = symbols.variables
+    token = packing(symbols)[1].__getitem__
+    ranks = _name_ranks(symbols)
+    distinct = sorted({w for words in found for w in words}, key=lambda w: (len(w), w.translate(ranks)))
+    place = {w: i for i, w in enumerate(distinct)}.__getitem__
+    ordered = sorted(found, key=lambda words: tuple(map(place, words)))
+    decoded = {w: tuple(map(token, w)) for w in distinct}.__getitem__
     by_name = sorted(range(len(variables)), key=variables.__getitem__)
-    names = [variables[i] for i in by_name]
-    # (length, tokens) of each distinct word: one term of the sort key
-    term = {w: (len(w), tuple(map(token_of.__getitem__, w)))
-            for w in {w for words in found for w in words}}.__getitem__
-    keyed = []
-    for words in found:
-        key = tuple(map(term, words))
-        keyed.append((key, Solution(tuple(zip(names, [key[i][1] for i in by_name])))))
-    keyed.sort(key=itemgetter(0))
-    return [s for _, s in keyed]
+    # per variable, in name order, the pair of each word the variable takes
+    pairs = [{w: (variables[i], decoded(w)) for w in {words[i] for words in found}} for i in by_name]
+    if by_name != list(range(len(variables))):
+        ordered = [[words[i] for i in by_name] for words in ordered]
+    return [Solution(tuple(map(dict.__getitem__, pairs, words))) for words in ordered]
 
 
 def apply_map(word: Word, mapping) -> Word:

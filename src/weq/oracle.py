@@ -4,9 +4,14 @@ bound, and the exhaustive exponent-of-periodicity maximum.
 Each side of each equation is one string of one character per token
 (`equations.packing`, shared with `solution_graph.build`), and an
 assignment is one `str.translate` table on the variables' code points.
+An equation whose packed sides are the same string holds under every
+assignment, so it is not compared; when no equation is left to compare,
+no table is made and every assignment of a balanced length profile is kept.
 The kept assignments stay packed until `equations.packed_solutions`,
-which the enumeration of `solution_graph` shares, decodes each distinct
-word once and sorts the solutions, so their order is defined there.
+which the enumeration of `solution_graph` shares and which defines their
+order: each distinct word gets one order term, its length and the word
+under a table from each packed character to its token's rank in name
+order, made once per symbol table, and is decoded once.
 Before any word is made, an instance is dropped when some equation's
 sides fold to different constraint images, or when forced first/last
 letters contradict.  The length profiles under which every equation's
@@ -27,8 +32,8 @@ first read.
 
 The results are not re-verified with `verify_solution`: each kept
 assignment holds nonempty constant words that meet their images, and both
-sides of every equation were compared, so each of its conditions holds by
-construction.  The tests check the results with it.
+sides of every equation were compared or are identical, so each of its
+conditions holds by construction.  The tests check the results with it.
 """
 
 from __future__ import annotations
@@ -137,7 +142,7 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
     edges = _edge_constraints(ins)
     if edges is None or any(mu.eval(eq.lhs) != mu.eval(eq.rhs) for eq in ins.equations):
         return OracleReport(())
-    char_of, token_of = packing(syms)
+    char_of = packing(syms)[0]
     sides = [
         ("".join(char_of[t] for t in eq.lhs), "".join(char_of[t] for t in eq.rhs))
         for eq in ins.equations
@@ -179,13 +184,18 @@ def brute_solutions(ins: Instance, bound: int, budget: int = DEFAULT_BUDGET) -> 
         profiles = _balanced_profiles(balances, nvars, bound)
 
     codes = [ord(char_of[v]) for v in variables]
+    compared = [(l, r) for l, r in sides if l != r]  # identical sides hold under every assignment
     found = []
     for lens in profiles:
-        for combo in itertools.product(*(c[ln] for c, ln in zip(candidates, lens))):
+        combos = itertools.product(*(c[ln] for c, ln in zip(candidates, lens)))
+        if not compared:
+            found.extend(combos)
+            continue
+        for combo in combos:
             table = dict(zip(codes, combo))
-            for l, r in sides:
+            for l, r in compared:
                 if l.translate(table) != r.translate(table):
                     break
             else:
                 found.append(combo)
-    return OracleReport(tuple(packed_solutions(variables, token_of, found)))
+    return OracleReport(tuple(packed_solutions(syms, found)))

@@ -101,17 +101,17 @@ def simple_cycles(g: SolutionGraph, max_len: int = 20, max_count: int = 10000) -
     return out
 
 
-def find_nicely_balanced_on_cycle(g: SolutionGraph, states) -> tuple[int, str, Word] | None:
-    """The first pumpable (state, variable, word v) among the given states,
-    walked in order with the active variables in declaration order; None on
-    a miss."""
+def find_nicely_balanced_on_cycle(g: SolutionGraph, states) -> tuple[int, GraphState, str, Word] | None:
+    """The first pumpable (state id, decoded state, variable, word v) among
+    the given states, walked in order with the active variables in
+    declaration order; None on a miss."""
     ins = g.instance
     for sid in states:
         st = g.state(sid)
         for var in [x for x in ins.symbols.variables if x in st.varset]:
             v = is_nicely_balanced(ins, st, var)
             if v is not None:
-                return sid, var, v
+                return sid, st, var, v
     return None
 
 
@@ -121,9 +121,10 @@ def cyclic_components(g: SolutionGraph) -> list[tuple[int, ...]]:
     return [c for c, cyclic in zip(g.scc.components, g.scc.has_transition) if cyclic]
 
 
-def pumpable_state(g: SolutionGraph) -> tuple[int, str, Word] | None:
+def pumpable_state(g: SolutionGraph) -> tuple[int, GraphState, str, Word] | None:
     """The first pumpable state of the cyclic components, scanned in
-    topological order and by state id; None when the automaton is acyclic or,
+    topological order and by state id, as `find_nicely_balanced_on_cycle`
+    returns it, decoded state included; None when the automaton is acyclic or,
     outside the supported variety, when every state misses.  Under supported
     constraints every cyclic component holds one, so a miss there raises."""
     comps = cyclic_components(g)
@@ -261,8 +262,7 @@ def pumping_certificate(ins: Instance, graph: SolutionGraph | None = None) -> Pu
     hit = pumpable_state(g)
     if hit is None:
         return None
-    sid, var, v = hit
-    st = g.state(sid)
+    sid, st, var, v = hit
     labels = tuple(map(g.label, _shortest_path(g, g.initial, sid)))
     base = _solve_state(g, st, sid, _first_accepting_path(g, sid))
     return _certificate(ins, st, sid, var, labels, base, v)

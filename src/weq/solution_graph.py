@@ -107,10 +107,15 @@ number of pairs can still grow exponentially in B (X Y = Y X doubles it
 with each step of B), so the pairs the search interns count against the
 same `max_states` budget as the states of `build`.  The patterns met at
 final states are checked against the automaton's guarantee while still
-packed (`first_non_solution`: nonempty constant words, equal sides under
-one `str.translate` table, each word folding to its variable's image, each
-distinct word folded once), then decoded and sorted by
-`equations.packed_solutions`, the step the oracle ends with too.
+packed (`first_non_solution`: nonempty constant words, each word folding
+to its variable's image, each distinct word folded once, and equal sides
+under one `str.translate` table; an equation whose packed sides are the
+same string is not compared, and with none left no table is made), then
+decoded and sorted by `equations.packed_solutions`, the step the oracle
+ends with too.  There each distinct word is decoded once and gets one
+order term, its length and the word under a table from each packed
+character to its token's rank in name order, made once per symbol table;
+a solution's key is the tuple of its words' places in that order.
 """
 
 from __future__ import annotations
@@ -630,8 +635,8 @@ def enumerate_solutions(
         return []
     bad = first_non_solution(g.instance, found)
     if bad is not None:
-        raise _failed_guarantee(packed_solutions(variables, g.token_of, [bad])[0])
-    return packed_solutions(variables, g.token_of, found)
+        raise _failed_guarantee(packed_solutions(syms, [bad])[0])
+    return packed_solutions(syms, found)
 
 
 def first_non_solution(ins: Instance, found) -> tuple[str, ...] | None:
@@ -640,7 +645,8 @@ def first_non_solution(ins: Instance, found) -> tuple[str, ...] | None:
     conditions are `verify_solution`'s: every word is nonempty and holds
     only constants, which pack first, and folds to its variable's image;
     both sides of every equation are equal under one `str.translate`
-    table.  Each distinct word is checked and folded once."""
+    table, and an equation whose sides are the same word is not compared.
+    Each distinct word is checked and folded once."""
     syms = ins.symbols
     char_of = packing(syms)[0]
     top = chr(PACK_BASE + len(syms.constants))  # the first variable's character
@@ -655,15 +661,16 @@ def first_non_solution(ins: Instance, found) -> tuple[str, ...] | None:
             folds[w] = f
     wanted = [image[char_of[v]] for v in syms.variables]
     codes = [ord(char_of[v]) for v in syms.variables]
-    sides = [("".join(map(char_of.__getitem__, eq.lhs)), "".join(map(char_of.__getitem__, eq.rhs)))
-             for eq in ins.equations]
+    compared = [("".join(map(char_of.__getitem__, eq.lhs)), "".join(map(char_of.__getitem__, eq.rhs)))
+                for eq in ins.equations if eq.lhs != eq.rhs]  # identical sides hold under every assignment
     for words in found:
         if list(map(folds.get, words)) != wanted:  # None for any other word
             return words
-        table = dict(zip(codes, words))
-        for l, r in sides:
-            if l.translate(table) != r.translate(table):
-                return words
+        if compared:
+            table = dict(zip(codes, words))
+            for l, r in compared:
+                if l.translate(table) != r.translate(table):
+                    return words
     return None
 
 

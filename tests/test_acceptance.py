@@ -4,11 +4,13 @@ with its runtime (run with `pytest -s` to see them live)."""
 import hashlib
 import itertools
 import json
+import random
 import sys
 import time
 
 import pytest
 
+import families
 from conftest import battery_instances, class_of, make_instance, zoo
 from scc_reference import comp_of, leq_R, scc_invariants, state_images
 from weq.equations import (
@@ -16,6 +18,7 @@ from weq.equations import (
     Instance,
     Solution,
     SymbolTable,
+    WordEquation,
     brandt_two_constant_guesses,
     exp_word,
     preimage_infinite,
@@ -163,6 +166,55 @@ def test_finite_solution_sets_are_complete(battery_results):
         )
     assert len(battery_results["finite"]) == 2688
     assert longest_five == 448
+    assert time.monotonic() - start < 3.0
+
+
+def planted_ground_instances(seed: int, per_target: int):
+    """Per target of `tests/families.py`, quadratic instances with one side
+    ground: X and Y each occur once or twice, with up to two constants, on
+    one side, and the other side is that side under random words for X
+    and Y, whose images the variables get, so the instance is solvable.
+    Each word has up to 5 tokens over one constant and up to 2 over two,
+    so that the oracle at L* + 2 stays within its default budget."""
+    rng = random.Random(seed)
+    for sg in families.families():
+        for _ in range(per_target):
+            constants = ("a", "b")[:rng.randint(1, 2)]
+            planted = {v: [rng.choice(constants) for _ in range(rng.randint(1, 5 if len(constants) == 1 else 2))]
+                       for v in ("X", "Y")}
+            side = [v for v in planted for _ in range(rng.randint(1, 2))]
+            side += [rng.choice(constants) for _ in range(rng.randint(0, 2))]
+            rng.shuffle(side)
+            ground = [a for t in side for a in planted.get(t, [t])]
+            images = {a: rng.randrange(sg.order) for a in constants}
+            for v, w in planted.items():
+                images[v] = images[w[0]]
+                for a in w[1:]:
+                    images[v] = sg.table[images[v]][images[a]]
+            sides = (tuple(side), tuple(ground)) if rng.random() < 0.5 else (tuple(ground), tuple(side))
+            mu = ConstraintMorphism.from_dict(SymbolTable(constants, tuple(planted)), sg, images)
+            yield Instance((WordEquation(*sides),), mu)
+
+
+def test_finite_family_solution_sets_are_complete():
+    """D17's property over the paper's families: a ground side bounds every
+    solution word, so the automaton is acyclic and enumerating with an
+    unlimited word length gives the whole solution set, which the oracle
+    at L* + 2 finds exactly.  Words reach 13 tokens, past the battery's
+    bound 4."""
+    start = time.monotonic()
+    longest_words = []
+    for ins in planted_ground_instances(seed=17, per_target=20):
+        g = build(ins)
+        assert is_solvable(g) and not has_infinitely_many(g), ins
+        complete = enumerate_solutions(g, max_word_len=sys.maxsize)
+        longest = max(len(w) for sol in complete for _, w in sol.assignment)
+        longest_words.append(longest)
+        assert list(brute_solutions(ins, longest + 2).solutions) == complete, (
+            f"incomplete finite solution set of {ins.equations[0]} {ins.mu.image}"
+        )
+    assert len(longest_words) == 720
+    assert sum(n > 4 for n in longest_words) == 194 and max(longest_words) == 13
     assert time.monotonic() - start < 3.0
 
 

@@ -6,7 +6,8 @@ are infinitely many solutions.  A second property compares `build` with
 the reference exploration on constant blocks of 20 to 40 letters and on
 two-equation systems encoded by `system_to_single`.  A third feeds packed
 assignments, real solutions and each kind of fault, to the enumeration's
-packed check and to `verify_solution`, over the zoo's targets.
+packed check and to `verify_solution`, over the zoo's targets.  A last
+test checks the packed checks on equations whose two sides are the same.
 
 Instances are quadratic, with at most three variables (a declared variable
 may be absent from the equation), at most three constants (two with three
@@ -25,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import zoo
+import oracle_reference
+from conftest import make_instance, zoo
 from graph_reference import assert_same_graph, reference_build
 from weq.equations import (
     ConstraintMorphism,
@@ -247,3 +249,35 @@ def test_packed_check_agrees_with_verify_solution(case):
     for words, ok in zip(cases, verdicts):
         assert (first_non_solution(ins, [words]) is None) == ok, words
     assert first_non_solution(ins, cases) == next((w for w, ok in zip(cases, verdicts) if not ok), None)
+
+
+IDENTICAL_SIDES = [
+    make_instance("Xa=Xa", sg=builtin("z2"), mapping={"a": "1", "b": "0", "X": "1"}),
+    make_instance(["XbY=YbX", "aXb=aXb"], sg=builtin("z2"),
+                  mapping={"a": "1", "b": "0", "X": "1", "Y": "0"}),
+]
+
+
+@pytest.mark.parametrize("ins", IDENTICAL_SIDES, ids=["Xa=Xa", "system"])
+def test_identical_sides_keep_every_other_check(ins):
+    """An equation whose packed sides are the same string holds under every
+    assignment, and the packed checks do not compare it.  They still reject
+    a word with the wrong image, an empty word and a word that holds a
+    variable's character, and the other equation of a system is still
+    compared.  The oracle equals the reference at bounds 1 to 4, and so does
+    the enumeration where `build` takes the instance: the system is not
+    quadratic, X occurs four times."""
+    char_of = packing(ins.symbols)[0]
+    a, b, x = char_of["a"], char_of["b"], char_of["X"]
+    others = (a + b + a,) * (len(ins.symbols.variables) - 1)  # X = a, Y = a b a solves the system
+    assert first_non_solution(ins, [(a,) + others]) is None
+    for bad in (b, "", a + x):  # b has image 0, X's is 1
+        assert first_non_solution(ins, [(bad,) + others]) == (bad,) + others
+    if others:  # X = a a a, Y = b meet their images but break X b Y = Y b X
+        assert first_non_solution(ins, [(a * 3, b)]) == (a * 3, b)
+    g = build(ins) if len(ins.equations) == 1 else None
+    for bound in range(1, 5):
+        want = oracle_reference.brute_solutions(ins, bound).solutions
+        assert brute_solutions(ins, bound).solutions == want
+        assert g is None or enumerate_solutions(g, bound) == list(want)
+    assert want

@@ -7,9 +7,13 @@ import pytest
 import oracle_reference
 from conftest import battery_instances, make_instance, zoo
 from weq import oracle
-from weq.equations import ConstraintMorphism, Instance, Solution, parse_instance, verify_solution
+from weq.equations import (
+    ConstraintMorphism, Instance, Solution, SymbolTable, packed_solutions, packing, parse_instance,
+    verify_solution,
+)
 from weq.oracle import BudgetExceeded, brute_solutions
 from weq.semigroup import builtin
+from weq.solution_graph import build, enumerate_solutions
 
 
 def words(report, var):
@@ -208,3 +212,55 @@ def test_budget_needs_no_giant_integer():
     with pytest.raises(BudgetExceeded, match=r"needs ~3\*\*20000000 assignments"):
         brute_solutions(make_instance("XY=YX", constants="abc"), 10**7)
 
+
+
+@pytest.mark.parametrize("constants, variables", [
+    (("b", "a"), ("X", "Y")),  # constants declared against name order
+    (("a9", "a10"), ("X", "Y")),  # "a10" sorts before "a9"
+    (("a", "b"), ("Y", "X")),  # Y, declared first, sorts after X
+    (("a9", "a10", "b"), ("Z1", "Y", "Z10")),
+])
+def test_packed_order_is_the_reference_order(constants, variables):
+    """`packed_solutions` sorts every assignment of words of up to two
+    tokens, given shuffled, by `oracle_reference.sort_key`, and holds each
+    solution's pairs in variable-name order, where name order and
+    declaration order differ."""
+    syms = SymbolTable(constants, variables)
+    char_of, token_of = packing(syms)
+    words = [w for n in (1, 2) for w in itertools.product(constants, repeat=n)]
+    assignments = list(itertools.product(words, repeat=len(variables)))
+    random.Random(3).shuffle(assignments)
+    found = [tuple("".join(map(char_of.__getitem__, w)) for w in ws) for ws in assignments]
+    want = sorted((Solution.from_dict(dict(zip(variables, ws))) for ws in assignments),
+                  key=lambda s: oracle_reference.sort_key(s, syms))
+    assert packed_solutions(syms, found) == want
+
+
+NAME_ORDER_AGAINST_DECLARATION = """\
+constants a9 a10
+variables Y X
+equation Y a9 X = X a9 Y
+semigroup builtin:trivial
+"""
+
+
+@pytest.mark.parametrize("ins", [
+    make_instance("XabY=YbaX", constants="ba"),
+    parse_instance(NAME_ORDER_AGAINST_DECLARATION),
+], ids=["constants-ba", "a9-a10-Y-X"])
+def test_enumeration_and_oracle_keep_the_reference_order(ins):
+    g = build(ins)
+    for bound in range(1, 5):
+        want = oracle_reference.brute_solutions(ins, bound).solutions
+        assert brute_solutions(ins, bound).solutions == want
+        assert enumerate_solutions(g, bound) == list(want)
+
+
+def test_words_longer_than_255_tokens_keep_length_order():
+    """Over one constant, X a = a X has the solutions X = a^n; at bound 300
+    the oracle, the reference and the enumeration list them by length."""
+    ins = make_instance("Xa=aX", constants="a")
+    sols = brute_solutions(ins, 300).solutions
+    assert [len(s.as_dict["X"]) for s in sols] == list(range(1, 301))
+    assert sols == oracle_reference.brute_solutions(ins, 300).solutions
+    assert enumerate_solutions(build(ins), 300) == list(sols)

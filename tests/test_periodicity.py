@@ -140,13 +140,13 @@ class TestCycles:
 
     def test_nicely_balanced_on_fig1_cycle(self):
         g = build(make_instance("XabY=YbaX"))
-        sid, var, v = find_nicely_balanced_on_cycle(g, simple_cycles(g)[0])
-        assert g.state(sid).equation_str() == "X a b Y = Y b a X"
+        sid, st, var, v = find_nicely_balanced_on_cycle(g, simple_cycles(g)[0])
+        assert st == g.state(sid) and st.equation_str() == "X a b Y = Y b a X"
         assert var == "X" and v == tuple("Yba")
 
     def test_xa_ax_cycle(self):
         g = build(make_instance("Xa=aX"))
-        sid, var, v = find_nicely_balanced_on_cycle(g, simple_cycles(g)[0])
+        sid, _, var, v = find_nicely_balanced_on_cycle(g, simple_cycles(g)[0])
         assert var == "X" and v == ("a",)
 
 
@@ -339,7 +339,7 @@ class TestAbsentVariableComponents:
 class TestPumpableState:
     def test_first_hit_of_the_scan(self):
         g = build(make_instance("XabY=YbaX"))
-        sid, var, v = pumpable_state(g)
+        sid, _, var, v = pumpable_state(g)
         assert sid == g.initial and var == "X" and v == tuple("Yba")
 
     def test_none_when_acyclic(self):

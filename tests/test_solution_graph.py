@@ -266,6 +266,23 @@ def test_hot_path_stays_lazy(monkeypatch):
     assert len(decoded) < 100
 
 
+def test_a_certificate_decodes_each_state_it_reads_once(monkeypatch):
+    """The pumpable-state scan hands the certified state on decoded, so the
+    certificate of FIVE_VARIABLES decodes its 2 states 2 times."""
+    g = build(FIVE_VARIABLES)
+    decoded = []
+    state = SolutionGraph.state
+
+    def counted(self, sid):
+        decoded.append(sid)
+        return state(self, sid)
+
+    monkeypatch.setattr(SolutionGraph, "state", counted)
+    cert = pumping_certificate(FIVE_VARIABLES, graph=g)
+    assert len(decoded) == len(set(decoded)) == 2
+    assert decoded[-1] == cert.state
+
+
 VARIABLE_HEADS = parse_instance(
     "constants a b\nvariables X Y Z W\n"
     "equation b b b Z Z = W Y X X Y\nsemigroup builtin:z2\n"
