@@ -210,20 +210,25 @@ def cmd_pump(args) -> int:
     return EXIT_YES
 
 
-def cmd_solve(args) -> int:
-    ins = args.instance
-    g = build(ins, max_states=args.max_states)
-    sols = enumerate_solutions(g, max_word_len=args.max_len, max_states=args.max_states)
-    if args.json:
+def _print_solutions(sols, as_json: bool, head: dict, summary: str) -> None:
+    """The solutions as JSON under the `head` fields, or a line each and `summary`."""
+    if as_json:
         print(json.dumps({
-            "instance": _instance_summary(ins),
-            "max_len": args.max_len,
+            **head,
             "solutions": [{v: "".join(w) for v, w in s.assignment} for s in sols],
         }, indent=2, sort_keys=True))
     else:
         for s in sols:
             print(", ".join(f"{v}={''.join(w)}" for v, w in s.assignment) or "(empty assignment)")
-        print(f"{len(sols)} solution(s) with words up to length {args.max_len}")
+        print(summary)
+
+
+def cmd_solve(args) -> int:
+    ins = args.instance
+    g = build(ins, max_states=args.max_states)
+    sols = enumerate_solutions(g, max_word_len=args.max_len, max_states=args.max_states)
+    _print_solutions(sols, args.json, {"instance": _instance_summary(ins), "max_len": args.max_len},
+                     f"{len(sols)} solution(s) with words up to length {args.max_len}")
     return EXIT_YES if sols else EXIT_NO
 
 
@@ -243,17 +248,9 @@ def cmd_graph(args) -> int:
 def cmd_oracle(args) -> int:
     ins = args.instance
     rep = oracle.brute_solutions(ins, args.max_len, budget=args.budget)
-    if args.json:
-        print(json.dumps({
-            "instance": _instance_summary(ins),
-            "bound": args.max_len,
-            "max_exp_seen": rep.max_exp_seen,
-            "solutions": [{v: "".join(w) for v, w in s.assignment} for s in rep.solutions],
-        }, indent=2, sort_keys=True))
-    else:
-        for s in rep.solutions:
-            print(", ".join(f"{v}={''.join(w)}" for v, w in s.assignment) or "(empty assignment)")
-        print(f"{len(rep.solutions)} solution(s) up to length {args.max_len}; max exp {rep.max_exp_seen}")
+    head = {"instance": _instance_summary(ins), "bound": args.max_len, "max_exp_seen": rep.max_exp_seen}
+    _print_solutions(rep.solutions, args.json, head,
+                     f"{len(rep.solutions)} solution(s) up to length {args.max_len}; max exp {rep.max_exp_seen}")
     return EXIT_YES if rep.solutions else EXIT_NO
 
 

@@ -108,7 +108,8 @@ def find_nicely_balanced_on_cycle(g: SolutionGraph, states) -> tuple[int, GraphS
     ins = g.instance
     for sid in states:
         st = g.state(sid)
-        for var in [x for x in ins.symbols.variables if x in st.varset]:
+        active = dict(st.mu_items)
+        for var in [x for x in ins.symbols.variables if x in active]:
             v = is_nicely_balanced(ins, st, var)
             if v is not None:
                 return sid, st, var, v
@@ -211,17 +212,17 @@ def _base_fault(ins: Instance, st: GraphState, sid: int, base: dict[str, Word]) 
     the state's constraints, or None.  A base assigns each of the state's
     variables a nonempty word of constants that meets its image; unless the
     state is TRUE, it also solves the state's equation."""
-    if set(base) != st.varset:
+    mu = dict(st.mu_items)
+    if base.keys() != mu.keys():
         return "does not cover the state's variables"
     syms = ins.symbols
     for v, w in base.items():
         if not w or not all(syms.is_constant(t) for t in w):
             return f"leaves {v!r} as {w!r}"
-    if not st.is_true:
+    if st.lhs:
         sol = Solution.from_dict(base)
         if sol.apply(st.lhs) != sol.apply(st.rhs):
             return f"does not solve state {sid}"
-    mu = dict(st.mu_items)
     for v, w in base.items():
         if ins.mu.eval(w) != mu[v]:
             return f"violates the constraint on {v!r}"
@@ -230,7 +231,7 @@ def _base_fault(ins: Instance, st: GraphState, sid: int, base: dict[str, Word]) 
 
 def _solve_state(g: SolutionGraph, st: GraphState, sid: int, path: list[int]) -> dict[str, Word]:
     """Base solution of a state's own equation from an accepting path."""
-    patterns = compose(st.varset, map(g.label, path))
+    patterns = compose((v for v, _ in st.mu_items), map(g.label, path))
     fault = _base_fault(g.instance, st, sid, patterns)
     if fault is not None:
         raise TheoremViolation(f"accepting path from state {sid} {fault}")
@@ -358,25 +359,23 @@ def load_certificate(ins: Instance, data: dict, graph: SolutionGraph | None = No
         raise EquationError("certificate path prefix does not reach the certified state")
     st = g.state(sid)
     var = data["variable"]
-    if var not in st.varset:
+    if var not in dict(st.mu_items):
         raise EquationError(f"variable {var!r} is not active in state {sid}")
     word = is_nicely_balanced(ins, st, var)
     if word is None:
         raise EquationError(f"state {sid} is not pumpable on {var!r}")
     base = {v: _json_word(w) for v, w in data["base"].items()}
+    if data["v"] is not None:
+        _json_word(data["v"])
     fault = _base_fault(ins, st, sid, base)
     if fault is not None:
         raise EquationError(f"certificate base {fault}")
-    # the file must hold the certificate derived at the replayed state: the
-    # scan's word decides its case and v, and v its omega
+    # the file must hold the certificate derived at the replayed state, in value and
+    # JSON type (true and 1.0 are not 1): the scan's word decides case and v, v omega
     cert = _certificate(ins, st, sid, var, labels, base, word)
-    if data["case"] != cert.case:
-        raise EquationError(f"certificate case {data['case']!r} is not {cert.case!r}, the case of "
-                            f"state {sid} on {var!r}")
-    if (None if data["v"] is None else _json_word(data["v"])) != cert.v:
-        raise EquationError(f"certificate word v {data['v']!r} is not {cert.v!r}, the word "
-                            f"that pumps state {sid} on {var!r}")
-    if data["omega"] != cert.omega_exponent:
-        raise EquationError(f"certificate omega {data['omega']!r} is not "
-                            f"{cert.omega_exponent!r}, the omega of state {sid} on {var!r}")
+    for key, derived in certificate_to_json(cert).items():
+        found = data[key]
+        if type(found) is not type(derived) or found != derived:
+            raise EquationError(f"certificate {key} {found!r} is not {derived!r}, the {key} of "
+                                f"state {sid} on {var!r}")
     return cert

@@ -33,13 +33,13 @@ trimmed automaton.
 
 `SolutionGraph` stores the trimmed automaton as arrays and decodes nothing
 while it is built: the packed key of each kept state, out-offsets `first`
-and integer targets `dst` per edge, the packed label of each edge, and the
-map from packed characters back to tokens.  The verdicts read the SCCs and
-the final states; the path searches walk `first` and `dst`; enumeration
-composes packed labels.  `g.state(sid)` decodes one `GraphState` and
-`g.label(e)` one label, which is all that the pumpable-state scan and the
-certificates need; they decode each state they read once and pass it on.
-`dot_lines` decodes each state and edge as it writes its line and keeps
+and integer targets `dst` per edge, and the packed label of each edge.  The
+verdicts read the SCCs and the final states; the path searches walk
+`first` and `dst`; enumeration composes packed labels.  `g.state(sid)`
+decodes one `GraphState` and `g.label(e)` one label through the instance's
+`packing`, which is all that the pumpable-state scan and the certificates
+need; they decode each state they read once and pass it on.  `dot_lines`
+decodes each state and edge the same way as it writes its line and keeps
 none.  `g.transitions` and `g.out` decode every edge on first access, for
 callers that want objects.
 
@@ -157,14 +157,14 @@ Label = tuple[str, Word] | None  # None = silent head cancellation
 
 
 class GraphState(NamedTuple):
+    """A state decoded to tokens; both sides are empty exactly when it is TRUE."""
+
     lhs: Word
     rhs: Word
-    varset: frozenset[str]
-    mu_items: tuple[tuple[str, int], ...]  # images of the active variables
-    is_true: bool
+    mu_items: tuple[tuple[str, int], ...]  # each active variable, by name, with its image
 
     def equation_str(self) -> str:
-        if self.is_true:
+        if not self.lhs:
             return "(true)"
         return " ".join(self.lhs) + " = " + " ".join(self.rhs)
 
@@ -186,15 +186,13 @@ class SolutionGraph:
     """The trimmed automaton as arrays: state s is the packed key keys[s],
     its moves are the edges first[s]:first[s + 1], edge e goes to state
     dst[e] under the packed label labels[e] ("" for a silent move, else
-    the variable's character followed by its replacement), and token_of
-    maps each packed character back to its token."""
+    the variable's character followed by its replacement)."""
 
     instance: Instance
     keys: list[tuple[str, str, tuple[int, ...]]]
     first: list[int]
     dst: list[int]
     labels: list[str]
-    token_of: dict[str, str]
     initial: int | None
     finals: frozenset[int]
     scc: SccData
@@ -210,12 +208,10 @@ class SolutionGraph:
     def state(self, sid: int) -> GraphState:
         """State `sid` decoded to tokens."""
         lhs, rhs, images = self.keys[sid]
-        token = self.token_of.__getitem__
-        mu_items = sorted([(v, e) for v, e in zip(self.instance.symbols.variables, images) if e != -1])
-        return GraphState(
-            tuple(map(token, lhs)), tuple(map(token, rhs)),
-            frozenset([v for v, _ in mu_items]), tuple(mu_items), not lhs,
-        )
+        syms = self.instance.symbols
+        token = packing(syms)[1].__getitem__
+        mu_items = sorted([(v, e) for v, e in zip(syms.variables, images) if e != -1])
+        return GraphState(tuple(map(token, lhs)), tuple(map(token, rhs)), tuple(mu_items))
 
     def edges(self, sid: int) -> range:
         """The ids of the edges out of state `sid`, in the order of its moves."""
@@ -226,7 +222,8 @@ class SolutionGraph:
         lab = self.labels[e]
         if not lab:
             return None
-        return self.token_of[lab[0]], tuple(map(self.token_of.__getitem__, lab[1:]))
+        token_of = packing(self.instance.symbols)[1]
+        return token_of[lab[0]], tuple(map(token_of.__getitem__, lab[1:]))
 
     @cached_property
     def transitions(self) -> list[GraphTransition]:
@@ -309,7 +306,7 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
         diff[ord(c) - PACK_BASE] -= 1
     if ((test_images and images_differ(lhs, rhs, images)) or _counts_refuted(diff, n_const)
             or (lhs[-1] != rhs[-1] and lhs[-1] < var_first and rhs[-1] < var_first)):
-        return _trim(ins, [], [0], [], [], [], token_of)  # no final state
+        return _trim(ins, [], [0], [], [], [])  # no final state
 
     # a state is (lhs, rhs, images): packed sides, both empty once TRUE, and
     # each variable's image by rank, -1 once inactive; diffs[s] holds its net
@@ -426,7 +423,7 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
     ]
     first.append(len(dsts))
     del index, diffs  # trimming needs only the explored states and their moves
-    return _trim(ins, keys, first, dsts, labels, finals, token_of)
+    return _trim(ins, keys, first, dsts, labels, finals)
 
 
 DEAD = -1  # index entry of a state refuted by its images or by letter counting
@@ -461,14 +458,14 @@ def _counts_refuted(diff: list[int], n_const: int) -> bool:
     return False
 
 
-def _trim(ins, keys, first, dsts, labels, finals, token_of) -> SolutionGraph:
+def _trim(ins, keys, first, dsts, labels, finals) -> SolutionGraph:
     """Keep the states from which a final state is reachable, renumbered in
     exploration order, find their SCCs in the same Tarjan pass from the
     initial state 0, and keep their moves as arrays renumbered the same way.
     A DFS child passes its live flag to its parent as it returns; a state
     whose component has closed gets index n, which no longer lowers `low`."""
     if not finals:  # nothing is co-reachable, as when the initial state is refuted
-        return SolutionGraph(ins, [], [0], [], [], token_of, None, frozenset(), SccData((), ()))
+        return SolutionGraph(ins, [], [0], [], [], None, frozenset(), SccData((), ()))
     n = len(keys)
     index_of = [-1] * n
     low = [0] * n
@@ -548,7 +545,7 @@ def _trim(ins, keys, first, dsts, labels, finals, token_of) -> SolutionGraph:
     )
     scc = SccData(components, tuple(reversed(cyclic)))
     finals_new = frozenset(new_id[f] for f in finals)
-    return SolutionGraph(ins, keys, first, dsts, labels, token_of, 0, finals_new, scc)
+    return SolutionGraph(ins, keys, first, dsts, labels, 0, finals_new, scc)
 
 
 def is_solvable(g: SolutionGraph) -> bool:
@@ -688,11 +685,7 @@ def dot_lines(g: SolutionGraph) -> Iterator[str]:
     and is not kept, so writing the lines out holds one line at a time."""
     syms = g.instance.symbols
     variables, names = syms.variables, g.instance.mu.target.names
-    token = g.token_of.__getitem__
     sep = "" if all(len(t) == 1 for t in syms.all_symbols()) else " "
-
-    def word_str(packed: str) -> str:
-        return sep.join(map(token, packed))
 
     def escaped(label: str) -> str:
         return label.replace("\\", "\\\\").replace('"', '\\"')
@@ -701,11 +694,12 @@ def dot_lines(g: SolutionGraph) -> Iterator[str]:
     yield "  rankdir=LR;\n"
     if g.initial is not None:
         yield "  __start [shape=point];\n"
-    for sid, (lhs, rhs, images) in enumerate(g.keys):
-        eqs = f"{word_str(lhs)} = {word_str(rhs)}" if lhs else "(true)"
-        active = [(v, e) for v, e in zip(variables, images) if e != -1]
-        vars_part = ",".join(v for v, _ in active) or "-"
-        mu_part = ",".join(f"{v}={names[e]}" for v, e in sorted(active)) or "-"
+    for sid in range(g.state_count):
+        st = g.state(sid)
+        eqs = f"{sep.join(st.lhs)} = {sep.join(st.rhs)}" if st.lhs else "(true)"
+        mu = dict(st.mu_items)
+        vars_part = ",".join(v for v in variables if v in mu) or "-"
+        mu_part = ",".join(f"{v}={names[e]}" for v, e in st.mu_items) or "-"
         shape = "doublecircle" if sid in g.finals else "circle"
         label = escaped(f"{eqs} | {vars_part} | {mu_part}")
         yield f'  q{sid} [shape={shape}, label="{label}"];\n'
@@ -713,10 +707,10 @@ def dot_lines(g: SolutionGraph) -> Iterator[str]:
         yield f"  __start -> q{g.initial};\n"
     for sid in range(g.state_count):
         for e in g.edges(sid):
-            lab = g.labels[e]
-            if not lab:
+            lab = g.label(e)
+            if lab is None:
                 yield f'  q{sid} -> q{g.dst[e]} [style=dashed, label="ε"];\n'
             else:
-                label = escaped(f"{token(lab[0])}->{word_str(lab[1:])}")
+                label = escaped(f"{lab[0]}->{sep.join(lab[1])}")
                 yield f'  q{sid} -> q{g.dst[e]} [label="{label}"];\n'
     yield "}\n"

@@ -12,9 +12,15 @@ by `from_table`:
   subsets of a 3-set under union, as bit masks;
 - J-trivial: the Catalan monoids of orders 5, 14 and 42, the
   order-preserving extensive maps of 3, 4 and 5 points.
+
+`families()` is these 36 targets, over which the planted-instance
+properties of `test_acceptance.py` run.  `permutation_groups()` adds groups
+drawn at random on 3 to 5 points, and the symmetric group S_5.
 """
 
 from __future__ import annotations
+
+import random
 
 from weq.semigroup import FiniteSemigroup, from_table
 
@@ -77,6 +83,24 @@ def catalan_monoid(n: int) -> FiniteSemigroup:
     identity = tuple(range(n))
     steps = [identity[:i] + (i + 1,) + identity[i + 1:] for i in range(n - 1)]
     return generated(f"C{n}", [identity] + steps, then)
+
+
+def symmetric_group(n: int) -> FiniteSemigroup:
+    """All n! permutations of n points, generated by a transposition and an
+    n-cycle."""
+    swap = (1, 0) + tuple(range(2, n))
+    return generated(f"S{n}", [swap, tuple((i + 1) % n for i in range(n))], then)
+
+
+def permutation_groups() -> list[FiniteSemigroup]:
+    """Four groups on each of 3, 4 and 5 points, each generated by one or two
+    permutations drawn with seed 11, then S_5."""
+    rng = random.Random(11)
+    drawn = [
+        generated(f"G{n}.{i}", [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 2))], then)
+        for n in (3, 4, 5) for i in range(4)
+    ]
+    return drawn + [symmetric_group(5)]
 
 
 def groups() -> list[FiniteSemigroup]:

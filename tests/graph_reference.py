@@ -71,7 +71,7 @@ def reference_build(ins):
     queue = deque()
 
     def intern(lhs, rhs, varset, mu, true_, cancelled=False, counts=False):
-        st = GraphState(lhs, rhs, varset, tuple(sorted((v, mu[v]) for v in varset)), true_)
+        st = GraphState(lhs, rhs, tuple(sorted((v, mu[v]) for v in varset)))
         sid = index.get(st)
         if sid is None:
             if not true_ and (
@@ -96,10 +96,10 @@ def reference_build(ins):
     while queue:
         sid = queue.popleft()
         st = states[sid]
-        varset = st.varset
+        varset = frozenset(v for v, _ in st.mu_items)
         mu = dict(st.mu_items)
         mu_of = {**const_mu, **mu}
-        if not st.is_true and st.lhs[0] == st.rhs[0]:
+        if st.lhs and st.lhs[0] == st.rhs[0]:
             l, r = st.lhs[1:], st.rhs[1:]
             if l and r:
                 add(sid, intern(l, r, varset, mu, False, cancelled=True), None)
@@ -111,10 +111,10 @@ def reference_build(ins):
         for x in absent[:1]:
             for a in sigma:
                 for t in quot.get((mu_of[a], mu[x]), ()):
-                    add(sid, intern(st.lhs, st.rhs, varset, {**mu, x: t}, st.is_true), (x, (a, x)))
+                    add(sid, intern(st.lhs, st.rhs, varset, {**mu, x: t}, not st.lhs), (x, (a, x)))
                 if mu[x] == mu_of[a]:
-                    add(sid, intern(st.lhs, st.rhs, varset - {x}, mu, st.is_true), (x, (a,)))
-        if st.is_true:
+                    add(sid, intern(st.lhs, st.rhs, varset - {x}, mu, not st.lhs), (x, (a,)))
+        if not st.lhs:
             continue
         for this, other, swapped in ((st.lhs, st.rhs, False), (st.rhs, st.lhs, True)):
             x = this[0]
@@ -142,8 +142,8 @@ def reference_build(ins):
 
     finals = frozenset(
         sid for sid, st in enumerate(states)
-        if not st.varset and (
-            st.is_true
+        if not st.mu_items and (
+            not st.lhs
             or (len(st.lhs) == 1 == len(st.rhs) and st.lhs == st.rhs and syms.is_constant(st.lhs[0]))
         )
     )

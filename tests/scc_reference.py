@@ -65,7 +65,7 @@ def _leading_j(g, gr, sid: int, comp: frozenset[int]) -> tuple[int, ...]:
     TRUE state reads the variables of its moves within `comp`, its
     component, instead."""
     st, mu = g.state(sid), state_images(g, sid)
-    if st.is_true:
+    if not st.lhs:
         heads = [g.label(e)[0] for e in g.edges(sid)
                  if g.dst[e] in comp and g.label(e) is not None]
     else:
@@ -91,7 +91,7 @@ def _playground(g, gr, sid: int, lead: tuple[int, ...], stab: frozenset[int]) ->
     pl, pr = prefix(st.lhs), prefix(st.rhs)
     body = pl + pr
     players = frozenset(
-        v for v in st.varset
+        v for v, _ in st.mu_items
         if class_of(gr.classesJ, mu[v]) == lead and body.count(v) == 2
         and preimage_infinite(g.instance.mu, mu[v])
     )

@@ -118,9 +118,9 @@ def battery_results(battery_equations):
         g = build(ins)
         n0 = len(ins.equation.lhs) + len(ins.equation.rhs)
         for st in map(g.state, range(g.state_count)):
-            if not st.is_true:
+            if st.lhs:
                 assert len(st.lhs) + len(st.rhs) <= n0, f"state {st} outgrew {ins.equations[0]}"
-                assert all(st.lhs.count(v) + st.rhs.count(v) <= 2 for v in st.varset), (
+                assert all(st.lhs.count(v) + st.rhs.count(v) <= 2 for v, _ in st.mu_items), (
                     f"state {st} of {ins.equations[0]} is not quadratic"
                 )
         got = enumerate_solutions(g, max_word_len=4)

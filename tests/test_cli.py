@@ -368,7 +368,10 @@ class TestPump:
         err = capsys.readouterr().err
         assert "malformed certificate" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("field,value", [("omega", 0), ("omega", -1), ("omega", 2), ("v", [])])
+    # xabby's omega is 1, which JSON's true and 1.0 are not
+    @pytest.mark.parametrize("field,value", [
+        ("omega", 0), ("omega", -1), ("omega", 2), ("v", []), ("omega", True), ("omega", 1.0),
+    ])
     def test_tampered_pump_fields_exit_2(self, files, tmp_path, capsys, field, value):
         cert = tmp_path / "cert.json"
         assert main(["pump", files["xabby.weq"], "--m", "0", "--cert-out", str(cert)]) == 0
@@ -378,7 +381,7 @@ class TestPump:
         cert.write_text(json.dumps(data))
         assert main(["pump", files["xabby.weq"], "--m", "3", "--cert-in", str(cert)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "certificate" in captured.err
+        assert captured.out == "" and f"certificate {field} " in captured.err
 
     # a v or omega other than the derived certificate's: at the scan's word
     # a wrong v pumped a non-solution, and a free-variable one was dropped

@@ -28,7 +28,7 @@ def synthetic_state(ins, lhs, rhs, varset):
     """A single hand-built state for direct shape checks, its active
     variables at their images under the instance's morphism."""
     mu_items = tuple(sorted((v, ins.mu[v]) for v in varset))
-    return GraphState(tuple(lhs), tuple(rhs), frozenset(varset), mu_items, not lhs)
+    return GraphState(tuple(lhs), tuple(rhs), mu_items)
 
 
 class TestNicelyBalanced:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import families
@@ -304,19 +306,23 @@ class TestNamedFamilies:
         assert subsets.order == 8
         assert [sg.order for sg in families.j_trivial()] == [5, 14, 42]
         assert len(families.families()) == 36
+        # the seeded draw on 3, 4 and 5 points, then S_5
+        assert [sg.order for sg in families.permutation_groups()] == [6, 3, 3, 3, 2, 24, 6, 2, 120, 2, 4, 6, 120]
 
     def test_shapes(self):
-        for sg in families.groups():
+        for sg in families.groups() + families.permutation_groups():
             assert len(green(sg).classesH) == 1, sg.label  # one H-class: a group
         for sg in families.commutative():
             assert all(sg.mul(x, y) == sg.mul(y, x) for x in sg.elements() for y in sg.elements())
         for sg in families.j_trivial():
             assert len(green(sg).classesJ) == sg.order, sg.label
 
-    @pytest.mark.parametrize("sg", families.families(), ids=lambda sg: sg.label)
+    @pytest.mark.parametrize("sg", families.families() + families.permutation_groups(), ids=lambda sg: sg.label)
     def test_in_both_varieties(self, sg):
+        start = time.monotonic()
         assert is_dlg(sg).holds
         assert is_dlg(opposite(sg)).holds
+        assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("sg", [builtin("b2"), direct_product(builtin("lz2"), builtin("rz2"))],
                              ids=["b2", "lz2xrz2"])

@@ -116,7 +116,7 @@ class TestBuild:
             g = build(make_instance(spec))
             for st in decoded_states(g):
                 body = st.lhs + st.rhs
-                for v in st.varset:
+                for v, _ in st.mu_items:
                     assert body.count(v) <= 2
 
 

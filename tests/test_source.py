@@ -121,14 +121,20 @@ def test_public_names_have_callers():
     assert {m for m in members if m.split(".")[1] not in named_member} == set()
 
 
-def test_tracer_names_resolve():
-    """The benchmark's tracer wraps library functions by name and looks
-    them up with `getattr`, so a renamed or deleted function breaks
-    `perfbench/run.py --trace 1`; every name it lists must resolve."""
+def load_spans():
+    """The benchmark's tracer module, which is not a package."""
     path = SRC.parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_names_resolve():
+    """The benchmark's tracer wraps library functions by name and looks
+    them up with `getattr`, so a renamed or deleted function breaks
+    `perfbench/run.py --trace 1`; every name it lists must resolve."""
+    spans = load_spans()
     wrapped = set()
     for layer, (modname, functions, _) in spans.LAYERS.items():
         module = importlib.import_module(modname)
@@ -136,6 +142,37 @@ def test_tracer_names_resolve():
             assert callable(getattr(module, fname, None)), f"{modname}.{fname}"
             wrapped.add(f"{layer}.{fname}")
     assert set(spans.COUNTERS) <= wrapped
+
+
+# wrapped by the tracer, and called nowhere in the library
+TRACER_ONLY = {"periodicity.simple_cycles"}
+
+
+def test_tracer_only_names_are_listed():
+    """Every function the benchmark's tracer wraps has a caller in the
+    library outside its own definition, or is listed in TRACER_ONLY, so a
+    function kept alive only by the benchmark is a known exception."""
+    called = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name not in enclosing:
+                called.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    uncalled = {
+        f"{layer}.{fname}"
+        for layer, (_, functions, _) in load_spans().LAYERS.items()
+        for fname in functions if fname not in called
+    }
+    assert uncalled == TRACER_ONLY
 
 
 def test_readme_synopsis_matches_parser():
