@@ -97,25 +97,42 @@ before they die, O(k^2) states in all; with it the build interns the
 `enumerate_solutions` searches pairs of a state and its patterns, the packed
 word each variable has become under the labels composed so far, and prunes a
 move that pushes a word past the bound B; a substitution never shortens a
-word, so no solution within B is lost.  The search ends with no bound on
-the path length: a move that lengthens no word either deletes an active
-variable or is silent and shortens the state by two tokens, neither count
-ever grows, and every active variable occurs in its own pattern, so a
-keeping move x -> alpha x lengthens a word.  A path within B thus has at
-most B*k + n0/2 moves, for k variables and n0 tokens in the equation.  The
-number of pairs can still grow exponentially in B (X Y = Y X doubles it
-with each step of B), so the pairs the search interns count against the
-same `max_states` budget as the states of `build`.  The patterns met at
-final states are checked against the automaton's guarantee while still
-packed (`first_non_solution`: nonempty constant words, each word folding
-to its variable's image, each distinct word folded once, and equal sides
-under one `str.translate` table; an equation whose packed sides are the
-same string is not compared, and with none left no table is made), then
-decoded and sorted by `equations.packed_solutions`, the step the oracle
-ends with too.  There each distinct word is decoded once and gets one
-order term, its length and the word under a table from each packed
-character to its token's rank in name order, made once per symbol table;
-a solution's key is the tuple of its words' places in that order.
+word, so no solution within B is lost.  A pair that reaches a TRUE state
+with active variables leaves the search for a walk that assigns them one at
+a time.  There `build` fires only the first active variable x, so the words
+x takes before its deletion, each with the TRUE state the deletion reaches,
+depend on the state alone.  They are made once per length for every TRUE
+state the walk reaches, from the automaton's own moves: the words of length
+1 are the deletions x -> a, those of length n + 1 put a before each word of
+length n at the target of a keeping move x -> a x.  Each word is substituted
+into the patterns, which go on at the state reached.  A word of length n
+makes a pattern p with c > 0 occurrences of x len(p) + c(n - 1) long, so x's
+words are capped at the least (B - len(p) + c) // c, which prunes what the
+pair search would.  The search ends with no bound on the path length: a move
+that lengthens no word either deletes an active variable or is silent and
+shortens the state by two tokens, neither count ever grows, and every active
+variable occurs in its own pattern, so a keeping move x -> alpha x lengthens
+a word.  A path within B thus has at most B*k + n0/2 moves, for k variables
+and n0 tokens in the equation.  The walk deletes a variable with each word
+it substitutes, and it makes words one length at a time up to the largest
+cap it meets, stopping at the first length at which no TRUE state it reaches
+has a word, as no longer word exists then; so on an acyclic automaton it
+ends for any B.  The number of pairs, words and tuples can still grow
+exponentially in B (X Y = Y X doubles it with each step of B), so the pairs
+the search interns, the words the walk makes and the tuples it adds count
+together against the same `max_states` budget as the states of `build`.  The
+walk drops a tuple it has made before, through the search's pairs or the
+solutions found.  The patterns met at final states are checked against the
+automaton's guarantee while still packed (`first_non_solution`: nonempty
+constant words, each word folding to its variable's image, each distinct
+word folded once, and equal sides under one `str.translate` table; an
+equation whose packed sides are the same string is not compared, and with
+none left no table is made), then decoded and sorted by
+`equations.packed_solutions`, the step the oracle ends with too.  There each
+distinct word is decoded once and gets one order term, its length and the
+word under a table from each packed character to its token's rank in name
+order, made once per symbol table; a solution's key is the tuple of its
+words' places in that order.
 """
 
 from __future__ import annotations
@@ -599,21 +616,26 @@ def enumerate_solutions(
     oracle's order; the module docstring says why the search ends.  The
     patterns stay packed, one `str` per variable, until the solutions found
     are checked and decoded at the end.  Raises StateBudgetExceeded once
-    more than `max_states` (state, patterns) pairs are interned, and
-    TheoremViolation if an accepting path composes to a non-solution."""
+    more than `max_states` (state, patterns) pairs, words and solution
+    tuples are held, and TheoremViolation if an accepting path composes to a
+    non-solution."""
     if g.initial is None:
         return []
     syms = g.instance.symbols
     variables = syms.variables
-    first, dst, labels, finals = g.first, g.dst, g.labels, g.finals
+    keys, first, dst, labels, finals = g.keys, g.first, g.dst, g.labels, g.finals
     found: set[tuple[str, ...]] = set()
     init = (g.initial, tuple(map(packing(syms)[0].__getitem__, variables)))
     seen = {init}
     stack = [init]
+    entered = []  # the pairs at TRUE states with active variables
     while stack:
         sid, patterns = stack.pop()
         if sid in finals:
             found.add(patterns)
+        elif not keys[sid][0]:  # TRUE: the walk assigns its active variables
+            entered.append((sid, patterns))
+            continue
         for e in range(first[sid], first[sid + 1]):
             lab = labels[e]
             nxt = patterns
@@ -628,12 +650,67 @@ def enumerate_solutions(
                     raise StateBudgetExceeded(len(seen) + 1, max_states, "(state, patterns) pairs")
                 seen.add(key)
                 stack.append(key)
+    if entered:
+        _complete_at_true(g, entered, seen, found, max_word_len, max_states)
     if not found:
         return []
     bad = first_non_solution(g.instance, found)
     if bad is not None:
         raise _failed_guarantee(packed_solutions(syms, [bad])[0])
     return packed_solutions(syms, found)
+
+
+def _complete_at_true(g: SolutionGraph, todo, seen, found, max_word_len, max_states) -> None:
+    """Complete the (TRUE state, patterns) pairs of `todo` within
+    max_word_len, one active variable at a time, with the words each TRUE
+    state gives its first active variable (the module docstring says how
+    they are made), adding the tuples that reach a final state to `found`
+    and the others to `seen` and `todo`.  Raises StateBudgetExceeded once
+    `seen`, the words and the new tuples of `found` hold more than
+    `max_states` entries in all."""
+    first, dst, labels, finals = g.first, g.dst, g.labels, g.finals
+    keeps: dict[int, list[tuple[str, int]]] = {}  # (a, target) of each move x -> a x
+    deletions: dict[int, list[tuple[str, int]]] = {}  # (a, target) of each move x -> a
+    reach = [sid for sid, _ in todo]
+    for t in reach:  # the loop reads the states it appends
+        if t in keeps:
+            continue
+        kept, gone = keeps[t], deletions[t] = [], []
+        for e in range(first[t], first[t + 1]):
+            lab, s = labels[e], dst[e]
+            (kept if len(lab) == 3 else gone).append((lab[1], s))
+            if s not in keeps and s not in finals:
+                reach.append(s)
+    levels: list[dict[int, list[tuple[str, int]]]] = []  # levels[n - 1]: the words of length n
+    made = 0  # the words
+    budget = max_states + len(found)  # the tuples found so far are in `seen` too
+    while todo:
+        sid, patterns = todo.pop()
+        x = labels[first[sid]][0]
+        # a word of length n for x makes a pattern p with c > 0 x's len(p) + c(n - 1) long
+        cap = min((max_word_len - len(p) + c) // c for p in patterns if (c := p.count(x)))
+        # after a level without words no longer word exists either
+        while len(levels) < cap and (not levels or levels[-1]):
+            last = levels[-1] if levels else None
+            level = {}
+            for t, kept in keeps.items():
+                ws = deletions[t] if last is None else [(a + w, s) for a, u in kept for w, s in last.get(u, ())]
+                if ws:
+                    made += len(ws)
+                    if len(seen) + len(found) + made > budget:
+                        raise StateBudgetExceeded(max_states + 1, max_states, "(state, patterns) pairs")
+                    level[t] = ws
+            levels.append(level)
+        for n in range(min(cap, len(levels))):
+            for w, s in levels[n].get(sid, ()):
+                nxt = tuple([p.replace(x, w) for p in patterns])
+                if s in finals:
+                    found.add(nxt)
+                elif (s, nxt) not in seen:
+                    seen.add((s, nxt))
+                    todo.append((s, nxt))
+            if len(seen) + len(found) + made > budget:
+                raise StateBudgetExceeded(max_states + 1, max_states, "(state, patterns) pairs")
 
 
 def first_non_solution(ins: Instance, found) -> tuple[str, ...] | None:

@@ -2,15 +2,23 @@
 packed words and pruned dead tails: breadth-first over token tuples, with a
 GraphState built on every visit, letter counting by recounting both sides,
 and trimming and Tarjan's algorithm over transition objects.  The tests
-compare `weq.solution_graph.build` against it, graph for graph."""
+compare `weq.solution_graph.build` against it, graph for graph.
+
+`reference_enumerate` is `enumerate_solutions` as it was before it assigned
+the words of a TRUE state's variables from per-state tables: one search
+over (state, patterns) pairs that grows each word one letter per pair.  The
+tests compare the two solution lists past the oracle's range."""
 
 from __future__ import annotations
 
 from collections import deque
 from types import SimpleNamespace
 
-from weq.equations import EquationError, apply_map
-from weq.solution_graph import GraphState, GraphTransition, SccData, _left_quotients
+from weq.equations import EquationError, apply_map, packed_solutions, packing
+from weq.solution_graph import (
+    DEFAULT_MAX_STATES, GraphState, GraphTransition, SccData, StateBudgetExceeded, _failed_guarantee,
+    _left_quotients, first_non_solution,
+)
 
 
 def abelian_refuted(lhs, rhs, varset):
@@ -238,3 +246,42 @@ def assert_same_graph(g, ref):
     assert g.initial == ref.initial
     assert g.finals == ref.finals
     assert g.scc == ref.scc
+
+
+def reference_enumerate(g, max_word_len, max_states=DEFAULT_MAX_STATES):
+    """Every solution whose words all have length <= max_word_len, in the
+    oracle's order, by a depth-first search over (state, patterns) pairs
+    that prunes a move pushing a word past the bound."""
+    if g.initial is None:
+        return []
+    syms = g.instance.symbols
+    variables = syms.variables
+    first, dst, labels, finals = g.first, g.dst, g.labels, g.finals
+    found: set[tuple[str, ...]] = set()
+    init = (g.initial, tuple(map(packing(syms)[0].__getitem__, variables)))
+    seen = {init}
+    stack = [init]
+    while stack:
+        sid, patterns = stack.pop()
+        if sid in finals:
+            found.add(patterns)
+        for e in range(first[sid], first[sid + 1]):
+            lab = labels[e]
+            nxt = patterns
+            if lab:
+                x, repl = lab[0], lab[1:]
+                nxt = tuple([w.replace(x, repl) for w in patterns])
+                if max(map(len, nxt)) > max_word_len:
+                    continue
+            key = (dst[e], nxt)
+            if key not in seen:
+                if len(seen) >= max_states:
+                    raise StateBudgetExceeded(len(seen) + 1, max_states, "(state, patterns) pairs")
+                seen.add(key)
+                stack.append(key)
+    if not found:
+        return []
+    bad = first_non_solution(g.instance, found)
+    if bad is not None:
+        raise _failed_guarantee(packed_solutions(syms, [bad])[0])
+    return packed_solutions(syms, found)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -557,6 +558,29 @@ class TestStateBudget:
         assert captured.err == (
             f"budget exceeded: exploration reached {budget + 1} (state, patterns) pairs, "
             f"budget is {budget}\n"
+        )
+
+
+    def test_enumeration_budget_stops_before_the_words(self, tmp_path, capsys):
+        """Within --max-len 40 each variable of X Y = X Y can take 2^41 - 2
+        words, so the enumeration must count what it makes as it goes and
+        stop at the budget, not make the words first."""
+        path = tmp_path / "same.weq"
+        path.write_text("constants a b\nvariables X Y\nequation X Y = X Y\nsemigroup builtin:trivial\n")
+        start = time.monotonic()
+        tracemalloc.start()
+        try:
+            code = main(["solve", str(path), "--max-len", "40", "--max-states", "10000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - start < 2.0
+        assert peak < 50 * 2**20
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "budget exceeded: exploration reached 10001 (state, patterns) pairs, budget is 10000\n"
         )
 
 

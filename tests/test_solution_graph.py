@@ -1,13 +1,16 @@
 import hashlib
+import random
 import re
+import time
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import families
 import weq
 from conftest import make_instance
-from graph_reference import abelian_refuted, assert_same_graph, reference_build
+from graph_reference import abelian_refuted, assert_same_graph, reference_build, reference_enumerate
 from scc_reference import comp_of
 from weq.equations import (
     ConstraintMorphism,
@@ -197,6 +200,34 @@ class TestEnumerate:
 
     def test_unsolvable_empty(self):
         assert enumerate_solutions(build(make_instance("Xa=bX")), max_word_len=4) == []
+
+    def test_matches_the_pair_search_past_the_oracle(self):
+        """At bounds 5 to 7, past the battery's bound 4, the enumeration
+        equals the search over (state, patterns) pairs that grew every word
+        one letter per pair, over the families' targets.  The instances keep
+        variables active at TRUE states: identical sides over one or two
+        variables, and X a = a X with Y absent from the equation.  Constants
+        get drawn images and each variable the image of a drawn word, so
+        that most instances have solutions."""
+        start = time.monotonic()
+        rng = random.Random(29)
+        specs = [("XY=XY", "XY"), ("XaY=XaY", "XY"), ("aXb=aXb", "X"), ("YbX=YbX", "XY"), ("Xa=aX", "XY")]
+        counts = []
+        for i, sg in enumerate(families.families()):
+            spec, variables = specs[i % len(specs)]
+            images = {a: rng.randrange(sg.order) for a in "ab"}
+            for v in variables:
+                word = [rng.choice("ab") for _ in range(rng.randint(1, 3))]
+                images[v] = sg.fold(images[c] for c in word)
+            ins = make_instance(spec, variables=variables, sg=sg,
+                                mapping={s: sg.names[e] for s, e in images.items()})
+            g = build(ins)
+            bound = 5 + i % 3
+            got = enumerate_solutions(g, bound)
+            assert got == reference_enumerate(g, bound), (spec, sg.label, images, bound)
+            counts.append(len(got))
+        assert sum(counts) == 85_536 and counts.count(0) == 2
+        assert time.monotonic() - start < 5.0
 
     def test_needs_some_bound(self):
         with pytest.raises(TypeError):
