@@ -32,19 +32,30 @@ VARIABLE_POOL = tuple("XYZUVW")
 
 
 def quadratic_equations(n_constants: int, max_vars: int, max_len: int):
-    """All equations (U, V) over the fixed token pools with nonempty sides,
-    |UV| <= max_len, and every variable occurring at most twice."""
+    """The first members of renaming classes (see `canonical_key`): equations
+    (U, V) over the token pools with nonempty sides, |UV| <= max_len and no
+    variable thrice, in `itertools.product` order over the pools, then by cut,
+    each with its symbol table (one per word) and number of constants.  A first
+    member's constants and variables first occur in pool order, so its prefixes
+    are first members too: each level extends the last one's words, in order."""
     sigma = CONSTANT_POOL[:n_constants]
     variables = VARIABLE_POOL[:max_vars]
-    alphabet = sigma + variables
-    for total in range(2, max_len + 1):
-        for word in itertools.product(alphabet, repeat=total):
-            if any(word.count(v) > 2 for v in variables):
-                continue
+    # (word, constants used, pool index of its last new variable)
+    level = [((), 0, -1)]
+    for total in range(1, max_len + 1):
+        longer = []
+        for word, n_occ, last in level:
+            longer += [(word + (c,), max(n_occ, i + 1), last) for i, c in enumerate(sigma[:n_occ + 1])]
+            longer += [(word + (v,), n_occ, last) for v in variables[:last + 1] if word.count(v) == 1]
+            longer += [(word + (v,), n_occ, i) for i, v in enumerate(variables) if i > last]
+        level = longer
+        for word, n_occ, _ in level:
+            syms = SymbolTable(sigma, tuple(v for v in variables if v in word))
             for cut in range(1, total):
-                yield WordEquation(word[:cut], word[cut:]), sigma, variables
+                yield WordEquation(word[:cut], word[cut:]), syms, n_occ
 
 
+# no caller in the library; kept because the tracer in perfbench/spans.py wraps it by name
 def canonical_key(eq: WordEquation, sigma, variables, image=None):
     """The first member in sweep order of the renaming class of `eq` with
     constraint map `image`, as (lhs, rhs, sorted image items).
@@ -81,9 +92,8 @@ def sweep_instances(
 ):
     """The first member of each renaming class (see `canonical_key`) in
     enumeration order: by |UV|, word, cut, then constraint images in product
-    order.  A member is first exactly when its equation is its own
-    relabelling and the images of the constants absent from it do not
-    decrease, so no renaming is searched and no set of classes is kept.
+    order.  The equations are made first members, and the images of the
+    constants absent from one do not decrease, so no renaming is searched.
 
     With a seed, the same instances in the order that
     `random.Random(seed).shuffle` gives their list.  Only the instances'
@@ -94,13 +104,8 @@ def sweep_instances(
     elements = sg.elements()
     tables: list[tuple[WordEquation, SymbolTable, list[tuple[int, ...]]]] = []
     image_lists: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-    for eq, sigma, variables in quadratic_equations(n_constants, max_vars, max_len):
-        if canonical_key(eq, sigma, variables)[:2] != (eq.lhs, eq.rhs):
-            continue
-        word = eq.lhs + eq.rhs
-        n_occ = len(set(sigma).intersection(word))
-        used = tuple(v for v in variables if v in word)
-        shape = (n_occ, len(sigma) - n_occ, len(used))
+    for eq, syms, n_occ in quadratic_equations(n_constants, max_vars, max_len):
+        shape = (n_occ, len(syms.constants) - n_occ, len(syms.variables))
         if shape not in image_lists:
             image_lists[shape] = [
                 occurring + absent + var_images
@@ -110,7 +115,7 @@ def sweep_instances(
                     itertools.product(elements, repeat=shape[2]),
                 )
             ]
-        tables.append((eq, SymbolTable(sigma, used), image_lists[shape]))
+        tables.append((eq, syms, image_lists[shape]))
     # starts[n] is the number of the first instance of equation n
     starts = list(itertools.accumulate((len(images) for _, _, images in tables), initial=0))
     numbers = range(starts[-1])

@@ -89,10 +89,11 @@ runs, inline, on the initial state, which ends the build like the tests
 above, and in the deleting branch, which drops the move.  Heads need no
 test: no move changes the sides of a state whose heads are two different
 constants, so it reaches no final state already.  The target of a dropped
-deletion is not interned, so it does not count against `max_states`.  On X a^k b = a^k b X, each deletion X -> a leaves sides
-ending in b and a, which without the test are cancelled one head at a time
-before they die, O(k^2) states in all; with it the build interns the
-2k + 3 states that it keeps (403 at k = 200, against 20,503).
+deletion is not interned, so it does not count against `max_states`.  On
+X a^k b = a^k b X, each deletion X -> a leaves sides ending in b and a,
+which without the test are cancelled one head at a time before they die,
+O(k^2) states in all; with it the build interns the 2k + 3 states that it
+keeps (403 at k = 200, against 20,503).
 
 `enumerate_solutions` searches pairs of a state and its patterns, the packed
 word each variable has become under the labels composed so far, and prunes a
@@ -153,8 +154,10 @@ class NotAccepting(EquationError):
 
 
 class StateBudgetExceeded(BudgetExceeded):
-    """`build` interned more states, or `enumerate_solutions` more (state,
-    patterns) pairs, than the budget allows."""
+    """`build` interned more states than the budget allows, or
+    `enumerate_solutions` held more (state, patterns) pairs, with the words
+    its TRUE walk made and the solution tuples the walk added, than it
+    allows."""
 
     def __init__(self, count: int, budget: int, counted: str = "states"):
         super().__init__(f"exploration reached {count} {counted}, budget is {budget}")

@@ -145,7 +145,7 @@ def test_tracer_names_resolve():
 
 
 # wrapped by the tracer, and called nowhere in the library
-TRACER_ONLY = {"periodicity.simple_cycles"}
+TRACER_ONLY = {"hunt.canonical_key", "periodicity.simple_cycles"}
 
 
 def test_tracer_only_names_are_listed():
