@@ -21,7 +21,6 @@ from .equations import (
     exp_word,
     format_instance,
     parse_instance,
-    periodicity_reduction,
     preimage_infinite,
     preimage_pump,
     singular_guesses,

@@ -490,28 +490,6 @@ def singular_guesses(ins: Instance) -> list[Instance]:
     return guesses
 
 
-def periodicity_reduction(ins: Instance, m: int, var: str | None = None) -> Instance:
-    """Augment the system with a power chain for one variable: X = Y X1 Z and
-    X_{i-1} = X_i X_i for 2 <= i <= m.  Construction only; the result is
-    unconstrained and generally not quadratic."""
-    if m < 1:
-        raise EquationError("the chain length must be at least 1")
-    syms = ins.symbols
-    if var is None:
-        if not syms.variables:
-            raise EquationError("no variable to expand")
-        var = syms.variables[0]
-    elif var not in syms.variable_set:
-        raise EquationError(f"unknown variable {var!r}")
-    fresh = fresh_variables(syms.all_symbols(), m + 2)
-    chain, y, z = fresh[:m], fresh[m], fresh[m + 1]
-    eqs = list(ins.equations)
-    eqs.append(WordEquation((var,), (y, chain[0], z)))
-    for i in range(1, m):
-        eqs.append(WordEquation((chain[i - 1],), (chain[i], chain[i])))
-    return unconstrained(eqs, syms.constants, syms.variables + tuple(fresh))
-
-
 def brandt_two_constant_guesses(ins: Instance) -> list[Instance]:
     """For constraints in the five-element Brandt semigroup with the two
     constants mapped to its generators and every variable mapped to zero,

@@ -5,8 +5,11 @@ prefix stabilizes its constraint image, or a variable with an infinite
 constraint language that is absent from the equation), scans the cyclic
 components for the first such state, and assembles reusable certificates
 that instantiate to solutions of arbitrarily large exponent of
-periodicity.  The component invariants of the paper's proof are not needed
-for this; the tests check them against a reference implementation.
+periodicity.  A certificate's paths are shortest ones: its prefix path leads
+from the initial state to the pumpable state, and its base solution
+composes a shortest accepting path from that state.  The component
+invariants of the paper's proof are not needed for this; the tests check
+them against a reference implementation.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .equations import (
     TheoremViolation,
     Word,
     apply_map,
+    packing,
     preimage_infinite,
     preimage_pump,
     verify_solution,
@@ -146,10 +150,12 @@ def pumpable_state(g: SolutionGraph) -> tuple[int, GraphState, str, Word] | None
 class PumpingCertificate:
     """Reusable witness that solutions of unbounded exponent exist.
 
-    `prefix_path` leads from the initial state to the pumpable state; `base`
-    solves that state's equation.  In the head-balanced case the variable is
-    re-solved as base(v)^(m*omega) base(X); in the free-variable case it is
-    re-solved as u y^m w from the constraint-language pump.
+    `prefix_labels` label a shortest path from the initial state to the
+    pumpable state; `base` solves that state's equation, composed along a
+    shortest accepting path from it (both breadth-first in edge order).  In
+    the head-balanced case the variable is re-solved as
+    base(v)^(m*omega) base(X); in the free-variable case it is re-solved as
+    u y^m w from the constraint-language pump.
     """
 
     state: int
@@ -162,10 +168,11 @@ class PumpingCertificate:
     pump: tuple[Word, Word, Word] | None = None
 
 
-def _shortest_path(g: SolutionGraph, src: int, dst: int) -> list[int]:
-    """The edges of a shortest run from src to dst, breadth-first in edge
-    order; each state reached records its (predecessor, edge in)."""
-    if src == dst:
+def _shortest_path(g: SolutionGraph, src: int, goal: set[int] | frozenset[int]) -> list[int]:
+    """The edges of a shortest run from src to a state of `goal`,
+    breadth-first in edge order; each state reached records its
+    (predecessor, edge in)."""
+    if src in goal:
         return []
     prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
     queue = deque([src])
@@ -175,36 +182,14 @@ def _shortest_path(g: SolutionGraph, src: int, dst: int) -> list[int]:
             target = g.dst[e]
             if target not in prev:
                 prev[target] = (at, e)
-                if target == dst:
+                if target in goal:
                     path = []
                     while target != src:
                         target, e = prev[target]
                         path.append(e)
                     return path[::-1]
                 queue.append(target)
-    raise EquationError(f"state {dst} unreachable from {src}")
-
-
-def _first_accepting_path(g: SolutionGraph, start: int) -> list[int]:
-    """First accepting path in depth-first order over the deterministic
-    transition order, kept as a stack of edge cursors, not recursion;
-    exists because the automaton is trim."""
-    if start in g.finals:
-        return []
-    visited = {start}
-    stack = [(-1, iter(g.edges(start)))]  # (edge into the state, cursor over its edges)
-    while stack:
-        for e in stack[-1][1]:
-            target = g.dst[e]
-            if target not in visited:
-                visited.add(target)
-                if target in g.finals:
-                    return [edge for edge, _ in stack[1:]] + [e]
-                stack.append((e, iter(g.edges(target))))
-                break
-        else:
-            stack.pop()
-    raise EquationError("trimmed state has no accepting continuation")  # pragma: no cover
+    raise EquationError(f"no goal state is reachable from state {src}")
 
 
 def _base_fault(ins: Instance, st: GraphState, sid: int, base: dict[str, Word]) -> str | None:
@@ -230,12 +215,22 @@ def _base_fault(ins: Instance, st: GraphState, sid: int, base: dict[str, Word]) 
 
 
 def _solve_state(g: SolutionGraph, st: GraphState, sid: int, path: list[int]) -> dict[str, Word]:
-    """Base solution of a state's own equation from an accepting path."""
-    patterns = compose((v for v, _ in st.mu_items), map(g.label, path))
-    fault = _base_fault(g.instance, st, sid, patterns)
+    """Base solution of a state's own equation from an accepting path: the
+    path's packed labels are composed with `str.replace`, first label first,
+    and each word is decoded once at the end."""
+    char_of, token_of = packing(g.instance.symbols)
+    variables = [v for v, _ in st.mu_items]
+    words = [char_of[v] for v in variables]
+    for e in path:
+        lab = g.labels[e]
+        if lab:
+            x, repl = lab[0], lab[1:]
+            words = [w.replace(x, repl) for w in words]
+    base = {v: tuple(map(token_of.__getitem__, w)) for v, w in zip(variables, words)}
+    fault = _base_fault(g.instance, st, sid, base)
     if fault is not None:
         raise TheoremViolation(f"accepting path from state {sid} {fault}")
-    return patterns
+    return base
 
 
 def _certificate(
@@ -257,15 +252,16 @@ def _certificate(
 def pumping_certificate(ins: Instance, graph: SolutionGraph | None = None) -> PumpingCertificate | None:
     """None when the trimmed automaton is acyclic (finitely many solutions);
     otherwise a certificate at the first pumpable state of the cyclic
-    components, scanned in topological order and by state id.  Under
-    supported constraints the first cyclic component always yields one."""
+    components, scanned in topological order and by state id, with its base
+    from a shortest accepting path.  Under supported constraints the first
+    cyclic component always yields one."""
     g = graph if graph is not None else build(ins)
     hit = pumpable_state(g)
     if hit is None:
         return None
     sid, st, var, v = hit
-    labels = tuple(map(g.label, _shortest_path(g, g.initial, sid)))
-    base = _solve_state(g, st, sid, _first_accepting_path(g, sid))
+    labels = tuple(map(g.label, _shortest_path(g, g.initial, {sid})))
+    base = _solve_state(g, st, sid, _shortest_path(g, sid, g.finals))
     return _certificate(ins, st, sid, var, labels, base, v)
 
 

@@ -7,7 +7,10 @@ compare `weq.solution_graph.build` against it, graph for graph.
 `reference_enumerate` is `enumerate_solutions` as it was before it assigned
 the words of a TRUE state's variables from per-state tables: one search
 over (state, patterns) pairs that grows each word one letter per pair.  The
-tests compare the two solution lists past the oracle's range."""
+tests compare the two solution lists past the oracle's range.
+
+`accepting_distances` gives the length of a shortest accepting run from each
+state, against which the certificate's base path is checked."""
 
 from __future__ import annotations
 
@@ -237,6 +240,24 @@ def reference_tarjan(g):
         if comp_of[t.source] == comp_of[t.target]:
             has_tr[comp_of[t.source]] = True
     return SccData(tuple(comps), tuple(has_tr))
+
+
+def accepting_distances(g):
+    """The fewest edges from each state of `g` to a final state, by one
+    breadth-first search backwards from all the final states at once."""
+    into = [[] for _ in range(g.state_count)]
+    for s in range(g.state_count):
+        for e in g.edges(s):
+            into[g.dst[e]].append(s)
+    dist = dict.fromkeys(g.finals, 0)
+    queue = deque(g.finals)
+    while queue:
+        t = queue.popleft()
+        for s in into[t]:
+            if s not in dist:
+                dist[s] = dist[t] + 1
+                queue.append(s)
+    return dist
 
 
 def assert_same_graph(g, ref):

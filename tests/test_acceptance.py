@@ -12,7 +12,9 @@ import pytest
 
 import families
 from conftest import battery_instances, class_of, make_instance, zoo
+from graph_reference import accepting_distances
 from scc_reference import comp_of, leq_R, scc_invariants, state_images
+from weq import periodicity
 from weq.equations import (
     ConstraintMorphism,
     Instance,
@@ -31,6 +33,7 @@ from weq.periodicity import (
     decide_exp_infinite_dlg,
     find_nicely_balanced_on_cycle,
     instantiate,
+    load_certificate,
     pumping_certificate,
     simple_cycles,
 )
@@ -38,6 +41,7 @@ from weq.semigroup import builtin, green, is_dlg, omega, opposite, stab_L, varie
 from weq.solution_graph import (
     SolutionGraph,
     build,
+    compose,
     enumerate_solutions,
     has_infinitely_many,
     is_solvable,
@@ -97,9 +101,10 @@ def test_criterion_2_pumping_certificate():
             assert verify_solution(ins, sol)
             assert sol.exponent >= m
         sigma1 = sols[1]
-        assert sigma1 == Solution.from_dict({"X": tuple("abaaba"), "Y": ("a",)})
-        # direct substitution: abaaba.ab.a == a.ba.abaaba
+        assert sigma1 == Solution.from_dict({"X": tuple("bbabb"), "Y": ("b",)})
+        # direct substitution: bbabb.ab.b == b.ba.bbabb
         assert sigma1.apply(ins.equation.lhs) == sigma1.apply(ins.equation.rhs)
+        assert sigma1 in brute_solutions(ins, 5).solutions
 
 
 @pytest.fixture(scope="session")
@@ -220,21 +225,40 @@ def test_finite_family_solution_sets_are_complete():
 
 def test_battery_certificates_unchanged(battery_results):
     """Every certificate of the battery, its JSON and its instantiations at
-    m = 0..2 hash as they did before exploration packed words (the state a
-    certificate pumps follows from the SCC order and the state numbering)."""
+    m = 0..2 hash as pinned when the base came from a shortest accepting path
+    (the state a certificate pumps follows from the SCC order and the state
+    numbering).  Each certificate also loads back from its JSON, and each
+    instantiation solves the instance by direct substitution.  Its base path
+    is an accepting run as long as a reference search backwards from the
+    final states finds, and the base is what the token-tuple `compose` makes
+    of that path's labels."""
     h = hashlib.sha256()
     certified = 0
     for ins in battery_results["cyclic"]:
-        cert = pumping_certificate(ins)
+        g = build(ins)
+        cert = pumping_certificate(ins, graph=g)
         if cert is None:
             continue
         certified += 1
+        path = periodicity._shortest_path(g, cert.state, g.finals)
+        assert len(path) == accepting_distances(g)[cert.state]
+        at = cert.state
+        for e in path:
+            assert e in g.edges(at)
+            at = g.dst[e]
+        assert at in g.finals
+        variables = [v for v, _ in g.state(cert.state).mu_items]
+        assert dict(cert.base) == compose(variables, map(g.label, path))
+        data = certificate_to_json(cert)
+        assert load_certificate(ins, json.loads(json.dumps(data)), graph=g) == cert
         h.update(repr(cert).encode())
-        h.update(json.dumps(certificate_to_json(cert), sort_keys=True).encode())
+        h.update(json.dumps(data, sort_keys=True).encode())
         for m in range(3):
-            h.update(repr(instantiate(cert, ins, m)).encode())
+            sol = instantiate(cert, ins, m)  # checks verify_solution and exp >= m
+            assert sol.apply(ins.equation.lhs) == sol.apply(ins.equation.rhs)
+            h.update(repr(sol).encode())
     assert certified == 7914
-    assert h.hexdigest() == "f2747f6c7b7827a8ae83ad893d390220eb6cda30a1ea3682d92e7921f495cfd1"
+    assert h.hexdigest() == "19f94411541073ea81f290348e6bb83498027a11ad88fbbb7bcdb981c1c25a15"
 
 
 def _join_of_l_and_r(gr, n):

@@ -15,7 +15,8 @@ import pytest
 from weq import hunt, periodicity, solution_graph
 from weq.cli import main
 from weq.equations import format_instance, parse_instance
-from weq.semigroup import BUILTIN_NAMES, builtin, variety_report
+from weq.oracle import brute_solutions
+from weq.semigroup import BUILTIN_NAMES, builtin, format_semigroup, variety_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -216,7 +217,7 @@ class TestPump:
         assert main(["pump", files["xabby.weq"], "--m", "3"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("m=")]
         assert len(lines) == 4
-        assert "X=abaaba" in lines[1]
+        assert lines[1] == "m=1: X=bbabb, Y=b  (exp 2)"
 
     def test_exit_4_outside_variety(self, files, capsys, monkeypatch):
         # only a miss of the pumpable-state scan, possible outside the
@@ -267,7 +268,7 @@ class TestPump:
         monkeypatch.setattr(periodicity, "verify_solution", fail_third)
         assert main(["pump", files["xabby.weq"], "--m", "5"]) == 4
         captured = capsys.readouterr()
-        assert captured.out == "m=0: X=aba, Y=a  (exp 1)\nm=1: X=abaaba, Y=a  (exp 2)\n"
+        assert captured.out == "m=0: X=bb, Y=b  (exp 2)\nm=1: X=bbabb, Y=b  (exp 2)\n"
         assert captured.err.startswith("internal guarantee failed: pumped solution")
         assert format_instance(parse_instance(XABBY)) in captured.err
 
@@ -296,7 +297,7 @@ class TestPump:
                     code = main(["pump", files[name], "--m", m, *flags])
                     h.update(f"{name} {m} {flags} exit {code}\n".encode())
                     h.update(capsys.readouterr().out.encode())
-        assert h.hexdigest() == "333d04d5aedd044c5b5c56680d5bf84df12267e2ccde8b420daa5d87c10d6a44"
+        assert h.hexdigest() == "447ff64f0e26a5c4a5d41573811ccf406318e4d64f3fec819a05464cf62c5a08"
 
     def test_pumps_what_check_certifies_outside_variety(self, files, capsys):
         # lz2 is not DLG; the scan still finds a pumpable state
@@ -336,7 +337,7 @@ class TestPump:
         capsys.readouterr()
         assert main(["pump", files["xabby.weq"], "--m", "2", "--cert-in", str(cert)]) == 0
         out = capsys.readouterr().out
-        assert "X=abaabaaba" in out
+        assert out.splitlines()[2] == "m=2: X=bbabbabb, Y=b  (exp 2)"
 
     def test_rejects_tampered_certificate(self, files, tmp_path, capsys):
         cert = tmp_path / "cert.json"
@@ -623,6 +624,41 @@ class TestOracleBudget:
                               env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "(empty assignment)\n1 solution(s) up to length 12; max exp 0\n"
+
+
+class TestShortBase:
+    def test_z11_base_is_the_least_solution(self, tmp_path):
+        """`Y X a = X a Y` into Z11 (a -> 5, b -> 0, X -> 3, Y -> 1).  The
+        first accepting path that a depth-first search meets from the
+        pumpable state has 126 edges, and its base words have about 10^6 and
+        10^7 tokens, so `check --crosscheck 8` ran out of 2.5 GB.  A shortest
+        path has 6 edges and composes to the oracle's least solution.  At a
+        state with an empty prefix path, the base solves the instance."""
+        import resource
+
+        import families
+
+        (tmp_path / "z11.sg").write_text(format_semigroup(families.cyclic_group(11)))
+        path = tmp_path / "z11.weq"
+        path.write_text("constants a b\nvariables X Y\nequation Y X a = X a Y\nsemigroup file:z11.sg\n"
+                        "map a -> 5\nmap b -> 0\nmap X -> 3\nmap Y -> 1\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+        def limit():  # runs in the child only: 2.5 GB of address space
+            resource.setrlimit(resource.RLIMIT_AS, (2560 << 20, 2560 << 20))
+
+        proc = subprocess.run([sys.executable, "-m", "weq", "check", str(path), "--crosscheck", "8", "--json"],
+                              env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["oracle_crosscheck"]["agree"] is True
+        cert = report["certificate"]
+        assert cert["prefix_path"] == []  # the pumpable state is the initial one
+        assert cert["base"] == {"X": ["a"] * 8, "Y": ["a"] * 4}
+        # the one solution with words of length at most 8, and so the least
+        oracle = brute_solutions(parse_instance(path.read_text(), base_dir=str(tmp_path)), 8)
+        assert [sol.assignment for sol in oracle.solutions] == [(("X", ("a",) * 8), ("Y", ("a",) * 4))]
 
 
 class TestOneAutomaton:

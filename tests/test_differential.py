@@ -6,8 +6,11 @@ are infinitely many solutions.  A second property compares `build` with
 the reference exploration on constant blocks of 20 to 40 letters and on
 two-equation systems encoded by `system_to_single`.  A third feeds packed
 assignments, real solutions and each kind of fault, to the enumeration's
-packed check and to `verify_solution`, over the zoo's targets.  A last
+packed check and to `verify_solution`, over the zoo's targets.  Another
 test checks the packed checks on equations whose two sides are the same.
+A last one decides instances outside the supported variety twice: directly,
+and through the library's Brandt and singular guesses, which reduce them to
+unconstrained instances.
 
 Instances are quadratic, with at most three variables (a declared variable
 may be absent from the equation), at most three constants (two with three
@@ -20,6 +23,7 @@ takes the text round trip: a target that is not a builtin is written to a
 
 import itertools
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -29,15 +33,18 @@ from hypothesis import strategies as st
 import oracle_reference
 from conftest import make_instance, zoo
 from graph_reference import assert_same_graph, reference_build
+from weq import hunt
 from weq.equations import (
     ConstraintMorphism,
     Instance,
     Solution,
     SymbolTable,
     WordEquation,
+    brandt_two_constant_guesses,
     format_instance,
     packing,
     parse_instance,
+    singular_guesses,
     system_to_single,
     verify_solution,
 )
@@ -46,7 +53,7 @@ from weq.periodicity import certificate_to_json, instantiate, load_certificate, 
 from weq.semigroup import (
     adjoin_identity, adjoin_zero, builtin, direct_product, format_semigroup, is_dlg, resolve_semigroup,
 )
-from weq.solution_graph import build, enumerate_solutions, first_non_solution, has_infinitely_many
+from weq.solution_graph import build, enumerate_solutions, first_non_solution, has_infinitely_many, is_solvable
 
 CONSTANTS = ("a", "#", ",", "->", "bc")
 VARIABLES = ("X", "Yy", "Z_2")
@@ -281,3 +288,71 @@ def test_identical_sides_keep_every_other_check(ins):
         assert brute_solutions(ins, bound).solutions == want
         assert g is None or enumerate_solutions(g, bound) == list(want)
     assert want
+
+
+def solution_class(g):
+    if not is_solvable(g):
+        return "unsatisfiable"
+    return "infinite" if has_infinitely_many(g) else "finite"
+
+
+def guessed(ins):
+    """The class that the Brandt guesses of `ins`, each split by its
+    singular guesses, give together (satisfiable if one is, infinite if one
+    is), and the union of their complete solution sets when none is
+    infinite, lifted through X = X1 c c X2 with the erased halves empty."""
+    classes, lifted = set(), set()
+    for brandt in brandt_two_constant_guesses(ins):
+        lhs, rhs = brandt.equation.lhs, brandt.equation.rhs
+        halves = brandt.symbols.variables
+        parts = []  # (variable, X1, c, X2) of each variable of the instance
+        for v, x1, x2 in zip(ins.symbols.variables, halves[::2], halves[1::2]):
+            side = lhs if x1 in lhs else rhs
+            parts.append((v, x1, side[side.index(x1) + 1], x2))
+        for guess in singular_guesses(brandt):
+            g = build(guess)
+            clazz = solution_class(g)
+            if clazz == "infinite":
+                return clazz, None
+            classes.add(clazz)
+            for sol in enumerate_solutions(g, sys.maxsize):
+                w = sol.as_dict
+                lifted.add(Solution.from_dict({
+                    v: w.get(x1, ()) + (c, c) + w.get(x2, ()) for v, x1, c, x2 in parts
+                }))
+    return ("finite" if "finite" in classes else "unsatisfiable"), lifted
+
+
+def test_brandt_and_singular_guesses_decide_like_the_automaton():
+    """Under b2, with the two constants on its generators and every variable
+    on its zero, each variable holds a squared letter.  The Brandt guesses
+    then give unconstrained instances, and the singular guesses erase the
+    halves that are empty.  Over every canonical equation of two constants
+    and two variables with |UV| <= 5 that uses both constants, with a -> a,
+    b -> b and with the swap, the guesses' class equals the class of the
+    direct automaton.  Where it is finite, their lifted complete solution
+    sets also make up the instance's complete set: the class alone misses an
+    enumeration that drops long solutions."""
+    b2 = builtin("b2")
+    a, b, zero = map(b2.index_of, ("a", "b", "0"))
+    tally = {}
+    class_mismatches, set_mismatches = [], []
+    for eq, syms, n_constants in hunt.quadratic_equations(2, 2, 5):
+        if n_constants < 2:
+            continue
+        for images in ((a, b), (b, a)):
+            mapping = dict(zip(syms.constants, images), **dict.fromkeys(syms.variables, zero))
+            ins = Instance((eq,), ConstraintMorphism.from_dict(syms, b2, mapping))
+            g = build(ins)
+            direct = solution_class(g)
+            tally[direct] = tally.get(direct, 0) + 1
+            clazz, lifted = guessed(ins)
+            if clazz != direct:
+                class_mismatches.append(format_instance(ins))
+            elif direct == "finite" and set(enumerate_solutions(g, sys.maxsize)) != lifted:
+                set_mismatches.append(format_instance(ins))
+    assert not class_mismatches + set_mismatches, (
+        f"{len(class_mismatches)} class and {len(set_mismatches)} set mismatches, first:\n"
+        + (class_mismatches + set_mismatches)[0]
+    )
+    assert tally == {"unsatisfiable": 1734, "finite": 82, "infinite": 156}

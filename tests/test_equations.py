@@ -17,7 +17,6 @@ from weq.equations import (
     exp_word,
     format_instance,
     parse_instance,
-    periodicity_reduction,
     preimage_infinite,
     preimage_pump,
     singular_guesses,
@@ -313,35 +312,6 @@ class TestSingularGuesses:
                 full.update({v: "" for v in erased})
                 covered.add((full["X"], full["Y"]))
         assert covered == monoid
-
-
-class TestPeriodicityReduction:
-    def test_m1(self):
-        ins = make_instance("Xa=aX")
-        out = periodicity_reduction(ins, 1)
-        assert len(out.equations) == 2
-        extra = out.equations[-1]
-        assert extra.lhs == ("X",) and len(extra.rhs) == 3
-
-    def test_m2_chain(self):
-        ins = make_instance("Xa=aX")
-        out = periodicity_reduction(ins, 2)
-        assert len(out.equations) == 3
-        x1 = out.equations[1].rhs[1]
-        last = out.equations[2]
-        assert last.lhs == (x1,)
-        assert last.rhs == (last.rhs[0],) * 2
-
-    def test_variable_count_grows_by_m_plus_2(self):
-        ins = make_instance("XabY=YbaX")
-        for m in (1, 2, 3):
-            out = periodicity_reduction(ins, m)
-            assert len(out.symbols.variables) == len(ins.symbols.variables) + m + 2
-
-    def test_fresh_names_reserved(self):
-        out = periodicity_reduction(make_instance("Xa=aX"), 2)
-        fresh = set(out.symbols.variables) - {"X"}
-        assert all(v.startswith("$") for v in fresh)
 
 
 class TestBrandtGuesses:

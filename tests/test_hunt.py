@@ -163,6 +163,24 @@ class TestSweepEnumeration:
         )
         assert count_two_constants == 2
 
+    def test_unseeded_sweep_streams(self, monkeypatch):
+        """Without a seed, the first instance is yielded before a second
+        equation is generated, so the work before it does not grow with
+        max_len (there are 34,482,100 b2 instances at |UV| <= 8 alone)."""
+        generate = hunt.quadratic_equations
+        yielded = []
+
+        def counted(*args):
+            for n, item in enumerate(generate(*args), 1):
+                assert n == 1 or yielded, f"equation {n} generated before the first instance"
+                yield item
+
+        monkeypatch.setattr(hunt, "quadratic_equations", counted)
+        sweep = hunt.sweep_instances(builtin("b2"), 2, 2, 12)
+        yielded.append(next(sweep))
+        first = next(iter(hunt.sweep_instances(builtin("b2"), 2, 2, 2)))
+        assert format_instance(yielded[0]) == format_instance(first)
+
 
 class TestClassify:
     def test_unsat(self):

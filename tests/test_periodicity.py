@@ -7,6 +7,7 @@ from conftest import battery_instances, make_instance, quadratic_equation_batter
 from scc_reference import comp_of, leq_J, scc_invariants
 from weq import periodicity
 from weq.equations import EquationError, Solution, parse_instance, verify_solution
+from weq.oracle import brute_solutions
 from weq.periodicity import (
     NotDLG,
     TheoremViolation,
@@ -156,16 +157,20 @@ class TestCertificates:
         cert = pumping_certificate(ins)
         assert cert.case == "head_balanced"
         assert cert.v == tuple("Yba")
-        assert dict(cert.base) == {"X": tuple("aba"), "Y": ("a",)}
+        # the base composes a shortest accepting path: bb ab b == b ba bb
+        assert dict(cert.base) == {"X": ("b", "b"), "Y": ("b",)}
         sol1 = instantiate(cert, ins, 1)
-        assert sol1 == Solution.from_dict({"X": tuple("abaaba"), "Y": ("a",)})
-        # direct substitution: abaaba ab a == a ba abaaba
+        assert sol1 == Solution.from_dict({"X": tuple("bbabb"), "Y": ("b",)})
+        # direct substitution: bbabb ab b == b ba bbabb
         assert sol1.apply(ins.equation.lhs) == sol1.apply(ins.equation.rhs)
+        assert sol1 in brute_solutions(ins, 5).solutions
 
     def test_running_example_at_m_400(self):
         ins = make_instance("XabY=YbaX")
         sol = instantiate(pumping_certificate(ins), ins, 400)
-        assert len(sol.as_dict["X"]) == 1203
+        # bb (abb)^400: the base X = bb pumped 400 times by base(Yba) = bba
+        assert sol.as_dict["X"] == ("b", "b") + ("a", "b", "b") * 400
+        assert len(sol.as_dict["X"]) == 1202
         assert sol.exponent >= 400
 
     def test_empty_pumped_word_is_an_error(self):
@@ -433,8 +438,8 @@ class TestCertificateJson:
         ins = make_instance("XabY=YbaX")
         g = build(ins)
         data = certificate_to_json(pumping_certificate(ins, graph=g))
-        data["base"]["X"] = ["b", "b"]
-        with pytest.raises(EquationError):
+        data["base"]["X"] = ["b", "a", "b"]  # bab ab b != b ba bab
+        with pytest.raises(EquationError, match="does not solve state"):
             load_certificate(ins, data, graph=g)
 
     def test_tampered_state_rejected(self):
