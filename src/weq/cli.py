@@ -238,7 +238,7 @@ def cmd_graph(args) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.writelines(dot_lines(g))
-    else:
+    elif not args.json:  # --json prints one document, the summary
         sys.stdout.writelines(dot_lines(g))
     if args.json:
         print(json.dumps(g.summary(), indent=2, sort_keys=True))
@@ -345,8 +345,9 @@ def make_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-states", type=_int_in(1), default=DEFAULT_MAX_STATES, metavar="N",
                             help="give up once the automaton has more than N states, dead ones "
                                  "included, or the enumeration of solve and --crosscheck more than "
-                                 "N (state, patterns) pairs (default %(default)s: at most about "
-                                 "0.6 GB RSS for the automaton, 0.5 GB for the enumeration)")
+                                 "N (state, patterns) pairs, solutions and words (default "
+                                 "%(default)s: at most about 0.6 GB RSS for the automaton, 0.4 GB "
+                                 "for the enumeration)")
         if crosscheck:
             sp.add_argument("--crosscheck", type=_int_in(1), default=None, metavar="L",
                             help="also compare against the brute-force oracle up to length L")
@@ -373,7 +374,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("graph", help="export the solution automaton as DOT")
     common(sp)
-    sp.add_argument("--dot", metavar="FILE", help="output file (default: stdout)")
+    sp.add_argument("--dot", metavar="FILE",
+                    help="output file (default: stdout, or none with --json, which prints the summary)")
     sp.set_defaults(func=cmd_graph)
 
     sp = sub.add_parser("oracle", help="brute-force solution enumeration")

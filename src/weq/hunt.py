@@ -87,18 +87,6 @@ def canonical_key(eq: WordEquation, sigma, variables, image=None):
     )
 
 
-def _images(elements, shape: tuple[int, int, int]):
-    """The constraint images of an equation whose symbol table has the
-    `shape` (occurring constants, absent constants, variables), in product
-    order; the absent constants' images do not decrease."""
-    occurring, absent, n_vars = shape
-    return (o + a + v for o, a, v in itertools.product(
-        itertools.product(elements, repeat=occurring),
-        itertools.combinations_with_replacement(elements, absent),
-        itertools.product(elements, repeat=n_vars),
-    ))
-
-
 def sweep_instances(
     sg: FiniteSemigroup, n_constants: int, max_vars: int, max_len: int, seed: int | None = None,
 ):
@@ -112,27 +100,28 @@ def sweep_instances(
     numbers in enumeration order are listed, as machine integers in an
     array, and shuffled, and each instance is built when it is yielded; a
     shuffle depends only on the length of its list, so the order is the
-    same.  Without a seed the sweep streams: an equation is generated only
-    after every instance of the one before it has been yielded.  `run_hunt`,
-    and so `weq hunt`, always passes a seed."""
+    same."""
     elements = sg.elements()
-    if seed is None:
-        for eq, syms, n_occ in quadratic_equations(n_constants, max_vars, max_len):
-            for images in _images(elements, (n_occ, len(syms.constants) - n_occ, len(syms.variables))):
-                mapping = dict(zip(syms.all_symbols(), images))
-                yield Instance((eq,), ConstraintMorphism.from_dict(syms, sg, mapping))
-        return
     tables: list[tuple[WordEquation, SymbolTable, list[tuple[int, ...]]]] = []
     image_lists: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
     for eq, syms, n_occ in quadratic_equations(n_constants, max_vars, max_len):
         shape = (n_occ, len(syms.constants) - n_occ, len(syms.variables))
         if shape not in image_lists:
-            image_lists[shape] = list(_images(elements, shape))
+            image_lists[shape] = [
+                occurring + absent + var_images
+                for occurring, absent, var_images in itertools.product(
+                    itertools.product(elements, repeat=shape[0]),
+                    itertools.combinations_with_replacement(elements, shape[1]),
+                    itertools.product(elements, repeat=shape[2]),
+                )
+            ]
         tables.append((eq, syms, image_lists[shape]))
     # starts[n] is the number of the first instance of equation n
     starts = list(itertools.accumulate((len(images) for _, _, images in tables), initial=0))
-    numbers = array("l", range(starts[-1]))
-    random.Random(seed).shuffle(numbers)
+    numbers = range(starts[-1])
+    if seed is not None:
+        numbers = array("l", numbers)
+        random.Random(seed).shuffle(numbers)
     for k in numbers:
         n = bisect.bisect_right(starts, k) - 1
         eq, syms, image_list = tables[n]

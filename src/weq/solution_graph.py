@@ -98,42 +98,41 @@ keeps (403 at k = 200, against 20,503).
 `enumerate_solutions` searches pairs of a state and its patterns, the packed
 word each variable has become under the labels composed so far, and prunes a
 move that pushes a word past the bound B; a substitution never shortens a
-word, so no solution within B is lost.  A pair that reaches a TRUE state
-with active variables leaves the search for a walk that assigns them one at
-a time.  There `build` fires only the first active variable x, so the words
-x takes before its deletion, each with the TRUE state the deletion reaches,
-depend on the state alone.  They are made once per length for every TRUE
-state the walk reaches, from the automaton's own moves: the words of length
-1 are the deletions x -> a, those of length n + 1 put a before each word of
-length n at the target of a keeping move x -> a x.  Each word is substituted
-into the patterns, which go on at the state reached.  A word of length n
-makes a pattern p with c > 0 occurrences of x len(p) + c(n - 1) long, so x's
-words are capped at the least (B - len(p) + c) // c, which prunes what the
-pair search would.  The search ends with no bound on the path length: a move
-that lengthens no word either deletes an active variable or is silent and
-shortens the state by two tokens, neither count ever grows, and every active
-variable occurs in its own pattern, so a keeping move x -> alpha x lengthens
-a word.  A path within B thus has at most B*k + n0/2 moves, for k variables
-and n0 tokens in the equation.  The walk deletes a variable with each word
-it substitutes, and it makes words one length at a time up to the largest
-cap it meets, stopping at the first length at which no TRUE state it reaches
-has a word, as no longer word exists then; so on an acyclic automaton it
-ends for any B.  The number of pairs, words and tuples can still grow
-exponentially in B (X Y = Y X doubles it with each step of B), so the pairs
-the search interns, the words the walk makes and the tuples it adds count
-together against the same `max_states` budget as the states of `build`.  The
-walk drops a tuple it has made before, through the search's pairs or the
-solutions found.  The patterns met at final states are checked against the
-automaton's guarantee while still packed (`first_non_solution`: nonempty
-constant words, each word folding to its variable's image, each distinct
-word folded once, and equal sides under one `str.translate` table; an
-equation whose packed sides are the same string is not compared, and with
-none left no table is made), then decoded and sorted by
-`equations.packed_solutions`, the step the oracle ends with too.  There each
-distinct word is decoded once and gets one order term, its length and the
-word under a table from each packed character to its token's rank in name
-order, made once per symbol table; a solution's key is the tuple of its
-words' places in that order.
+word, so no solution within B is lost.  It follows every move of the
+automaton but those of a variable that occurs in neither side: such a
+variable occurs in no later state, its moves only grow its own word, and no
+refutation test of `build` reads its image, so the other moves reach the
+same TRUE states with it still active.  At a TRUE state `build` fires only
+the first active variable x; the search gives x each nonempty constant word
+of its image in one move, to the TRUE state without x.  The words are made
+once per length, when first needed, for the images of the TRUE states closed
+under left quotients by the constants' images (`_left_quotients`, from which
+`build` makes these moves): those of length 1 and image m are the constants
+of image m, and those of length n + 1 put each constant a before the words
+of length n of each image t with mu(a) t = m.  A word of length n makes a
+pattern p with c > 0 occurrences of x len(p) + c(n - 1) long, so x's words
+are capped at the least (B - len(p) + c) // c.  The search ends with no
+bound on the path length: a move that lengthens no word either deletes an
+active variable or is silent and shortens the state by two tokens, neither
+count ever grows, and every active variable occurs in its own pattern, so a
+keeping move x -> alpha x lengthens a word.  A path within B thus has at
+most B*k + n0/2 moves, for k variables and n0 tokens in the equation.  Words
+are made up to the largest cap met, stopping at the first length that has
+none, as no longer word exists then; so on an acyclic automaton the search
+ends for any B.  The number of pairs and words can still grow exponentially
+in B (X Y = Y X doubles it with each step of B), so the pairs the search
+interns, the solution tuples it finds and the words it makes count together
+against the same `max_states` budget as the states of `build`.  The patterns
+met at final states are checked against the automaton's guarantee while
+still packed (`first_non_solution`: nonempty constant words, each word
+folding to its variable's image, each distinct word folded once, and equal
+sides under one `str.translate` table; an equation whose packed sides are
+the same string is not compared, and with none left no table is made), then
+decoded and sorted by `equations.packed_solutions`, the step the oracle ends
+with too.  There each distinct word is decoded once and gets one order term,
+its length and the word under a table from each packed character to its
+token's rank in name order, made once per symbol table; a solution's key is
+the tuple of its words' places in that order.
 """
 
 from __future__ import annotations
@@ -155,9 +154,8 @@ class NotAccepting(EquationError):
 
 class StateBudgetExceeded(BudgetExceeded):
     """`build` interned more states than the budget allows, or
-    `enumerate_solutions` held more (state, patterns) pairs, with the words
-    its TRUE walk made and the solution tuples the walk added, than it
-    allows."""
+    `enumerate_solutions` held more (state, patterns) pairs, solution
+    tuples and words made at TRUE states than it allows."""
 
     def __init__(self, count: int, budget: int, counted: str = "states"):
         super().__init__(f"exploration reached {count} {counted}, budget is {budget}")
@@ -394,7 +392,7 @@ def build(ins: Instance, max_states: int = DEFAULT_MAX_STATES) -> SolutionGraph:
         vals = const_imgs + images
         for this, other, swapped in ((lhs, rhs, False), (rhs, lhs, True)):
             x = this[0]
-            k = ord(x) - var_base
+            k = ord(x) - PACK_BASE - len(syms.constants)
             if k < 0:  # a constant head
                 continue
             alpha = other[0]
@@ -616,104 +614,81 @@ def enumerate_solutions(
     g: SolutionGraph, max_word_len: int, max_states: int = DEFAULT_MAX_STATES
 ) -> list[Solution]:
     """Every solution whose words all have length <= max_word_len, in the
-    oracle's order; the module docstring says why the search ends.  The
-    patterns stay packed, one `str` per variable, until the solutions found
-    are checked and decoded at the end.  Raises StateBudgetExceeded once
-    more than `max_states` (state, patterns) pairs, words and solution
-    tuples are held, and TheoremViolation if an accepting path composes to a
-    non-solution."""
+    oracle's order, by the search the module docstring describes.  The
+    patterns stay packed until the solutions found are checked and decoded.
+    Raises StateBudgetExceeded once the pairs, the solution tuples and the
+    words made number more than `max_states`, and TheoremViolation if an
+    accepting path composes to a non-solution."""
     if g.initial is None:
         return []
     syms = g.instance.symbols
-    variables = syms.variables
     keys, first, dst, labels, finals = g.keys, g.first, g.dst, g.labels, g.finals
-    found: set[tuple[str, ...]] = set()
-    init = (g.initial, tuple(map(packing(syms)[0].__getitem__, variables)))
-    seen = {init}
-    stack = [init]
-    entered = []  # the pairs at TRUE states with active variables
+    char_of = packing(syms)[0]
+    found: set[tuple[str, ...]] = set()  # the patterns at final states, which go nowhere else
+    # a final initial state is a = a with no variables, whose silent move adds ()
+    stack = [(g.initial, tuple(map(char_of.__getitem__, syms.variables)))]
+    seen = set(stack)
+    words: list[dict[int, list[str]]] = []  # words[n - 1][m]: the constant words of length n and image m
+    made = 0  # the words
     while stack:
         sid, patterns = stack.pop()
-        if sid in finals:
-            found.add(patterns)
-        elif not keys[sid][0]:  # TRUE: the walk assigns its active variables
-            entered.append((sid, patterns))
-            continue
-        for e in range(first[sid], first[sid + 1]):
-            lab = labels[e]
-            nxt = patterns
-            if lab:
-                x, repl = lab[0], lab[1:]
-                nxt = tuple([w.replace(x, repl) for w in patterns])
-                if max(map(len, nxt)) > max_word_len:
-                    continue
-            key = (dst[e], nxt)
-            if key not in seen:
-                if len(seen) >= max_states:
-                    raise StateBudgetExceeded(len(seen) + 1, max_states, "(state, patterns) pairs")
+        lhs, rhs, images = keys[sid]
+        if lhs:
+            succ = []
+            for e in range(first[sid], first[sid + 1]):
+                lab = labels[e]
+                nxt = patterns
+                if lab:
+                    x, repl = lab[0], lab[1:]
+                    if x != lhs[0] and x != rhs[0]:
+                        continue  # x occurs in neither side: it takes its word at a TRUE state
+                    nxt = tuple([w.replace(x, repl) for w in patterns])
+                    if max(map(len, nxt)) > max_word_len:
+                        continue
+                succ.append((dst[e], nxt))
+        else:  # TRUE: its first active variable x takes each word of its image in one move
+            x = labels[first[sid]][0]
+            k = ord(x) - PACK_BASE - len(syms.constants)
+            # a word of length n for x makes a pattern p with c > 0 x's len(p) + c(n - 1) long
+            cap = min((max_word_len - len(p) + c) // c for p in patterns if (c := p.count(x)))
+            if not words:
+                true_of = {key[2]: s for s, key in enumerate(keys) if not key[0]}
+                quot = _left_quotients(g.instance.mu.target)
+                consts = [(char_of[a], g.instance.mu[a]) for a in syms.constants]
+                imgs = list({m for key in true_of for m in key if m != -1})
+                for m in imgs:  # closed under left quotients by the constants' images
+                    imgs += [t for t in {t for _, ma in consts for t in quot.get((ma, m), ())} if t not in imgs]
+            # after a length without words no longer word exists either
+            while len(words) < cap and (not words or words[-1]):
+                level = {}
+                for m in imgs:
+                    ws = ([a for a, ma in consts if ma == m] if not words else
+                          [a + w for a, ma in consts for t in quot.get((ma, m), ()) for w in words[-1].get(t, ())])
+                    if ws:
+                        made += len(ws)
+                        if len(seen) + len(found) + made > max_states:
+                            raise StateBudgetExceeded(max_states + 1, max_states, "(state, patterns) pairs")
+                        level[m] = ws
+                words.append(level)
+            target = true_of[images[:k] + (-1,) + images[k + 1:]]
+            succ = [(target, tuple([p.replace(x, w) for p in patterns]))
+                    for level in words[:cap] for w in level.get(images[k], ())]
+        for key in succ:
+            if key[0] in finals:
+                found.add(key[1])
+            elif key not in seen:
                 seen.add(key)
                 stack.append(key)
-    if entered:
-        _complete_at_true(g, entered, seen, found, max_word_len, max_states)
+            else:
+                continue
+            if len(seen) + len(found) + made > max_states:
+                raise StateBudgetExceeded(max_states + 1, max_states, "(state, patterns) pairs")
     if not found:
         return []
     bad = first_non_solution(g.instance, found)
     if bad is not None:
         raise _failed_guarantee(packed_solutions(syms, [bad])[0])
     return packed_solutions(syms, found)
-
-
-def _complete_at_true(g: SolutionGraph, todo, seen, found, max_word_len, max_states) -> None:
-    """Complete the (TRUE state, patterns) pairs of `todo` within
-    max_word_len, one active variable at a time, with the words each TRUE
-    state gives its first active variable (the module docstring says how
-    they are made), adding the tuples that reach a final state to `found`
-    and the others to `seen` and `todo`.  Raises StateBudgetExceeded once
-    `seen`, the words and the new tuples of `found` hold more than
-    `max_states` entries in all."""
-    first, dst, labels, finals = g.first, g.dst, g.labels, g.finals
-    keeps: dict[int, list[tuple[str, int]]] = {}  # (a, target) of each move x -> a x
-    deletions: dict[int, list[tuple[str, int]]] = {}  # (a, target) of each move x -> a
-    reach = [sid for sid, _ in todo]
-    for t in reach:  # the loop reads the states it appends
-        if t in keeps:
-            continue
-        kept, gone = keeps[t], deletions[t] = [], []
-        for e in range(first[t], first[t + 1]):
-            lab, s = labels[e], dst[e]
-            (kept if len(lab) == 3 else gone).append((lab[1], s))
-            if s not in keeps and s not in finals:
-                reach.append(s)
-    levels: list[dict[int, list[tuple[str, int]]]] = []  # levels[n - 1]: the words of length n
-    made = 0  # the words
-    budget = max_states + len(found)  # the tuples found so far are in `seen` too
-    while todo:
-        sid, patterns = todo.pop()
-        x = labels[first[sid]][0]
-        # a word of length n for x makes a pattern p with c > 0 x's len(p) + c(n - 1) long
-        cap = min((max_word_len - len(p) + c) // c for p in patterns if (c := p.count(x)))
-        # after a level without words no longer word exists either
-        while len(levels) < cap and (not levels or levels[-1]):
-            last = levels[-1] if levels else None
-            level = {}
-            for t, kept in keeps.items():
-                ws = deletions[t] if last is None else [(a + w, s) for a, u in kept for w, s in last.get(u, ())]
-                if ws:
-                    made += len(ws)
-                    if len(seen) + len(found) + made > budget:
-                        raise StateBudgetExceeded(max_states + 1, max_states, "(state, patterns) pairs")
-                    level[t] = ws
-            levels.append(level)
-        for n in range(min(cap, len(levels))):
-            for w, s in levels[n].get(sid, ()):
-                nxt = tuple([p.replace(x, w) for p in patterns])
-                if s in finals:
-                    found.add(nxt)
-                elif (s, nxt) not in seen:
-                    seen.add((s, nxt))
-                    todo.append((s, nxt))
-            if len(seen) + len(found) + made > budget:
-                raise StateBudgetExceeded(max_states + 1, max_states, "(state, patterns) pairs")
 
 
 def first_non_solution(ins: Instance, found) -> tuple[str, ...] | None:

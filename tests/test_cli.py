@@ -172,6 +172,22 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["oracle_crosscheck"]["agree"] is True
 
+    def test_crosscheck_text_line(self, files, capsys):
+        assert main(["check", files["xabby.weq"], "--crosscheck", "3"]) == 0
+        rep = brute_solutions(parse_instance(XABBY), 3)
+        assert (len(rep.solutions), rep.max_exp_seen) == (6, 3)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["oracle crosscheck at 3: agree=True (6 solutions, max exp 3)", "satisfiable"]
+
+    @pytest.mark.parametrize("command", ["check", "infinite"])
+    def test_unknown_verdict_when_no_state_is_pumpable(self, files, capsys, monkeypatch, command):
+        # only a miss of the pumpable-state scan leaves the verdict unknown
+        monkeypatch.setattr(periodicity, "pumpable_state", lambda g: None)
+        assert main([command, files["xabby.weq"], "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["exp_verdict"] == "Unknown" and report["certificate"] is None
+        assert report["solvable"] is True and report["infinite"] is True
+
     def test_system_reduced_to_single_equation(self, files, capsys):
         # multi-equation files run through the separator encoding
         assert main(["check", files["system.weq"], "--json"]) == 0
@@ -347,6 +363,44 @@ class TestPump:
         data["base"]["X"] = ["b"]
         cert.write_text(json.dumps(data))
         assert main(["pump", files["xabby.weq"], "--cert-in", str(cert)]) == 2
+
+    # each fails one check of the certificate reader: the prefix, the state,
+    # the variable, pumpability, and the base's variables
+    @pytest.mark.parametrize("changes, error", [
+        ({"prefix_path": [["X", ["a"]]]}, "certificate path prefix does not run in the automaton"),
+        ({"prefix_path": [["X", ["Y", "X"]]]}, "certificate path prefix does not reach the certified state"),
+        ({"state": 4, "prefix_path": [["X", ["Y", "X"]], ["X", ["b"]]]},
+         "variable 'X' is not active in state 4"),
+        ({"state": 1, "prefix_path": [["X", ["Y", "X"]]], "variable": "Y"}, "state 1 is not pumpable on 'Y'"),
+        ({"base": {"X": ["b", "b"]}}, "certificate base does not cover the state's variables"),
+    ], ids=["prefix-runs", "prefix-reaches", "variable-active", "pumpable", "base-covers"])
+    def test_tampered_certificate_names_its_fault(self, files, tmp_path, capsys, changes, error):
+        cert = tmp_path / "cert.json"
+        assert main(["pump", files["xabby.weq"], "--m", "0", "--cert-out", str(cert)]) == 0
+        capsys.readouterr()
+        cert.write_text(json.dumps({**json.loads(cert.read_text()), **changes}))
+        assert main(["pump", files["xabby.weq"], "--cert-in", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+    def test_base_violating_a_constraint_is_rejected(self, tmp_path, capsys):
+        """X = aaa solves X a = a X, but over z2 with a -> 1 it folds to 1,
+        not to X's image 0."""
+        path = tmp_path / "z2.weq"
+        path.write_text("constants a\nvariables X\nequation X a = a X\nsemigroup builtin:z2\n"
+                        "map a -> 1\nmap X -> 0\n")
+        cert = tmp_path / "cert.json"
+        assert main(["pump", str(path), "--m", "0", "--cert-out", str(cert)]) == 0
+        capsys.readouterr()
+        data = json.loads(cert.read_text())
+        assert data["base"] == {"X": ["a", "a"]}
+        data["base"]["X"] = ["a", "a", "a"]
+        cert.write_text(json.dumps(data))
+        assert main(["pump", str(path), "--cert-in", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: certificate base violates the constraint on 'X'\n"
 
     def test_base_of_variables_is_rejected(self, files, tmp_path, capsys):
         cert = tmp_path / "cert.json"
@@ -771,6 +825,25 @@ class TestSolveOracleGraph:
         assert main(["graph", files["xabby.weq"], "--dot", str(d2)]) == 0
         assert d1.read_bytes() == d2.read_bytes()
         assert b"digraph" in d1.read_bytes()
+
+    def test_graph_dot_to_stdout(self, files, tmp_path, capsys):
+        dot = tmp_path / "a.dot"
+        assert main(["graph", files["xabby.weq"], "--dot", str(dot)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["graph", files["xabby.weq"]]) == 0
+        assert capsys.readouterr().out.encode() == dot.read_bytes()
+
+    def test_graph_json_is_one_document(self, files, tmp_path, capsys):
+        """Under --json stdout holds the summary alone; the DOT goes only to
+        a --dot file."""
+        want = {"infinite": True, "scc_count": 12, "solvable": True, "state_count": 18,
+                "transition_count": 26}
+        assert main(["graph", files["xabby.weq"], "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == want
+        dot = tmp_path / "a.dot"
+        assert main(["graph", files["xabby.weq"], "--json", "--dot", str(dot)]) == 0
+        assert json.loads(capsys.readouterr().out) == want
+        assert dot.read_text().startswith("digraph")
 
     def test_non_quadratic_exits_5(self, tmp_path):
         p = tmp_path / "cubic.weq"

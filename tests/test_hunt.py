@@ -163,24 +163,6 @@ class TestSweepEnumeration:
         )
         assert count_two_constants == 2
 
-    def test_unseeded_sweep_streams(self, monkeypatch):
-        """Without a seed, the first instance is yielded before a second
-        equation is generated, so the work before it does not grow with
-        max_len (there are 34,482,100 b2 instances at |UV| <= 8 alone)."""
-        generate = hunt.quadratic_equations
-        yielded = []
-
-        def counted(*args):
-            for n, item in enumerate(generate(*args), 1):
-                assert n == 1 or yielded, f"equation {n} generated before the first instance"
-                yield item
-
-        monkeypatch.setattr(hunt, "quadratic_equations", counted)
-        sweep = hunt.sweep_instances(builtin("b2"), 2, 2, 12)
-        yielded.append(next(sweep))
-        first = next(iter(hunt.sweep_instances(builtin("b2"), 2, 2, 2)))
-        assert format_instance(yielded[0]) == format_instance(first)
-
 
 class TestClassify:
     def test_unsat(self):
@@ -217,6 +199,23 @@ class TestClassify:
                             lambda ins, bound, *a, **k: SimpleNamespace(max_exp_seen=1))
         clazz, detail = hunt.classify(ins)
         assert clazz == "Suspect"
+        assert detail["states_checked"] >= 1
+
+
+    def test_suspect_when_the_oracle_is_over_budget(self, monkeypatch):
+        # an exponent the oracle cannot measure cannot discharge the instance
+        from conftest import make_instance
+        ins = make_instance("Xa=aX", sg=builtin("lz2"),
+                            mapping={"a": "a", "b": "b", "X": "a"})
+        monkeypatch.setattr(hunt, "pumpable_state", lambda g: None)
+
+        def over(ins, bound, *a, **k):
+            raise hunt.BudgetExceeded("over")
+
+        monkeypatch.setattr(hunt.oracle, "brute_solutions", over)
+        clazz, detail = hunt.classify(ins)
+        assert clazz == "Suspect"
+        assert set(detail) == {"states_checked", "max_exp"} and detail["max_exp"] is None
         assert detail["states_checked"] >= 1
 
 
@@ -268,6 +267,15 @@ class TestRunHunt:
             + report.suspects + report.discharged
         )
         assert report.total > 0 and not report.truncated
+
+    def test_discharged_instances_are_counted_not_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hunt, "classify", lambda ins, **k: ("Discharged", {"states_checked": 1}))
+        path = tmp_path / "findings.jsonl"
+        report = hunt.run_hunt(builtin("trivial"), 1, 1, 2, budget=10**6, findings_path=str(path))
+        swept = list(hunt.sweep_instances(builtin("trivial"), 1, 1, 2))
+        assert report.total == report.discharged == len(swept)
+        assert report.suspects == 0 and not report.truncated
+        assert path.read_text() == ""
 
     def test_suspects_written_as_json_lines(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hunt, "classify",

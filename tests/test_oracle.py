@@ -34,6 +34,19 @@ class TestBruteSolutions:
     def test_unsat(self):
         assert brute_solutions(make_instance("Xa=bX"), 4).solutions == ()
 
+    # X b = a Y makes X start with a, X a = b Y with b; a X = Y b makes Y
+    # start with a, b X = Y a with b
+    @pytest.mark.parametrize("spec", [["Xb=aY", "Xa=bY"], ["aX=Yb", "bX=Ya"]])
+    def test_contradicting_first_letters(self, spec):
+        """The system is refuted before any word is made, and no pair of
+        words up to length 3 solves it."""
+        ins = make_instance(spec)
+        assert oracle._edge_constraints(ins) is None
+        assert brute_solutions(ins, 3).solutions == ()
+        words = [w for n in (1, 2, 3) for w in itertools.product("ab", repeat=n)]
+        assert not any(verify_solution(ins, Solution.from_dict({"X": x, "Y": y}))
+                       for x in words for y in words)
+
     def test_no_variables(self):
         rep = brute_solutions(make_instance("ab=ab"), 2)
         assert rep.solutions == (Solution.from_dict({}),)

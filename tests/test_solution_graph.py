@@ -229,6 +229,19 @@ class TestEnumerate:
         assert sum(counts) == 85_536 and counts.count(0) == 2
         assert time.monotonic() - start < 5.0
 
+    def test_absent_variable_takes_its_word_in_one_move(self):
+        """Y occurs in neither side of X a = a X, so the search leaves its
+        moves aside and gives it each of its 126 words up to length 6 in one
+        move at TRUE: the pairs, the solutions and the words number 900."""
+        ins = make_instance("Xa=aX", variables="XY")
+        g = build(ins)
+        got = enumerate_solutions(g, 6, max_states=1000)
+        assert got == list(brute_solutions(ins, 6).solutions)
+        assert len(got) == 6 * 126
+        assert enumerate_solutions(g, 6, max_states=900) == got
+        with pytest.raises(StateBudgetExceeded, match="reached 900 .state, patterns. pairs, budget is 899"):
+            enumerate_solutions(g, 6, max_states=899)
+
     def test_needs_some_bound(self):
         with pytest.raises(TypeError):
             enumerate_solutions(build(make_instance("Xa=aX")))
