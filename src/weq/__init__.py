@@ -52,10 +52,8 @@ from .semigroup import (
     OmegaPower,
     SemigroupError,
     VarietyReport,
-    adjoin_identity,
     adjoin_zero,
     builtin,
-    direct_product,
     from_table,
     green,
     is_dlg,

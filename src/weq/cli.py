@@ -192,7 +192,7 @@ def cmd_pump(args) -> int:
     write = sys.stdout.write
     for m in range(args.m + 1):
         sol = instantiate(cert, ins, m)
-        words = sorted((v, "".join(w)) for v, w in sol.assignment)
+        words = [(v, "".join(w)) for v, w in sol.assignment]  # in variable order, as Solution keeps them
         if not args.json:
             write(f"m={m}: {', '.join(f'{v}={w}' for v, w in words)}  (exp {sol.exponent})\n")
             continue

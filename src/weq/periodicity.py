@@ -24,7 +24,6 @@ from .equations import (
     TheoremViolation,
     Word,
     apply_map,
-    packing,
     preimage_infinite,
     preimage_pump,
     verify_solution,
@@ -215,18 +214,9 @@ def _base_fault(ins: Instance, st: GraphState, sid: int, base: dict[str, Word]) 
 
 
 def _solve_state(g: SolutionGraph, st: GraphState, sid: int, path: list[int]) -> dict[str, Word]:
-    """Base solution of a state's own equation from an accepting path: the
-    path's packed labels are composed with `str.replace`, first label first,
-    and each word is decoded once at the end."""
-    char_of, token_of = packing(g.instance.symbols)
-    variables = [v for v, _ in st.mu_items]
-    words = [char_of[v] for v in variables]
-    for e in path:
-        lab = g.labels[e]
-        if lab:
-            x, repl = lab[0], lab[1:]
-            words = [w.replace(x, repl) for w in words]
-    base = {v: tuple(map(token_of.__getitem__, w)) for v, w in zip(variables, words)}
+    """Base solution of a state's own equation, composed along an accepting
+    path from it by `g.compose_run`."""
+    base = g.compose_run(path, [v for v, _ in st.mu_items])
     fault = _base_fault(g.instance, st, sid, base)
     if fault is not None:
         raise TheoremViolation(f"accepting path from state {sid} {fault}")
@@ -291,14 +281,13 @@ def instantiate(cert: PumpingCertificate, ins: Instance, m: int) -> Solution:
     return sol
 
 
-def decide_exp_infinite_dlg(ins: Instance, graph: SolutionGraph | None = None) -> PumpingCertificate | None:
+def decide_exp_infinite_dlg(ins: Instance) -> PumpingCertificate | None:
     """For constraint targets in the supported variety: None for finitely
     many solutions, else a certificate of unbounded exponent of periodicity
     (the two cases are exhaustive there)."""
-    ins.require_quadratic()
     if not is_dlg(ins.mu.target).holds:
         raise NotDLG("constraint target has a regular D-class that is not a right group")
-    return pumping_certificate(ins, graph=graph)
+    return pumping_certificate(ins)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ pseudo-index ``ONE`` and is never stored in a table.
 Provided here: eager table validation, Green's relations, idempotent powers,
 L-stabilizers, the membership test for the class of semigroups whose regular
 D-classes are right groups (with an explicit counterexample on failure), a
-wider variety report, and structural constructions (opposite, identity/zero
-adjunction, direct products).
+wider variety report, and the opposite semigroup and zero adjunction.
 """
 
 from __future__ import annotations
@@ -287,21 +286,13 @@ class VarietyReport:
 
 
 def _is_nilpotent(sg: FiniteSemigroup) -> bool:
-    """Some power of S is a single absorbing zero (vacuously true when empty)."""
-    if sg.order == 0:
-        return True
-    z = sg.zero_element()
-    if z is None:
-        return False
-    current = frozenset(sg.elements())
-    for _ in range(sg.order + 1):
-        if current == frozenset({z}):
-            return True
-        nxt = frozenset(sg.table[x][y] for x in current for y in sg.elements())
-        if nxt == current:
-            break
-        current = nxt
-    return current == frozenset({z})
+    """S ⊇ S² ⊇ ... shrinks until a power P has P·S = P; S is nilpotent
+    exactly when that P is a single element, then its zero (and vacuously
+    when S is empty)."""
+    power = set(sg.elements())
+    while (nxt := {sg.table[x][y] for x in power for y in sg.elements()}) != power:
+        power = nxt
+    return len(power) <= 1
 
 
 def variety_report(sg: FiniteSemigroup) -> VarietyReport:
@@ -367,15 +358,6 @@ def _fresh_name(taken, base: str) -> str:
     return name
 
 
-def adjoin_identity(sg: FiniteSemigroup) -> FiniteSemigroup:
-    """S with a new last element `1` (primed until new) as its identity."""
-    n = sg.order
-    rows = [list(row) + [i] for i, row in enumerate(sg.table)]
-    rows.append(list(range(n + 1)))
-    label = f"{sg.label}+1" if sg.label else ""
-    return FiniteSemigroup(sg.names + (_fresh_name(sg.names, "1"),), tuple(map(tuple, rows)), label)
-
-
 def adjoin_zero(sg: FiniteSemigroup) -> FiniteSemigroup:
     """S with a new last element `0` (primed until new) as its zero."""
     n = sg.order
@@ -383,17 +365,6 @@ def adjoin_zero(sg: FiniteSemigroup) -> FiniteSemigroup:
     rows.append([n] * (n + 1))
     label = f"{sg.label}+0" if sg.label else ""
     return FiniteSemigroup(sg.names + (_fresh_name(sg.names, "0"),), tuple(map(tuple, rows)), label)
-
-
-def direct_product(a: FiniteSemigroup, b: FiniteSemigroup) -> FiniteSemigroup:
-    names = tuple(f"{na},{nb}" for na in a.names for nb in b.names)
-    nb = b.order
-    table = tuple(
-        tuple(a.table[xa][ya] * nb + b.table[xb][yb] for ya in a.elements() for yb in b.elements())
-        for xa in a.elements() for xb in b.elements()
-    )
-    label = f"{a.label}x{b.label}" if a.label and b.label else ""
-    return FiniteSemigroup(names, table, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +412,6 @@ _BUILTIN_FACTORIES = {
     "n2": lambda: FiniteSemigroup(("x", "0"), ((1, 1), (1, 1)), label="n2"),
     "sl2": lambda: FiniteSemigroup(("1", "0"), ((0, 1), (1, 1)), label="sl2"),
 }
-
-BUILTIN_NAMES = tuple(sorted(_BUILTIN_FACTORIES))
 
 
 @lru_cache(maxsize=None)
@@ -510,13 +479,6 @@ def parse_semigroup(text: str) -> FiniteSemigroup:
         return from_table(names, rows, label=label)
     except SemigroupError as exc:
         raise ParseError(lines[0][0], str(exc)) from exc
-
-
-def format_semigroup(sg: FiniteSemigroup) -> str:
-    out = [f"semigroup {sg.label or 'S'}", "elements " + " ".join(sg.names), "table"]
-    for row in sg.table:
-        out.append(" ".join(sg.names[v] for v in row))
-    return "\n".join(out) + "\n"
 
 
 def resolve_semigroup(spec: str, base_dir: str = ".") -> FiniteSemigroup:

@@ -35,13 +35,14 @@ trimmed automaton.
 while it is built: the packed key of each kept state, out-offsets `first`
 and integer targets `dst` per edge, and the packed label of each edge.  The
 verdicts read the SCCs and the final states; the path searches walk
-`first` and `dst`; enumeration composes packed labels.  `g.state(sid)`
-decodes one `GraphState` and `g.label(e)` one label through the instance's
-`packing`, which is all that the pumpable-state scan and the certificates
-need; they decode each state they read once and pass it on.  `dot_lines`
-decodes each state and edge the same way as it writes its line and keeps
-none.  `g.transitions` and `g.out` decode every edge on first access, for
-callers that want objects.
+`first` and `dst`; enumeration composes packed labels, and so does
+`g.compose_run`, the one composer of a run, for a certificate's base and
+`extract_solution`.  `g.state(sid)` decodes one `GraphState` and
+`g.label(e)` one label through the instance's `packing`, which is all that
+the pumpable-state scan and the certificates need; they decode each state
+they read once and pass it on.  `dot_lines` decodes each state and edge the
+same way as it writes its line and keeps none.  `g.transitions` and `g.out`
+decode every edge on first access, for callers that want objects.
 
 A degenerate state whose equation has been consumed entirely is TRUE: both
 its sides are empty, and it keeps its variable set.  It is accepting once
@@ -242,6 +243,19 @@ class SolutionGraph:
             return None
         token_of = packing(self.instance.symbols)[1]
         return token_of[lab[0]], tuple(map(token_of.__getitem__, lab[1:]))
+
+    def compose_run(self, path, variables) -> dict[str, Word]:
+        """The word each of `variables` becomes along the edges of `path`:
+        their packed labels applied with `str.replace`, first edge first,
+        and each word decoded once at the end."""
+        char_of, token_of = packing(self.instance.symbols)
+        words = [char_of[v] for v in variables]
+        for e in path:
+            lab = self.labels[e]
+            if lab:
+                x, repl = lab[0], lab[1:]
+                words = [w.replace(x, repl) for w in words]
+        return {v: tuple(map(token_of.__getitem__, w)) for v, w in zip(variables, words)}
 
     @cached_property
     def transitions(self) -> list[GraphTransition]:
@@ -586,25 +600,22 @@ def compose(variables, labels) -> dict[str, Word]:
     return patterns
 
 
-def extract_solution(g: SolutionGraph, path) -> Solution:
-    """Compose the path's labels, first label first, starting from the
-    one-symbol word per original variable; checks that the path is an
-    accepting run, and raises TheoremViolation if the result does not solve
-    the instance."""
+def extract_solution(g: SolutionGraph, path: list[int]) -> Solution:
+    """The solution that the edges of `path` compose to, by `g.compose_run`
+    from the original variables; checks that the path is an accepting run,
+    and raises TheoremViolation if the result does not solve the instance."""
     if g.initial is None:
         raise NotAccepting("the automaton accepts nothing")
     at = g.initial
-    labels = []
     for e in path:
         if not 0 <= e < len(g.dst):
             raise NotAccepting(f"no transition {e}")
         if e not in g.edges(at):
             raise NotAccepting(f"transition {e} does not start at state {at}")
-        labels.append(g.label(e))
         at = g.dst[e]
     if at not in g.finals:
         raise NotAccepting(f"path ends at non-final state {at}")
-    sol = Solution.from_dict(compose(g.instance.symbols.variables, labels))
+    sol = Solution.from_dict(g.compose_run(path, g.instance.symbols.variables))
     if not verify_solution(g.instance, sol):
         raise _failed_guarantee(sol)
     return sol

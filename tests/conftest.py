@@ -7,17 +7,14 @@ import itertools
 
 import pytest
 
+from families import adjoin_identity, direct_product
 from weq.equations import ConstraintMorphism, Instance, SymbolTable, WordEquation
-from weq.semigroup import (
-    FiniteSemigroup,
-    adjoin_identity,
-    adjoin_zero,
-    builtin,
-    direct_product,
-    opposite,
-)
+from weq.semigroup import FiniteSemigroup, adjoin_zero, builtin, opposite
 
 BATTERY_SEMIGROUPS = ("trivial", "z2", "n2", "rz2")
+# the names `semigroup.builtin` knows, in the zoo's order and sorted
+ZOO_BASE = ("trivial", "z2", "z3", "s3", "b2", "lz2", "rz2", "n2", "sl2")
+BUILTIN_NAMES = tuple(sorted(ZOO_BASE))
 
 
 def compact_equation(spec: str) -> WordEquation:
@@ -59,12 +56,11 @@ def zoo() -> list[tuple[str, FiniteSemigroup]]:
     """The structural test zoo: base members, opposites, identity/zero
     adjunctions, and pairwise direct products of the members with at most
     three elements."""
-    base_names = ("trivial", "z2", "z3", "s3", "b2", "lz2", "rz2", "n2", "sl2")
-    members: list[tuple[str, FiniteSemigroup]] = [(n, builtin(n)) for n in base_names]
-    members += [(f"{n}^op", opposite(builtin(n))) for n in base_names]
-    members += [(f"{n}+1", adjoin_identity(builtin(n))) for n in base_names]
-    members += [(f"{n}+0", adjoin_zero(builtin(n))) for n in base_names]
-    small = [n for n in base_names if builtin(n).order <= 3]
+    members: list[tuple[str, FiniteSemigroup]] = [(n, builtin(n)) for n in ZOO_BASE]
+    members += [(f"{n}^op", opposite(builtin(n))) for n in ZOO_BASE]
+    members += [(f"{n}+1", adjoin_identity(builtin(n))) for n in ZOO_BASE]
+    members += [(f"{n}+0", adjoin_zero(builtin(n))) for n in ZOO_BASE]
+    small = [n for n in ZOO_BASE if builtin(n).order <= 3]
     for a, b in itertools.product(small, repeat=2):
         members.append((f"{a}x{b}", direct_product(builtin(a), builtin(b))))
     return members

@@ -16,13 +16,17 @@ by `from_table`:
 `families()` is these 36 targets, over which the planted-instance
 properties of `test_acceptance.py` run.  `permutation_groups()` adds groups
 drawn at random on 3 to 5 points, and the symmetric group S_5.
+
+The zoo of `conftest.py` also adjoins identities and takes direct products
+of the builtins, and the tests write tables with `format_semigroup`; the
+library itself needs none of the three.
 """
 
 from __future__ import annotations
 
 import random
 
-from weq.semigroup import FiniteSemigroup, from_table
+from weq.semigroup import ONE, FiniteSemigroup, from_table
 
 
 def closure(generators, compose) -> list:
@@ -119,3 +123,31 @@ def j_trivial() -> list[FiniteSemigroup]:
 def families() -> list[FiniteSemigroup]:
     """Every member of the three families: 36 targets."""
     return groups() + commutative() + j_trivial()
+
+
+def adjoin_identity(sg: FiniteSemigroup) -> FiniteSemigroup:
+    """S with a new last element `1` (primed until new) as its identity."""
+    n = sg.order
+    rows = [list(row) + [i] for i, row in enumerate(sg.table)]
+    rows.append(list(range(n + 1)))
+    label = f"{sg.label}+1" if sg.label else ""
+    return FiniteSemigroup(sg.names + (sg.name_of(ONE),), tuple(map(tuple, rows)), label)
+
+
+def direct_product(a: FiniteSemigroup, b: FiniteSemigroup) -> FiniteSemigroup:
+    names = tuple(f"{na},{nb}" for na in a.names for nb in b.names)
+    nb = b.order
+    table = tuple(
+        tuple(a.table[xa][ya] * nb + b.table[xb][yb] for ya in a.elements() for yb in b.elements())
+        for xa in a.elements() for xb in b.elements()
+    )
+    label = f"{a.label}x{b.label}" if a.label and b.label else ""
+    return FiniteSemigroup(names, table, label=label)
+
+
+def format_semigroup(sg: FiniteSemigroup) -> str:
+    """The table in the text format that `parse_semigroup` reads."""
+    out = [f"semigroup {sg.label or 'S'}", "elements " + " ".join(sg.names), "table"]
+    for row in sg.table:
+        out.append(" ".join(sg.names[v] for v in row))
+    return "\n".join(out) + "\n"

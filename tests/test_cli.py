@@ -12,11 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BUILTIN_NAMES
+from families import format_semigroup
 from weq import hunt, periodicity, solution_graph
 from weq.cli import main
 from weq.equations import format_instance, parse_instance
 from weq.oracle import brute_solutions
-from weq.semigroup import BUILTIN_NAMES, builtin, format_semigroup, variety_report
+from weq.semigroup import builtin, variety_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -496,6 +498,50 @@ class TestPump:
         assert main(["pump", files["xabby.weq"], "--m", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--m" in captured.err
+
+
+INSTANCE_HEAD = "constants a\nequation a = a\nsemigroup builtin:trivial\n"
+
+
+class TestInputChecks:
+    """Each check of the two file formats ends in exit 2, nothing on
+    stdout and one `parse error:` line naming the line at fault."""
+
+    @pytest.mark.parametrize("command,text,error", [
+        ("check", "constants a\nconstants b\nequation a = a\nsemigroup builtin:trivial\n",
+         "line 2: duplicate constants line"),
+        ("check", "constants a\nequation a = a\nsemigroup builtin:trivial z2\n",
+         "line 3: expected: semigroup <spec>"),
+        ("check", "constants a\nequation a = a\nsemigroup\n", "line 3: expected: semigroup <spec>"),
+        ("check", INSTANCE_HEAD + "map a e\n", "line 4: expected: map <symbol> -> <element>"),
+        ("check", INSTANCE_HEAD + "map a -> e\nmap a -> e\n", "line 5: duplicate map line for 'a'"),
+        ("check", "constants a\nvariables a\nequation a = a\nsemigroup builtin:trivial\n",
+         "line 1: symbol tokens must be pairwise distinct"),
+        ("check", "constants a\nequation a = a\n", "line 1: missing semigroup line"),
+        ("check", "constants a\nsemigroup builtin:trivial\n", "line 1: missing equation line"),
+        ("check", "constants a\nequation a =\nsemigroup builtin:trivial\n",
+         "line 2: equation sides must be nonempty"),
+        ("check", INSTANCE_HEAD + "map b -> e\n", "line 4: map line for undeclared symbol 'b'"),
+        ("semigroup", "", "line 1: empty semigroup file"),
+        ("semigroup", "# only a comment\n", "line 1: empty semigroup file"),
+        ("semigroup", "semigroup g\nelements a\n", "line 2: missing 'table' line"),
+        ("semigroup", "semigroup\nelements a\ntable\na\n", "line 1: expected: semigroup <name>"),
+        ("semigroup", "semigroup g\nelements\ntable\n", "line 2: no elements listed"),
+        ("semigroup", "semigroup g\nelements a a\ntable\na a\na a\n", "line 2: duplicate element tokens"),
+        ("semigroup", "semigroup g\nelements a\ntable a\na\n", "line 3: unexpected tokens after 'table'"),
+        ("semigroup", "semigroup g\nelements a b\ntable\na\nb b\n",
+         "line 4: table row has 1 entries, expected 2"),
+        ("semigroup", "semigroup g\nelements a\ntable\na\na\n", "line 5: trailing content after table"),
+        ("semigroup", "semigroup g\nelements a b\ntable\nb a\na a\n",
+         "line 1: multiplication not associative on (a, a, b)"),
+    ])
+    def test_parse_error_line(self, tmp_path, capsys, command, text, error):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert main([command, str(path) if command == "check" else f"file:{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {error}\n"
 
 
 class TestNotText:

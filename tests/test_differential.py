@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 import oracle_reference
 from conftest import make_instance, zoo
+from families import adjoin_identity, direct_product, format_semigroup
 from graph_reference import assert_same_graph, reference_build
 from weq import hunt
 from weq.equations import (
@@ -50,9 +51,7 @@ from weq.equations import (
 )
 from weq.oracle import brute_solutions
 from weq.periodicity import certificate_to_json, instantiate, load_certificate, pumping_certificate
-from weq.semigroup import (
-    adjoin_identity, adjoin_zero, builtin, direct_product, format_semigroup, is_dlg, resolve_semigroup,
-)
+from weq.semigroup import adjoin_zero, builtin, is_dlg, resolve_semigroup
 from weq.solution_graph import build, enumerate_solutions, first_non_solution, has_infinitely_many, is_solvable
 
 CONSTANTS = ("a", "#", ",", "->", "bc")

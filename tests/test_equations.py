@@ -10,8 +10,11 @@ from weq._text import ParseError
 from weq.equations import (
     ConstraintMorphism,
     EmptyWord,
+    EquationError,
+    Instance,
     Solution,
     SymbolTable,
+    WordEquation,
     WrongConstraintShape,
     brandt_two_constant_guesses,
     exp_word,
@@ -24,7 +27,7 @@ from weq.equations import (
     verify_solution,
 )
 from weq.oracle import brute_solutions
-from weq.semigroup import builtin
+from weq.semigroup import BadIndex, builtin
 
 
 def exp_by_factor_search(w):
@@ -74,6 +77,33 @@ def pumped_words(draw):
     y = draw(st.text(alphabet="abc", min_size=1, max_size=12))
     k = draw(st.integers(0, min(60, 260 // len(y))))
     return u + y * k + w
+
+
+SYMBOLS_AX = SymbolTable(("a",), ("X",))
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: SymbolTable(()), EquationError, "at least one constant is required"),
+    (lambda: SymbolTable(("a",), ("a",)), EquationError, "symbol tokens must be pairwise distinct"),
+    (lambda: WordEquation((), ("a",)), EquationError, "equation sides must be nonempty"),
+    (lambda: WordEquation(("a",), ()), EquationError, "equation sides must be nonempty"),
+    (lambda: ConstraintMorphism.from_dict(SYMBOLS_AX, builtin("z2"), {"a": 0}),
+     EquationError, "constraint map misses symbols ['X']"),
+    (lambda: ConstraintMorphism.from_dict(SYMBOLS_AX, builtin("z2"), {"a": 0, "X": 1, "b": 0}),
+     EquationError, "constraint map has unknown symbols ['b']"),
+    (lambda: ConstraintMorphism.from_dict(SYMBOLS_AX, builtin("z2"), {"a": 0, "X": 2}),
+     BadIndex, "image of 'X' out of range"),
+    (lambda: ConstraintMorphism.from_dict(SYMBOLS_AX, builtin("z2"), {"a": -1, "X": 0}),
+     BadIndex, "image of 'a' out of range"),
+    (lambda: Instance((WordEquation(("Y",), ("a",)),), ConstraintMorphism.trivial(SYMBOLS_AX)),
+     EquationError, "undeclared symbol 'Y' in equation"),
+])
+def test_constructors_reject(make, error, message):
+    """The checks of `SymbolTable`, `WordEquation`,
+    `ConstraintMorphism.from_dict` and `Instance`, each with its message."""
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 class TestEval:

@@ -246,11 +246,18 @@ class TestCertificates:
                 scc_invariants(g, ci)
             pumping_certificate(ins, graph=g)
             find_nicely_balanced_on_cycle(g, g.scc.components[cyclic[0]])
-            decide_exp_infinite_dlg(ins, graph=g)
+            decide_exp_infinite_dlg(ins)
         assert green.cache_info().misses == 1
         assert green.cache_info().hits >= 3
         assert is_dlg.cache_info().misses == 1
         assert is_dlg.cache_info().hits >= 2
+
+
+@pytest.mark.parametrize("m", [-1, -5])
+def test_negative_pump_count(m):
+    ins = make_instance("XabY=YbaX")
+    with pytest.raises(ValueError, match="^the pump count must be nonnegative$"):
+        instantiate(decide_exp_infinite_dlg(ins), ins, m)
 
 
 class TestSolveState:
@@ -284,7 +291,7 @@ class TestDecide:
         for spec in specs:
             ins = make_instance(spec)
             g = build(ins)
-            cert = decide_exp_infinite_dlg(ins, graph=g)
+            cert = decide_exp_infinite_dlg(ins)
             assert (cert is not None) == has_infinitely_many(g), spec
 
 
@@ -314,7 +321,8 @@ class TestAbsentVariableComponents:
         # absent-variable rule; the component analysis must survive targets
         # whose J-order is not a chain
         from weq.equations import ConstraintMorphism, Instance, SymbolTable
-        from weq.semigroup import builtin, direct_product, is_dlg
+        from families import direct_product
+        from weq.semigroup import builtin, is_dlg
         from weq.solution_graph import has_infinitely_many
         from conftest import compact_equation
 

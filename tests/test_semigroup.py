@@ -4,15 +4,13 @@ import pytest
 
 import families
 from conftest import class_of
+from families import adjoin_identity, direct_product, format_semigroup
 from weq.semigroup import (
     ONE,
     BadIndex,
     NonAssociative,
-    adjoin_identity,
     adjoin_zero,
     builtin,
-    direct_product,
-    format_semigroup,
     from_table,
     green,
     is_dlg,
@@ -67,6 +65,21 @@ class TestConstruction:
     def test_zoo_is_associative(self, zoo_members):
         for name, sg in zoo_members:
             from_table(sg.names, sg.table)  # re-validates eagerly
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: from_table(["a", "b"], [[0, 1], [0]]), "table is not square"),
+    (lambda: omega(builtin("z2"), 2), "element 2 out of range"),
+    (lambda: omega(builtin("z2"), -2), "element -2 out of range"),
+    (lambda: stab_L(builtin("z2"), 2), "element 2 out of range"),
+    (lambda: stab_L(builtin("z2"), ONE), "element -1 out of range"),
+])
+def test_bad_index(make, message):
+    """A table row of the wrong length, and an element that is neither in
+    range nor, for `omega`, the adjoined identity."""
+    with pytest.raises(BadIndex) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 class TestOmega:

@@ -74,15 +74,12 @@ def test_no_self_recursion():
     assert found == []
 
 
-# public names that only the tests call: they build the zoo and the file tables
-CALLED_FROM_TESTS_ONLY = {"adjoin_identity", "direct_product", "format_semigroup"}
-
-
 def test_public_names_have_callers():
-    """Every public top-level function and class of the library, and every
-    public method, property and field of its public classes, is named
-    outside the tests: in the library (the package's re-exports aside),
-    a demo, or the benchmark, whose tracer names functions by string.  A
+    """Every public top-level function, class and UPPER_CASE constant of the
+    library, and every public method, property and field of its public
+    classes, is named outside the tests: in the library (the package's
+    re-exports aside), a demo, or the benchmark, whose tracer names
+    functions by string.  An assignment's own target is not a use.  A
     member counts as named only as an attribute or a keyword argument, so
     neither a field's own declaration nor a JSON key of the same name
     counts."""
@@ -93,7 +90,8 @@ def test_public_names_have_callers():
     for path in outside:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
-                named.add(node.id)
+                if not isinstance(node.ctx, ast.Store):
+                    named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
                 named_member.add(node.attr)
@@ -104,6 +102,10 @@ def test_public_names_have_callers():
     public, members = set(), set()
     for path in SRC.glob("*.py"):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                public |= {t.id for t in targets
+                           if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)}
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             public.add(node.name)
@@ -117,8 +119,26 @@ def test_public_names_have_callers():
                         continue
                     if not name.startswith("_"):
                         members.add(f"{node.name}.{name}")
-    assert public - named == CALLED_FROM_TESTS_ONLY
+    assert public - named == set()
     assert {m for m in members if m.split(".")[1] not in named_member} == set()
+
+
+def test_only_the_automaton_reads_packed_labels():
+    """`equations.packing` is the codec of the automaton and the oracle:
+    only `equations`, `solution_graph` and `oracle` name it.  Only
+    `solution_graph` reads the packed labels `SolutionGraph.labels`; the
+    certificates compose a run with `SolutionGraph.compose_run`."""
+    packers, label_readers = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "labels":
+                label_readers.add(path.stem)
+            if (isinstance(node, ast.Name) and node.id == "packing"
+                    or isinstance(node, ast.Attribute) and node.attr == "packing"
+                    or isinstance(node, ast.alias) and node.name == "packing"):
+                packers.add(path.stem)
+    assert packers == {"equations", "oracle", "solution_graph"}
+    assert label_readers == {"solution_graph"}
 
 
 def load_spans():
